@@ -90,7 +90,7 @@ def cmd_pmf(args):
             out.write("n,f\n")
             out.write(f"{args.n},{_render(value)}\n")
         else:
-            out.write(f"{value}\n")
+            out.write(f"{_render(value)}\n")
             if isinstance(value, Fraction):
                 out.write(f"decimal: {float(value)!r}\n")
             out.write(f"engine: {engine.value}, mode: {params.mode.value}\n")
@@ -113,7 +113,8 @@ def cmd_table(args):
             out.write(f"pmf table for p={params.p}, k={params.k} "
                       f"(engine={engine.value}, mode={params.mode.value})\n")
             for n, f, c in table.rows():
-                out.write(f"  n={n:<5d} f={str(f):<24} cumulative={c}\n")
+                out.write(f"  n={n:<5d} f={_render(f):<24} "
+                          f"cumulative={_render(c)}\n")
             if table.tail_bound is not None:
                 out.write(f"  tail bound beyond n_max: {table.tail_bound!r}\n")
     return 0
@@ -130,9 +131,9 @@ def cmd_moments(args):
         elif args.format == "csv":
             out.write("r,factorial,raw,central\n")
             for r in range(1, report.r_max + 1):
-                central = "" if r < 2 else str(report.central[r - 2])
-                out.write(f"{r},{report.factorial[r - 1]},"
-                          f"{report.raw[r - 1]},{central}\n")
+                central = "" if r < 2 else _render(report.central[r - 2])
+                out.write(f"{r},{_render(report.factorial[r - 1])},"
+                          f"{_render(report.raw[r - 1])},{central}\n")
         else:
             out.write(report.to_text() + "\n")
     return 0

@@ -25,11 +25,10 @@ from typing import Optional
 
 from . import roots as roots_mod
 from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
-                       Scalar, SolverError, falling_factorial, gen_binomial)
+                       Scalar, SolverError, falling_factorial)
 from .params import Params, as_float_params, qpk
-from .pmf import Engine
-from .pmf import _exact_pq as pmf_exact_pq
-from .pmf import _finish_sum as pmf_finish_sum
+from .pmf import (Engine, _closedform_sum, _float_pmf, _json_scalar,
+                  _muselli_sum, _render, _scaled_pmf, _scaled_pq)
 from .pmf import pmf as pmf_eval
 
 logger = logging.getLogger(__name__)
@@ -53,39 +52,16 @@ def factorial_moment_muselli(params: Params, r: int) -> Scalar:
     Terms are evaluated exactly in both modes (see pmf._finish_sum).
     """
     _check_r(r)
-    k = params.k
-    p, q = pmf_exact_pq(params)
-    terms = []
-    for m in range(1, r + 2):
-        i = (r + 1 - m) * k + r - 1
-        bracket = gen_binomial(i, m - 2) + q * gen_binomial(i, m - 1)
-        sign = 1 if m % 2 == 1 else -1
-        terms.append(sign * p ** (m * k) * q ** (m - 1) * bracket)
-    total = pmf_finish_sum(params, terms,
-                           f"factorial_moment_muselli(r={r}, {params})")
+    total = _muselli_sum(params, (r + 1) * params.k + r,
+                         f"factorial_moment_muselli(r={r}, {params})")
     return math.factorial(r) * total / qpk(params) ** (r + 1)
 
 
 def factorial_moment_closed(params: Params, r: int) -> Scalar:
     """mu_(r) from the vanishing-free pmf form, upper limits r+1 and r."""
     _check_r(r)
-    k = params.k
-    p, q = pmf_exact_pq(params)
-    terms = [q * p ** k]
-    for m in range(2, r + 2):
-        i, j = (r + 1 - m) * k + r - 1, m - 2
-        if not 0 <= j <= i:
-            raise ConsistencyError(f"vanishing-free moment sum hit C({i},{j})")
-        sign = -1 if m % 2 == 0 else 1
-        terms.append(sign * p ** (m * k) * q ** (m - 1) * gen_binomial(i, j))
-    for m in range(2, r + 1):
-        i, j = (r + 1 - m) * k + r - 1, m - 1
-        if not 0 <= j <= i:
-            raise ConsistencyError(f"vanishing-free moment sum hit C({i},{j})")
-        sign = -1 if m % 2 == 0 else 1
-        terms.append(sign * p ** (m * k) * q ** m * gen_binomial(i, j))
-    total = pmf_finish_sum(params, terms,
-                           f"factorial_moment_closed(r={r}, {params})")
+    total = _closedform_sum(params, (r + 1) * params.k + r,
+                            f"factorial_moment_closed(r={r}, {params})")
     return math.factorial(r) * total / qpk(params) ** (r + 1)
 
 
@@ -140,17 +116,13 @@ class MomentReport:
     def to_text(self):
         lines = [f"moments for p={self.params.p}, k={self.params.k} "
                  f"({self.params.mode.value}, engine={self.method.value})",
-                 f"  mean     = {self.mean}",
-                 f"  variance = {self.variance}"]
+                 f"  mean     = {_render(self.mean)}",
+                 f"  variance = {_render(self.variance)}"]
         for r in range(1, self.r_max + 1):
             flag = "  [precision degraded]" if self.precision_flags[r - 1] else ""
-            lines.append(f"  r={r}: factorial={self.factorial[r - 1]} "
-                         f"raw={self.raw[r - 1]}{flag}")
+            lines.append(f"  r={r}: factorial={_render(self.factorial[r - 1])} "
+                         f"raw={_render(self.raw[r - 1])}{flag}")
         return "\n".join(lines)
-
-
-def _json_scalar(value: Scalar):
-    return str(value) if isinstance(value, Fraction) else float(value)
 
 
 def moment_report(params: Params, r_max: int,
@@ -220,10 +192,11 @@ def factorial_moment_series(params: Params, r_max: int,
 
     The truncation point is found from the spectral envelope f(n) <= A m^n
     (float arithmetic is used only to decide where to stop).  In exact mode
-    the partial sums are computed on scaled integers: with p = a/b the
-    recurrence becomes the integer recurrence
-    g(n) = sum_i a^{i-1} (b-a) g(n-i) for f(n) = g(n) / b^n, which avoids
-    per-step gcd reduction entirely.
+    the partial sums are computed on scaled integers: with p = a/b the pmf
+    is f(n) = g(n) / b^n for the integers g of pmf._scaled_pmf, so each
+    partial sum is an integer over b^n, extended by S <- S b + n^(r) g(n)
+    and reduced once at the end.  Float mode sums the float recurrence with
+    Neumaier compensation.
     """
     _check_r(r_max)
     k = params.k
@@ -233,30 +206,23 @@ def factorial_moment_series(params: Params, r_max: int,
     exact = params.mode is Mode.EXACT
 
     if exact:
-        a = params.p.numerator
-        b = params.p.denominator
-        coeffs = [a ** i * (b - a) for i in range(k)]
-        window = [0] * (k - 1) + [a ** k]         # g(n-k+1..n) at n=k
+        a, c, b = _scaled_pq(params)
+        values = _scaled_pmf(a, c, k)
         sums = [0] * r_max                        # scaled by b^n
     else:
-        p, q = float(params.p), float(params.q)
-        coeffs = [q * p ** i for i in range(k)]
-        window = [0.0] * (k - 1) + [p ** k]
+        values = _float_pmf(params)
         sums = [0.0] * r_max
         carries = [0.0] * r_max
     float_sums = [0.0] * r_max
-    fwindow = [0.0] * (k - 1) + [float(fparams.p) ** k]
-    fcoeffs = [float(fparams.q) * float(fparams.p) ** i for i in range(k)]
 
-    n = k
-    while True:
-        f_float = fwindow[-1]
+    for n, (value, f_float) in enumerate(zip(values, _float_pmf(fparams)),
+                                         start=k):
         for ri in range(r_max):
             ff = falling_factorial(n, ri + 1)
             if exact:
-                sums[ri] = sums[ri] * b + ff * window[-1]
+                sums[ri] = sums[ri] * b + ff * value
             else:
-                term = ff * window[-1]
+                term = ff * value
                 t = sums[ri] + term
                 if abs(sums[ri]) >= abs(term):
                     carries[ri] += (sums[ri] - t) + term
@@ -275,11 +241,6 @@ def factorial_moment_series(params: Params, r_max: int,
             raise SolverError(
                 f"series oracle did not reach rel_tol={rel_tol} within "
                 f"{_MAX_ORACLE_TERMS} terms for {params}")
-        n += 1
-        nxt = sum(coeffs[i] * window[k - 1 - i] for i in range(k))
-        window = window[1:] + [nxt]
-        fnxt = sum(fcoeffs[i] * fwindow[k - 1 - i] for i in range(k))
-        fwindow = fwindow[1:] + [fnxt]
 
     if exact:
         scale = b ** n

@@ -14,16 +14,30 @@ Four independent engines share the contract (params, n) -> probability:
 * rootsum     -- spectral form over the characteristic roots (float only).
 
 Every engine returns 0 for n = 0 so tables can be built over n = 0..n_max.
+
+Exact arithmetic runs on scaled integers.  Writing p = a/b and q = c/b over
+one denominator, f(n) = g(n) / b^n where g obeys an integer recurrence
+(_scaled_pmf, the one exact recurrence kernel), and both alternating sums
+are sums of integers over a power of b.  Each returned value is reduced to
+a Fraction, or rounded to a float, exactly once.  In float mode the
+alternating sums read p and the stored q = fl(1 - p) as the binary
+rationals they denote, so their results are correctly rounded; the float
+recurrence stays in double precision (_float_pmf).
 """
 
 from __future__ import annotations
 
 import csv
+import decimal
 import json
+import math
+import operator
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import Optional
 
 from . import roots as roots_mod
@@ -54,68 +68,173 @@ def _zero(params: Params) -> Scalar:
     return Fraction(0) if params.mode is Mode.EXACT else 0.0
 
 
-def _exact_pq(params: Params):
-    """(p, q) as exact rationals in either mode.
+def _scaled_pq(params: Params):
+    """(a, c, b) with p = a/b and q = c/b over one denominator b.
 
-    A float is an exact binary rational, so the alternating sums can be
-    evaluated without intermediate rounding even in float mode; the result
-    is rounded back to float once at the end.  Pure double-precision term
-    accumulation loses up to ten digits to cancellation (sum |terms| can
-    exceed 1e7 while f(n) is tiny), which would break the cross-engine
-    agreement this library promises.
+    In exact mode b is the denominator of p and c = b - a.  In float mode p
+    and the stored q = fl(1 - p) are read as the binary rationals they
+    denote, so c may differ from b - a: the sums use the q the params carry.
     """
-    if params.mode is Mode.EXACT:
-        return params.p, params.q
-    return Fraction(params.p), Fraction(params.q)
+    (a, p_den), (c, q_den) = (params.p.as_integer_ratio(),
+                              params.q.as_integer_ratio())
+    b = math.lcm(p_den, q_den)
+    return a * (b // p_den), c * (b // q_den), b
 
 
-def _finish_sum(params: Params, terms, label) -> Scalar:
-    """Exact sum of exact terms, rounded once in float mode.
+def _scaled_pmf(a: int, c: int, k: int):
+    """Yield g(k), g(k+1), ... where f(n) = g(n) / b^n for p = a/b, q = c/b.
+
+    Scaling the recurrence by b^n gives g(n) = c S(n) with the window sum
+    S(n) = sum_{i<k} a^i g(n-1-i), which slides in O(1) bigint operations:
+    S(n+1) = g(n) + a (S(n) - a^(k-1) g(n-k)).  Every value is a
+    nonnegative integer, so no step needs a gcd.
+    """
+    a_top = a ** (k - 1)
+    ring = deque([0] * k)      # g(n-k), ..., g(n-1)
+    g, window = a ** k, 0      # g(k) and S(k)
+    while True:
+        yield g
+        window = g + a * (window - a_top * ring.popleft())
+        ring.append(g)
+        g = c * window
+
+
+def _float_pmf(params: Params):
+    """Yield f(k), f(k+1), ... in double precision.
+
+    Each step sums q f(n-1) + q p f(n-2) + ... + q p^(k-1) f(n-k) in that
+    order, so every float consumer sees the same bits.
+    """
+    k = params.k
+    coeffs = [params.q * params.p ** i for i in range(k)]
+    window = deque([0.0] * (k - 1) + [params.p ** k], maxlen=k)  # f(n-k+1..n)
+    while True:
+        yield window[-1]
+        window.append(sum(map(operator.mul, coeffs, reversed(window))))
+
+
+def _nth(values, index: int):
+    return next(islice(values, index, None))
+
+
+def _scaled_series(params: Params, n_max: int):
+    """(b, [g(0), ..., g(n_max)]) for exact params and n_max >= k."""
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    return b, [0] * k + list(islice(_scaled_pmf(a, c, k), n_max - k + 1))
+
+
+def _unscaled(scaled, b: int) -> list:
+    """[s(n) / b^n for n = 0, 1, ...], each reduced once."""
+    values, power = [], 1
+    for s in scaled:
+        values.append(Fraction(s, power))
+        power *= b
+    return values
+
+
+def _finish_sum(params: Params, terms: list, scale: int, label) -> Scalar:
+    """sum(terms) / scale for integer terms: reduced once in exact mode,
+    rounded once in float mode.
 
     The cancellation guard still fires when sum |terms| dwarfs the result:
     the returned float is correctly rounded, but the formula itself is
     ill-conditioned there (a one-ulp change of p moves the result by far
     more than one ulp).
     """
-    total = sum(terms, Fraction(0))
+    total = sum(terms)
     if params.mode is Mode.EXACT:
-        return total
-    result = float(total)
-    magnitude = float(sum(abs(t) for t in terms))
+        return Fraction(total, scale)
+    result = total / scale
+    magnitude = sum(map(abs, terms)) / scale
     if terms and magnitude > CANCELLATION_FLAG_RATIO * abs(result):
         warnings.warn(
             f"{label}: precision degraded (sum of |terms| = {magnitude:.3e} vs "
-            f"result = {result:.3e})", PrecisionWarning, stacklevel=3)
+            f"result = {result:.3e})", PrecisionWarning, stacklevel=4)
     return result
 
 
 def pmf_recurrence(params: Params, n: int) -> Scalar:
-    """Reference engine: forward iteration with an O(k) sliding window."""
+    """Reference engine: forward iteration with a k-value sliding window."""
     _check_n(n)
     k = params.k
     if n < k:
         return _zero(params)
-    coeffs = [params.q * params.p ** i for i in range(k)]
-    window = [_zero(params)] * (k - 1) + [params.p ** k]  # f(n-k+1..n) at n=k
-    for _ in range(n - k):
-        nxt = sum(coeffs[i] * window[k - 1 - i] for i in range(k))
-        window = window[1:] + [nxt]
-    return window[-1]
+    if params.mode is Mode.EXACT:
+        a, c, b = _scaled_pq(params)
+        return Fraction(_nth(_scaled_pmf(a, c, k), n - k), b ** n)
+    return _nth(_float_pmf(params), n - k)
 
 
 def recurrence_series(params: Params, n_max: int) -> list:
     """f(0..n_max) in one pass; same values as pmf_recurrence."""
     _check_n(n_max)
     k = params.k
-    zero = _zero(params)
-    values = [zero] * min(k, n_max + 1)
     if n_max < k:
-        return values
-    values.append(params.p ** k)
-    coeffs = [params.q * params.p ** i for i in range(k)]
-    for n in range(k + 1, n_max + 1):
-        values.append(sum(coeffs[i] * values[n - 1 - i] for i in range(k)))
-    return values
+        return [_zero(params)] * (n_max + 1)
+    if params.mode is Mode.EXACT:
+        b, scaled = _scaled_series(params, n_max)
+        return _unscaled(scaled, b)
+    return [0.0] * k + list(islice(_float_pmf(params), n_max - k + 1))
+
+
+def _falling_powers(b: int, top: int, stride: int, count: int) -> list:
+    """[b^top, b^(top - stride), ...], count values, built from the smallest
+    up so that each costs one multiplication by b^stride."""
+    if count < 1:
+        return []
+    power, step = b ** (top - (count - 1) * stride), b ** stride
+    powers = [power]
+    for _ in range(count - 1):
+        power *= step
+        powers.append(power)
+    return powers[::-1]
+
+
+def _muselli_sum(params: Params, n: int, label) -> Scalar:
+    """Muselli's sum at n >= k, as integer terms over the scale b^(n+1).
+
+    Term m is (-1)^(m-1) a^(mk) c^(m-1) [b C(i, m-2) + c C(i, m-1)]
+    b^(n+1-m(k+1)) with i = n - mk - 1: the rational term times b^(n+1).
+    """
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    lead, ratio = a ** k, a ** k * c          # a^(mk) c^(m-1) at m = 1
+    powers = _falling_powers(b, n - k, k + 1, (n + 1) // (k + 1))
+    terms = []
+    for m, power in enumerate(powers, start=1):
+        i = n - m * k - 1
+        bracket = b * gen_binomial(i, m - 2) + c * gen_binomial(i, m - 1)
+        term = lead * bracket * power
+        terms.append(term if m % 2 == 1 else -term)
+        lead *= ratio
+    return _finish_sum(params, terms, b ** (n + 1), label)
+
+
+def _closedform_sum(params: Params, n: int, label) -> Scalar:
+    """The vanishing-free sum at n > 2k, as integer terms over the scale b^n
+    (each rational term times b^n)."""
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    ratio = a ** k * c
+    terms = [ratio * b ** (n - k - 1)]
+    groups = (
+        # (-1)^(m-1) p^(mk) q^(m-1) C(i, m-2) for m = 2..(n+1)//(k+1)
+        (a ** k * ratio, n + 1, 2, (n + 1) // (k + 1)),
+        # (-1)^(m-1) p^(mk) q^m C(i, m-1) for m = 2..n//(k+1)
+        (ratio * ratio, n, 1, n // (k + 1)),
+    )
+    for lead, top, j_shift, m_last in groups:      # term m carries b^(top - m(k+1))
+        powers = _falling_powers(b, top - 2 * (k + 1), k + 1, m_last - 1)
+        for m, power in enumerate(powers, start=2):
+            i, j = n - m * k - 1, m - j_shift
+            if not 0 <= j <= i:
+                raise ConsistencyError(
+                    f"vanishing-free form produced C({i},{j}) at n={n}, m={m}")
+            term = lead * math.comb(i, j) * power
+            terms.append(-term if m % 2 == 0 else term)
+            lead *= ratio
+    return _finish_sum(params, terms, b ** n, label)
 
 
 def pmf_muselli(params: Params, n: int) -> Scalar:
@@ -126,18 +245,9 @@ def pmf_muselli(params: Params, n: int) -> Scalar:
     PrecisionWarning (see _finish_sum).
     """
     _check_n(n)
-    k = params.k
-    p, q = _exact_pq(params)
-    m_max = (n + 1) // (k + 1)
-    if m_max < 1:
+    if (n + 1) // (params.k + 1) < 1:
         return _zero(params)
-    terms = []
-    for m in range(1, m_max + 1):
-        i = n - m * k - 1
-        bracket = gen_binomial(i, m - 2) + q * gen_binomial(i, m - 1)
-        sign = 1 if m % 2 == 1 else -1
-        terms.append(sign * p ** (m * k) * q ** (m - 1) * bracket)
-    return _finish_sum(params, terms, f"pmf_muselli(n={n}, {params})")
+    return _muselli_sum(params, n, f"pmf_muselli(n={n}, {params})")
 
 
 def pmf_closedform(params: Params, n: int) -> Scalar:
@@ -155,23 +265,7 @@ def pmf_closedform(params: Params, n: int) -> Scalar:
         return params.p ** k
     if n <= 2 * k:
         return params.q * params.p ** k
-    p, q = _exact_pq(params)
-    terms = [q * p ** k]
-    for m in range(2, (n + 1) // (k + 1) + 1):
-        i, j = n - m * k - 1, m - 2
-        if not 0 <= j <= i:
-            raise ConsistencyError(
-                f"vanishing-free form produced C({i},{j}) at n={n}, m={m}")
-        sign = -1 if m % 2 == 0 else 1
-        terms.append(sign * p ** (m * k) * q ** (m - 1) * gen_binomial(i, j))
-    for m in range(2, n // (k + 1) + 1):
-        i, j = n - m * k - 1, m - 1
-        if not 0 <= j <= i:
-            raise ConsistencyError(
-                f"vanishing-free form produced C({i},{j}) at n={n}, m={m}")
-        sign = -1 if m % 2 == 0 else 1
-        terms.append(sign * p ** (m * k) * q ** m * gen_binomial(i, j))
-    return _finish_sum(params, terms, f"pmf_closedform(n={n}, {params})")
+    return _closedform_sum(params, n, f"pmf_closedform(n={n}, {params})")
 
 
 def pmf_rootsum(params: Params, root_set: RootSet, n: int) -> float:
@@ -285,11 +379,21 @@ class PmfTable:
 
 
 def _render(value: Scalar) -> str:
-    return str(value) if isinstance(value, Fraction) else repr(float(value))
+    """Text form: a reduced fraction of any size, or the float's repr.
+
+    Decimal converts an int of any size exactly, so exact values are not
+    bound by the digit limit of str(int).
+    """
+    if not isinstance(value, Fraction):
+        return repr(float(value))
+    num = str(decimal.Decimal(value.numerator))
+    if value.denominator == 1:
+        return num
+    return f"{num}/{decimal.Decimal(value.denominator)}"
 
 
 def _json_scalar(value: Scalar):
-    return str(value) if isinstance(value, Fraction) else float(value)
+    return _render(value) if isinstance(value, Fraction) else float(value)
 
 
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
@@ -312,11 +416,18 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     else:
         entries = [pmf(params, n, engine) for n in range(n_max + 1)]
 
-    cumulative = []
-    running = _zero(params)
-    for f in entries:
-        running = running + f
-        cumulative.append(running)
+    if engine is Engine.RECURRENCE and params.mode is Mode.EXACT:
+        # The cumulative C(n) = F(n) b^n is an integer too, with
+        # C(n) = C(n-1) b + g(n); rerunning the kernel costs far less than
+        # adding the reduced entries.
+        b, scaled = _scaled_series(params, n_max)
+        cumulative = _unscaled(accumulate(scaled, lambda acc, g: acc * b + g), b)
+    else:
+        cumulative = []
+        running = _zero(params)
+        for f in entries:
+            running = running + f
+            cumulative.append(running)
     _validate_table(params, entries, cumulative)
 
     bound = None

@@ -25,7 +25,8 @@ from typing import Optional
 
 from . import moments as moments_mod
 from .numerics import DomainError
-from .pmf import pmf_recurrence, recurrence_series
+# pmf_recurrence stays importable from here: perfbench's tracer rebinds it.
+from .pmf import _float_pmf, pmf_recurrence, recurrence_series  # noqa: F401
 from .params import Params, as_float_params
 
 _MASK = (1 << 64) - 1
@@ -224,14 +225,11 @@ def gof_report(summary: SimSummary, params: Params,
     # one pooled tail bin.
     edges = []
     cum = 0.0
-    n = k
-    while True:
-        f = pmf_recurrence(fparams, n)
+    for n, f in enumerate(_float_pmf(fparams), start=k):
         if completed * f < min_expected or n - k > 100_000:
             break
         edges.append((n, completed * f))
         cum += f
-        n += 1
     tail_expected = completed * (1.0 - cum)
     while edges and tail_expected < min_expected:
         last_n, last_exp = edges.pop()

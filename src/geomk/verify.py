@@ -11,14 +11,15 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional
 
 from . import moments as moments_mod
 from . import roots as roots_mod
 from .numerics import Mode, PrecisionWarning, Scalar
 from .params import Params, as_float_params, make_params
-from .pmf import (Engine, pgf_eval, pmf_closedform, pmf_muselli, pmf_rootsum,
-                  recurrence_series)
+from .pmf import (Engine, _scaled_pmf, _scaled_pq, pgf_eval, pmf_closedform,
+                  pmf_muselli, pmf_rootsum, recurrence_series)
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
@@ -85,7 +86,7 @@ def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
         for name, fn in engines.items():
             for n in range(n_max + 1):
                 value = fn(params, n)
-                dev = float(abs(value - reference[n]))
+                dev = _deviation(value, reference[n], mode)
                 result.cases += 1
                 ok = (value == reference[n] if mode is Mode.EXACT
                       else dev <= FLOAT_PMF_TOL)
@@ -135,7 +136,7 @@ def check_moment_routes(p_values, k_max: int, r_max: int, mode: Mode,
                 "closed_sum": moments_mod.factorial_moment_closed(params, r),
             }
             for name, value in routes.items():
-                dev = float(abs(value - via_pmf))
+                dev = _deviation(value, via_pmf, mode)
                 rel = dev / float(abs(via_pmf))
                 result.cases += 1
                 ok = (value == via_pmf if mode is Mode.EXACT
@@ -156,7 +157,7 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
         var = moments_mod.variance(params)
         chain = mu2 - mu1 * mu1 + mu1
         for name, lhs, rhs in (("mean", mu1, mu), ("variance", chain, var)):
-            dev = float(abs(lhs - rhs))
+            dev = _deviation(lhs, rhs, mode)
             rel = dev / max(float(abs(rhs)), 1.0)
             result.cases += 1
             ok = lhs == rhs if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
@@ -197,11 +198,30 @@ def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
     n = max(params.k + 1, 8)
     while env_a * ratio ** (n + 1) / (1.0 - ratio) > bound_tol:
         n += max(8, n // 4)
-    series = recurrence_series(params, n)
-    partial = sum(f * s ** i for i, f in enumerate(series))
+    if params.mode is Mode.EXACT:
+        partial = _exact_partial_sum(params, Fraction(s), n)
+    else:
+        series = recurrence_series(params, n)
+        partial = sum(f * s ** i for i, f in enumerate(series))
     gap = float(abs(pgf_eval(params, s) - partial))
     bound = env_a * ratio ** (n + 1) / (1.0 - ratio)
     return gap, bound, n
+
+
+def _exact_partial_sum(params: Params, s: Fraction, n: int) -> Fraction:
+    """sum_{i<=n} f(i) s^i for exact params, reduced once.
+
+    With s = u/v and f(i) = g(i) / b^i the terms are g(i) u^i / w^i for
+    w = b v, so Horner's rule in w keeps the running sum an integer.
+    """
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    u, w = s.numerator, b * s.denominator
+    acc, u_power = 0, u ** k
+    for g in islice(_scaled_pmf(a, c, k), n - k + 1):
+        acc = acc * w + g * u_power
+        u_power *= u
+    return Fraction(acc, w ** n)
 
 
 def check_pgf_identity(p_values, k_max: int, s_values, mode: Mode) -> CheckResult:
@@ -223,6 +243,13 @@ def check_pgf_identity(p_values, k_max: int, s_values, mode: Mode) -> CheckResul
                {"p": str(params.p), "k": params.k, "s": "1",
                 "gap": float(abs(at_one - 1))})
     return result
+
+
+def _deviation(value: Scalar, reference: Scalar, mode: Mode) -> float:
+    """float(|value - reference|); equal exact values skip the subtraction."""
+    if mode is Mode.EXACT and value == reference:
+        return 0.0
+    return float(abs(value - reference))
 
 
 def _track(result: CheckResult, ok: bool, magnitude: float, info: dict):

@@ -1,0 +1,198 @@
+"""The scaled-integer kernel and the integer-summed alternating sums.
+
+Every exact route adds integers and reduces once; these tests pin its
+results against plain Fraction arithmetic, and the float alternating sums
+against the sum of their exact terms rounded once.
+"""
+
+import csv
+import json
+import math
+import sys
+import warnings
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomk.cli import main
+from geomk.moments import factorial_moment_series
+from geomk.numerics import PrecisionWarning, gen_binomial
+from geomk.params import make_params
+from geomk.pmf import (CANCELLATION_FLAG_RATIO, Engine, build_table,
+                       pmf_closedform, pmf_muselli, pmf_recurrence,
+                       recurrence_series)
+from geomk.simulate import SimConfig, gof_report, run_simulation
+
+
+def fraction_recurrence(p, k, n_max):
+    """f(0..n_max) by the textbook recurrence on Fractions."""
+    q = 1 - p
+    f = [Fraction(0)] * k + [p ** k]
+    for n in range(k + 1, n_max + 1):
+        f.append(sum(q * p ** i * f[n - 1 - i] for i in range(k)))
+    return f[:n_max + 1]
+
+
+@st.composite
+def rationals(draw):
+    b = draw(st.integers(min_value=2, max_value=10 ** 4))
+    a = draw(st.integers(min_value=1, max_value=b - 1))
+    return Fraction(a, b)
+
+
+class TestExactRecurrence:
+    @settings(max_examples=25, deadline=None)
+    @given(p=rationals(), k=st.integers(min_value=1, max_value=12),
+           n=st.integers(min_value=0, max_value=400))
+    def test_matches_fraction_reference(self, p, k, n):
+        params = make_params(p, k)
+        expected = fraction_recurrence(p, k, n)
+        assert pmf_recurrence(params, n) == expected[n]
+        assert recurrence_series(params, n) == expected
+        if n >= k:
+            table = build_table(params, Engine.RECURRENCE, n)
+            assert list(table.entries) == expected
+            running, cumulative = Fraction(0), []
+            for f in expected:
+                running += f
+                cumulative.append(running)
+            assert list(table.cumulative) == cumulative
+
+    def test_point_equals_series_at_large_n(self):
+        params = make_params(Fraction(2, 7), 4)
+        assert pmf_recurrence(params, 3000) == recurrence_series(params, 3000)[3000]
+
+    @pytest.mark.parametrize("p,k,r_max,n_terms", [
+        (Fraction(1, 2), 2, 3, 256),
+        (Fraction(2, 3), 1, 2, 128),
+    ])
+    def test_series_oracle_sums_unchanged(self, p, k, r_max, n_terms):
+        oracle = factorial_moment_series(make_params(p, k), r_max)
+        assert oracle.n_terms == n_terms
+        f = fraction_recurrence(p, k, n_terms)
+        expected = tuple(sum(math.perm(n, r) * f[n] for n in range(n_terms + 1))
+                         for r in range(1, r_max + 1))
+        assert oracle.sums == expected
+
+
+def fraction_terms_sum(terms_of, p, k, n):
+    """(float value, degraded) of an alternating sum whose terms are built
+    from Fraction(p) and Fraction(fl(1 - p)), rounded once."""
+    terms = terms_of(Fraction(p), Fraction(1 - p), k, n)
+    total = sum(terms, Fraction(0))
+    result = float(total)
+    magnitude = float(sum(abs(t) for t in terms))
+    return result, bool(terms) and magnitude > CANCELLATION_FLAG_RATIO * abs(result)
+
+
+def muselli_terms(p, q, k, n):
+    terms = []
+    for m in range(1, (n + 1) // (k + 1) + 1):
+        i = n - m * k - 1
+        bracket = gen_binomial(i, m - 2) + q * gen_binomial(i, m - 1)
+        terms.append((-1) ** (m - 1) * p ** (m * k) * q ** (m - 1) * bracket)
+    return terms
+
+
+def closedform_terms(p, q, k, n):
+    terms = [q * p ** k]
+    for m in range(2, (n + 1) // (k + 1) + 1):
+        terms.append((-1) ** (m - 1) * p ** (m * k) * q ** (m - 1)
+                     * math.comb(n - m * k - 1, m - 2))
+    for m in range(2, n // (k + 1) + 1):
+        terms.append((-1) ** (m - 1) * p ** (m * k) * q ** m
+                     * math.comb(n - m * k - 1, m - 1))
+    return terms
+
+
+def evaluate(engine, p, k, n):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PrecisionWarning)
+        value = engine(make_params(p, k), n)
+    return value, any(issubclass(w.category, PrecisionWarning) for w in caught)
+
+
+class TestFloatAlternatingSums:
+    def assert_same_bits(self, p, k, n):
+        value, degraded = evaluate(pmf_muselli, p, k, n)
+        want, want_degraded = fraction_terms_sum(muselli_terms, p, k, n)
+        if n < k:
+            want, want_degraded = 0.0, False
+        assert (value.hex(), degraded) == (want.hex(), want_degraded)
+        if n > 2 * k:
+            value, degraded = evaluate(pmf_closedform, p, k, n)
+            want, want_degraded = fraction_terms_sum(closedform_terms, p, k, n)
+            assert (value.hex(), degraded) == (want.hex(), want_degraded)
+
+    def test_q_is_the_stored_float(self):
+        # 1 - 0.212 is inexact in binary: summing with q = 1 - Fraction(p)
+        # instead of Fraction(fl(1 - p)) moves this value by ulps.
+        self.assert_same_bits(0.212, 2, 149)
+
+    def test_degraded_flag_agrees(self):
+        self.assert_same_bits(0.5, 1, 100)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(min_value=0.01, max_value=0.99),
+           k=st.integers(min_value=1, max_value=6),
+           n=st.integers(min_value=0, max_value=200))
+    def test_bits_and_flags_property(self, p, k, n):
+        self.assert_same_bits(p, k, n)
+
+
+def parse_int(text):
+    """Decimal digits of any length, 4000 at a time (below str's limit)."""
+    value = 0
+    for start in range(0, len(text), 4000):
+        chunk = text[start:start + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def parse_fraction(text):
+    num, _, den = text.partition("/")
+    return Fraction(parse_int(num), parse_int(den or "1"))
+
+
+class TestHugeExactOutput:
+    """0.37^n has 2n denominator digits: past 4300 from n = 2150 on."""
+
+    def test_pmf_json(self, tmp_path):
+        out = tmp_path / "pmf.json"
+        # The digit limit (CPython >= 3.10.7) must not be lifted globally.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert main(["pmf", "--p", "0.37", "--k", "2", "--n", "2300",
+                     "--format", "json", "--out", str(out)]) == 0
+        assert limit() == before
+        value = json.loads(out.read_text())["value"]
+        assert len(value) > 4300
+        params = make_params(Fraction(37, 100), 2)
+        assert parse_fraction(value) == pmf_recurrence(params, 2300)
+
+    def test_table_csv(self, tmp_path):
+        out = tmp_path / "table.csv"
+        assert main(["table", "--p", "0.37", "--k", "2", "--n-max", "2160",
+                     "--format", "csv", "--out", str(out)]) == 0
+        with open(out, newline="") as handle:
+            *_, last = csv.reader(handle)
+        n, f, cumulative = last
+        assert n == "2160" and len(f) > 4300
+        series = recurrence_series(make_params(Fraction(37, 100), 2), 2160)
+        assert parse_fraction(f) == series[-1]
+        assert parse_fraction(cumulative) == sum(series)
+
+
+def test_gof_bins_follow_recurrence_series():
+    params = make_params(0.45, 2)
+    summary = run_simulation(SimConfig(params=params, trials=4000, seed=9))
+    report = gof_report(summary, params)
+    completed = summary.trials - summary.truncated_count
+    single = report.bins[:-1]
+    series = recurrence_series(params, params.k + len(single))
+    assert [label for label, _, _ in single] == [
+        str(n) for n in range(params.k, params.k + len(single))]
+    for label, _, expected in single:
+        assert expected == completed * series[int(label)]
