@@ -192,6 +192,11 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
+def _z_text(z):
+    """A z-score to 3 decimals; n/a when too few trials completed."""
+    return "n/a" if z is None else f"{z:.3f}"
+
+
 def cmd_sample(args):
     params = _params_from(args)
     config = sim_mod.SimConfig(params=params, trials=args.trials,
@@ -210,8 +215,8 @@ def cmd_sample(args):
             out.write(f"  truncated       = {summary.truncated_count}\n")
             out.write(f"  chi-square p    = {gof.p_value:.6f}"
                       f"{' [flagged]' if gof.flagged else ''}\n")
-            out.write(f"  mean z, var z   = {gof.mean_z:.3f}, "
-                      f"{gof.variance_z:.3f}\n")
+            out.write(f"  mean z, var z   = {_z_text(gof.mean_z)}, "
+                      f"{_z_text(gof.variance_z)}\n")
         else:
             json.dump({"summary": summary.to_dict(), "gof": gof.to_dict()},
                       out, indent=2)

@@ -175,7 +175,3 @@ def falling_factorial(n: int, r: int) -> int:
     if n < 0:
         raise DomainError(f"falling_factorial base must be >= 0, got {n}")
     return math.perm(n, r)
-
-
-def to_float(value: Scalar) -> float:
-    return float(value)

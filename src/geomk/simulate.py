@@ -12,6 +12,9 @@ Trial i draws from its own stream whose initial state is
 mix((seed + i * 0x9E3779B97F4A7C15) mod 2^64).  Because streams are keyed
 by trial index, any partition of trials across workers reproduces the
 single-threaded result exactly.
+
+Chi-square p-values use the finite closed form of the upper tail for an
+integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 """
 
 from __future__ import annotations
@@ -111,6 +114,31 @@ class SimSummary:
             writer.writerow([n, count, repr(freq), repr(float(analytic[n]))])
 
 
+def _first_run(state: int, p: float, k: int, cap: int):
+    """(step, state): the step at which the first run of k successes
+    completes in the stream at `state`, or None after `cap` steps without
+    one, and the stream's state after the last draw.
+
+    This is the one trial loop; the generator from the module docstring is
+    inlined because a call per step would dominate the cost.
+    """
+    streak = 0
+    n = 0
+    while n < cap:
+        n += 1
+        state = (state + _GOLDEN) & _MASK
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        z ^= z >> 31
+        if (z >> 11) * _U53 < p:
+            streak += 1
+            if streak == k:
+                return n, state
+        else:
+            streak = 0
+    return None, state
+
+
 def sample_waiting_time(params: Params, rng: SplitMix64,
                         max_steps: int = 10_000_000) -> Optional[int]:
     """Trial index at which the first run of k successes completes.
@@ -118,17 +146,9 @@ def sample_waiting_time(params: Params, rng: SplitMix64,
     Returns None when the cap is hit (a truncation marker, not an error);
     callers count truncations instead of dropping them silently.
     """
-    p = float(params.p)
-    k = params.k
-    streak = 0
-    for step in range(1, max_steps + 1):
-        if rng.uniform() < p:
-            streak += 1
-            if streak == k:
-                return step
-        else:
-            streak = 0
-    return None
+    step, rng.state = _first_run(rng.state, float(params.p), params.k,
+                                 max_steps)
+    return step
 
 
 def run_simulation(config: SimConfig) -> SimSummary:
@@ -139,26 +159,12 @@ def run_simulation(config: SimConfig) -> SimSummary:
     cap = config.max_steps_per_trial
     histogram = Counter()
     truncated = 0
-    # Hot loop: the generator from the module docstring, inlined.
     for i in range(config.trials):
-        state = _mix64((seed + i * _GOLDEN) & _MASK)
-        streak = 0
-        n = 0
-        while n < cap:
-            n += 1
-            state = (state + _GOLDEN) & _MASK
-            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            z ^= z >> 31
-            if (z >> 11) * _U53 < p:
-                streak += 1
-                if streak == k:
-                    histogram[n] += 1
-                    break
-            else:
-                streak = 0
-        else:
+        n, _ = _first_run(_mix64((seed + i * _GOLDEN) & _MASK), p, k, cap)
+        if n is None:
             truncated += 1
+        else:
+            histogram[n] += 1
 
     completed = config.trials - truncated
     mean = variance = None
@@ -171,6 +177,24 @@ def run_simulation(config: SimConfig) -> SimSummary:
     return SimSummary(config=config, sample_mean=mean, sample_variance=variance,
                       histogram=dict(histogram), trials=config.trials,
                       truncated_count=truncated)
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with an integer dof >= 1.
+
+    With y = x/2 the tail is sum_{j < dof//2} y^(j+h) e^-y / Gamma(j+h+1),
+    h = (dof mod 2)/2, plus erfc(sqrt(y)) for odd dof.  Terms are formed in
+    log space because e^-y alone underflows once x > 1490.
+    """
+    y = x / 2.0
+    if y <= 0.0:
+        return 1.0
+    h = (dof % 2) / 2.0
+    total = math.erfc(math.sqrt(y)) if h else 0.0
+    log_y = math.log(y)
+    for j in range(dof // 2):
+        total += math.exp((j + h) * log_y - y - math.lgamma(j + h + 1.0))
+    return min(total, 1.0)
 
 
 @dataclass(frozen=True)
@@ -209,16 +233,18 @@ def gof_report(summary: SimSummary, params: Params,
     chi-square p-value only flags the report (soft, to tolerate 1-in-1000
     flukes in CI).  Mean and variance z-scores use the analytic moments.
     """
-    from scipy.stats import chi2
-
     own = summary.config.params
     if own.k != params.k or float(own.p) != float(params.p):
         raise DomainError(
             f"summary was simulated at {own} but compared against {params}")
+    completed = summary.trials - summary.truncated_count
+    if completed < 1:
+        raise DomainError(
+            f"no trial completed: all {summary.trials} hit the cap of "
+            f"{summary.config.max_steps_per_trial} steps; raise --max-steps")
 
     k = params.k
     hard_fail = any(n < k for n in summary.histogram)
-    completed = summary.trials - summary.truncated_count
     fparams = as_float_params(params)
 
     # Individual bins while the expected count stays above the cutoff, then
@@ -242,7 +268,7 @@ def gof_report(summary: SimSummary, params: Params,
 
     stat = sum((obs - exp) ** 2 / exp for _, obs, exp in bins)
     dof = max(len(bins) - 1, 1)
-    p_value = float(chi2.sf(stat, dof))
+    p_value = _chi2_sf(stat, dof)
 
     mean_z = variance_z = None
     if completed >= 2 and summary.sample_mean is not None:

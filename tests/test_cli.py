@@ -183,6 +183,23 @@ class TestSampleCommand:
         assert code == 0
         assert out.splitlines()[0] == "n,count,frequency,analytic"
 
+    def test_text_with_one_trial_prints_na_z_scores(self, capsys):
+        code, out, err = run_cli("sample", "--p", "0.5", "--k", "2",
+                                 "--trials", "1", "--format", "text",
+                                 capsys=capsys)
+        assert code == 0
+        assert "mean z, var z   = n/a, n/a" in out
+        assert err == ""
+
+    def test_all_trials_truncated_exits_2(self, capsys):
+        code, out, err = run_cli("sample", "--p", "0.01", "--k", "2",
+                                 "--trials", "5", "--max-steps", "2",
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no trial completed")
+        assert "--max-steps" in err
+
 
 class TestBenchCommand:
     def test_json_schema_and_zero_self_deviation(self, capsys):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,8 +10,8 @@ import pytest
 from geomk.moments import mean, variance
 from geomk.numerics import DomainError
 from geomk.params import make_params
-from geomk.simulate import (SimConfig, SimSummary, SplitMix64, gof_report,
-                            run_simulation, sample_waiting_time)
+from geomk.simulate import (SimConfig, SimSummary, SplitMix64, _chi2_sf,
+                            gof_report, run_simulation, sample_waiting_time)
 
 HALF2 = make_params(0.5, 2)
 
@@ -57,6 +61,48 @@ class TestSampleWaitingTime:
         hits = sum(sample_waiting_time(params, rng) == 1 for _ in range(trials))
         sigma = math.sqrt(0.25 * trials)
         assert abs(hits - 0.5 * trials) <= 3 * sigma
+
+
+def _reference_waiting_time(params, rng, max_steps):
+    """The trial loop written directly on the public stream specification."""
+    p = float(params.p)
+    streak = 0
+    for step in range(1, max_steps + 1):
+        if rng.uniform() < p:
+            streak += 1
+            if streak == params.k:
+                return step
+        else:
+            streak = 0
+    return None
+
+
+class TestOneTrialLoop:
+    @pytest.mark.parametrize("p, k, trials, seed, cap", [
+        (0.5, 2, 3000, 4242, 10_000_000),    # uncapped
+        (0.2, 6, 500, 9, 40),                # the cap bites often
+    ])
+    def test_sampler_and_simulation_agree(self, p, k, trials, seed, cap):
+        params = make_params(p, k)
+        summary = run_simulation(SimConfig(params=params, trials=trials,
+                                           seed=seed, max_steps_per_trial=cap))
+        draws = [sample_waiting_time(params, SplitMix64.for_trial(seed, i), cap)
+                 for i in range(trials)]
+        histogram = Counter(n for n in draws if n is not None)
+        assert summary.histogram == dict(histogram)
+        assert summary.truncated_count == draws.count(None)
+        if cap < 10_000_000:
+            assert 0 < summary.truncated_count < trials
+
+    @pytest.mark.parametrize("cap", [3, 7, 1000])
+    def test_sampler_follows_stream_specification(self, cap):
+        params = make_params(0.6, 3)
+        for i in range(200):
+            rng = SplitMix64.for_trial(17, i)
+            spec = SplitMix64.for_trial(17, i)
+            assert (sample_waiting_time(params, rng, cap)
+                    == _reference_waiting_time(params, spec, cap))
+            assert rng.state == spec.state
 
 
 class TestRunSimulation:
@@ -147,10 +193,59 @@ class TestGofReport:
         report = gof_report(doctored, HALF2)
         assert report.hard_fail
 
+    def test_all_truncated_raises_domain_error(self):
+        params = make_params(0.01, 2)
+        summary = run_simulation(SimConfig(params=params, trials=5, seed=1,
+                                           max_steps_per_trial=2))
+        assert summary.truncated_count == 5
+        with pytest.raises(DomainError, match="no trial completed"):
+            gof_report(summary, params)
+
     def test_json_payload_shape(self, summary):
         payload = gof_report(summary, HALF2).to_dict()
         assert {"chi_square", "dof", "p_value", "flagged", "hard_fail",
                 "mean_z", "variance_z", "threshold", "bins"} <= set(payload)
+
+
+class TestChi2Tail:
+    @pytest.mark.parametrize("dof", [1, 2, 3, 7, 60, 1200, 5000])
+    def test_matches_scipy(self, dof):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        for i in range(60):
+            x = dof * (0.05 + i * 2.95 / 59)
+            want = float(chi2.sf(x, dof))
+            got = _chi2_sf(x, dof)
+            assert got == want or abs(got - want) <= 1e-10 * want, (x, got, want)
+
+    @pytest.mark.parametrize("x", [1e-9, 0.3, 2.0, 17.5, 400.0, 1400.0])
+    def test_closed_forms_at_dof_1_and_2(self, x):
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 60])
+    def test_zero_statistic_is_certain(self, dof):
+        assert _chi2_sf(0.0, dof) == 1.0
+
+    def test_no_underflow_past_e_to_minus_745(self):
+        # e^(-x/2) alone is 0.0 here; the tail itself is about 5.3e-274
+        assert math.exp(-1500.0 / 2) == 0.0
+        assert 1e-275 < _chi2_sf(1500.0, 60) < 1e-273
+
+    def test_sample_command_does_not_import_scipy(self):
+        import geomk
+        src = os.path.dirname(os.path.dirname(geomk.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        code = ("import sys\n"
+                "from geomk.cli import main\n"
+                "assert main(['sample', '--p', '0.5', '--k', '2',"
+                " '--trials', '2000', '--seed', '3']) == 0\n"
+                "assert 'scipy' not in sys.modules\n")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert '"p_value"' in result.stdout
 
 
 def test_summary_json_roundtrip():
