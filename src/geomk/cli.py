@@ -192,9 +192,9 @@ def cmd_verify(args):
     return 0 if report.passed else 1
 
 
-def _z_text(z):
-    """A z-score to 3 decimals; n/a when too few trials completed."""
-    return "n/a" if z is None else f"{z:.3f}"
+def _or_na(value, spec=""):
+    """`value` formatted by `spec`; n/a when too few trials completed."""
+    return "n/a" if value is None else format(value, spec)
 
 
 def cmd_sample(args):
@@ -211,12 +211,12 @@ def cmd_sample(args):
             out.write(f"simulated {summary.trials} trials at p={params.p}, "
                       f"k={params.k} (seed={config.seed})\n")
             out.write(f"  sample mean     = {summary.sample_mean}\n")
-            out.write(f"  sample variance = {summary.sample_variance}\n")
+            out.write(f"  sample variance = {_or_na(summary.sample_variance)}\n")
             out.write(f"  truncated       = {summary.truncated_count}\n")
             out.write(f"  chi-square p    = {gof.p_value:.6f}"
                       f"{' [flagged]' if gof.flagged else ''}\n")
-            out.write(f"  mean z, var z   = {_z_text(gof.mean_z)}, "
-                      f"{_z_text(gof.variance_z)}\n")
+            out.write(f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
+                      f"{_or_na(gof.variance_z, '.3f')}\n")
         else:
             json.dump({"summary": summary.to_dict(), "gof": gof.to_dict()},
                       out, indent=2)

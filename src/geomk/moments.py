@@ -66,14 +66,39 @@ def factorial_moment_closed(params: Params, r: int) -> Scalar:
 
 
 def mean(params: Params) -> Scalar:
-    """E[N] = (1 - p^k) / (q p^k)."""
+    """E[N] = (1 - p^k) / (q p^k).
+
+    In float mode both closed forms are evaluated exactly from the binary
+    rationals of the stored p and q (see pmf._scaled_pq) and rounded once:
+    in floats, 1 - p^k and the terms of the variance cancel near p = 1.
+    """
+    if params.mode is Mode.FLOAT:
+        a, c, b = _scaled_pq(params)
+        k = params.k
+        return _rounded((b ** k - a ** k) * b, c * a ** k, "mean", params)
     return (1 - params.p ** params.k) / qpk(params)
 
 
 def variance(params: Params) -> Scalar:
     """Var[N] = 1/(q p^k)^2 - (2k+1)/(q p^k) - p/q^2."""
+    if params.mode is Mode.FLOAT:
+        a, c, b = _scaled_pq(params)
+        k = params.k
+        a_k, b_k1 = a ** k, b ** (k + 1)
+        # Over the common denominator c^2 a^2k, with p = a/b and q = c/b.
+        num = b_k1 * (b_k1 - (2 * k + 1) * c * a_k) - a * a_k * a_k * b
+        return _rounded(num, c * c * a_k * a_k, "variance", params)
     c = qpk(params)
     return 1 / c ** 2 - (2 * params.k + 1) / c - params.p / params.q ** 2
+
+
+def _rounded(num: int, den: int, what: str, params: Params) -> float:
+    """num/den correctly rounded to a float (int true division rounds once)."""
+    try:
+        return num / den
+    except OverflowError:
+        raise DomainError(f"{what} of {params} exceeds the float range; "
+                          f"use exact mode") from None
 
 
 @lru_cache(maxsize=None)

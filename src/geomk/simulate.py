@@ -13,6 +13,17 @@ mix((seed + i * 0x9E3779B97F4A7C15) mod 2^64).  Because streams are keyed
 by trial index, any partition of trials across workers reproduces the
 single-threaded result exactly.
 
+The stream is counter-based: draw n of a stream at state s is
+mix((s + n * 0x9E3779B97F4A7C15) mod 2^64), so any draw can be computed
+without the ones before it.  The trial loop uses this to skip work, in the
+manner of Boyer-Moore string search: it first tests the last draw of the
+earliest window of k draws that could complete a run.  A failure there
+rules out every window containing it, so the k - 1 draws before it are
+never computed; a success is followed by a backward scan over the draws
+not yet decided.  The step at which the first run completes, and the
+stream's state after it, are the same as the draw-by-draw loop's, bit for
+bit; only the number of draws evaluated falls.
+
 Chi-square p-values use the finite closed form of the upper tail for an
 integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 """
@@ -119,24 +130,42 @@ def _first_run(state: int, p: float, k: int, cap: int):
     completes in the stream at `state`, or None after `cap` steps without
     one, and the stream's state after the last draw.
 
-    This is the one trial loop; the generator from the module docstring is
-    inlined because a call per step would dominate the cost.
+    This is the one trial loop.  Draw n succeeds when
+    (mix(state + n*G) >> 11) * 2^-53 < p, which holds exactly when
+    mix(state + n*G) < t with t = ceil(p * 2^53) << 11 (scaling by 2^53 is
+    exact, and the left side is an integer multiple of 2^-53).
+
+    Invariant: draws 1..done are decided, no run completes by draw done,
+    and the last `streak` of those draws are successes after a failure (or
+    after the start).  The earliest step a run can complete at is then
+    end = done + k - streak.  Draws end, end - 1, ... are tested until one
+    fails: if none of done+1..end fails, the run completes at `end`; if
+    draw m fails, draws m+1..end succeed, so done = end, streak = end - m
+    and the next end is m + k.  Draws done+1..m-1 are never computed.  The
+    generator is inlined because a call per draw would dominate the cost.
     """
-    streak = 0
-    n = 0
-    while n < cap:
-        n += 1
-        state = (state + _GOLDEN) & _MASK
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        z ^= z >> 31
-        if (z >> 11) * _U53 < p:
-            streak += 1
-            if streak == k:
-                return n, state
-        else:
-            streak = 0
-    return None, state
+    t = math.ceil(p * 2.0 ** 53) << 11
+    step_k = k * _GOLDEN
+    done = 0
+    end = k
+    top = (state + step_k) & _MASK        # the state of draw `end`
+    while end <= cap:
+        s = top
+        m = end
+        while True:
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            if z ^ (z >> 31) >= t:
+                break
+            m -= 1
+            if m == done:
+                return end, top
+            s = (s - _GOLDEN) & _MASK
+        done = end
+        end = m + k
+        top = (s + step_k) & _MASK
+    # A cap below zero draws nothing, like a cap of zero.
+    return None, (state + max(cap, 0) * _GOLDEN) & _MASK
 
 
 def sample_waiting_time(params: Params, rng: SplitMix64,

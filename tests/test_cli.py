@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -190,6 +191,22 @@ class TestSampleCommand:
         assert code == 0
         assert "mean z, var z   = n/a, n/a" in out
         assert err == ""
+
+    def test_text_with_one_trial_prints_na_sample_variance(self, capsys):
+        code, out, _ = run_cli("sample", "--p", "0.5", "--k", "2",
+                               "--trials", "1", "--format", "text",
+                               capsys=capsys)
+        assert code == 0
+        assert "sample variance = n/a" in out
+        assert "None" not in out
+
+    def test_p_near_one_gives_finite_z_scores(self, capsys):
+        code, out, err = run_cli("sample", "--p", "0.999999999", "--k", "1",
+                                 "--trials", "20", capsys=capsys)
+        assert code == 0
+        assert err == ""
+        gof = json.loads(out)["gof"]
+        assert math.isfinite(gof["mean_z"]) and math.isfinite(gof["variance_z"])
 
     def test_all_trials_truncated_exits_2(self, capsys):
         code, out, err = run_cli("sample", "--p", "0.01", "--k", "2",

@@ -102,6 +102,26 @@ class TestMeanVariance:
                 mu2 = factorial_moment(params, 2)
                 assert mu2 - mu1 ** 2 + mu1 == variance(params)
 
+    @pytest.mark.parametrize("p", [1 - 2 ** -20, 1 - 2 ** -40, 0.999999999])
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_float_near_one_is_correctly_rounded(self, p, k):
+        # 1 - p^k and the three variance terms cancel in floats near p = 1
+        params = make_params(p, k)
+        pf = Fraction(p)
+        c = (1 - pf) * pf ** k
+        want_mean = (1 - pf ** k) / c
+        want_var = 1 / c ** 2 - (2 * k + 1) / c - pf / (1 - pf) ** 2
+        for got, want in ((mean(params), want_mean),
+                          (variance(params), want_var)):
+            assert isinstance(got, float)
+            assert abs(Fraction(got) - want) <= 1e-12 * want
+
+    def test_float_beyond_double_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            mean(make_params(0.5, 1100))
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            variance(make_params(0.5, 600))
+
 
 class TestStirling:
     def test_known_values(self):

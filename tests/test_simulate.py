@@ -6,12 +6,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomk.moments import mean, variance
 from geomk.numerics import DomainError
 from geomk.params import make_params
-from geomk.simulate import (SimConfig, SimSummary, SplitMix64, _chi2_sf,
-                            gof_report, run_simulation, sample_waiting_time)
+from geomk.simulate import (_GOLDEN, _MASK, SimConfig, SimSummary, SplitMix64,
+                            _chi2_sf, _mix64, gof_report, run_simulation,
+                            sample_waiting_time)
 
 HALF2 = make_params(0.5, 2)
 
@@ -103,6 +106,54 @@ class TestOneTrialLoop:
             assert (sample_waiting_time(params, rng, cap)
                     == _reference_waiting_time(params, spec, cap))
             assert rng.state == spec.state
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(state=st.integers(0, _MASK), k=st.integers(1, 12),
+           cap=st.integers(-1, 400),
+           p=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                       st.integers(1, 63).map(lambda a: a / 64),
+                       st.integers(1, 2 ** 20 - 1).map(lambda a: a / 2 ** 20),
+                       st.sampled_from([1e-3, 1 - 2 ** -30])))
+    def test_skip_search_matches_draw_by_draw_loop(self, state, k, cap, p):
+        params = make_params(p, k)
+        rng, spec = SplitMix64(state), SplitMix64(state)
+        assert (sample_waiting_time(params, rng, cap)
+                == _reference_waiting_time(params, spec, cap))
+        assert rng.state == spec.state
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    def test_threshold_boundary(self, k, m):
+        # p equal to draw m's value makes that draw a failure (u < p is
+        # false); the next float up makes it a success.  Streams whose draw
+        # m has its low 11 bits zero put the draw exactly on the threshold.
+        states = (SplitMix64.for_trial(2718, i).state for i in range(10 ** 6))
+        exact = (s for s in states
+                 if _mix64((s + m * _GOLDEN) & _MASK) & 0x7FF == 0)
+        for _, state in zip(range(20), exact):
+            u = (_mix64((state + m * _GOLDEN) & _MASK) >> 11) * 2.0 ** -53
+            for p in (u, math.nextafter(u, 1.0)):
+                params = make_params(p, k)
+                rng, spec = SplitMix64(state), SplitMix64(state)
+                step = sample_waiting_time(params, rng, 60)
+                assert step == _reference_waiting_time(params, spec, 60)
+                assert rng.state == spec.state
+                if k == 1 and m == 1:
+                    assert (step == 1) == (p > u)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_cap_edges(self, k):
+        params = make_params(1 - 2 ** -30, k)    # every draw here succeeds
+        state = SplitMix64.for_trial(5, 0).state
+        for cap in (-1, 0, k - 1, k, k + 1):
+            rng, spec = SplitMix64(state), SplitMix64(state)
+            step = sample_waiting_time(params, rng, cap)
+            assert step == _reference_waiting_time(params, spec, cap)
+            assert rng.state == spec.state
+            if cap < k:
+                assert step is None
+                assert rng.state == (state + max(cap, 0) * _GOLDEN) & _MASK
+            else:
+                assert step == k
 
 
 class TestRunSimulation:
