@@ -8,7 +8,6 @@ solve is timed separately from spectral evaluation.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from dataclasses import dataclass
@@ -71,23 +70,3 @@ def run_benchmarks(params: Params, n_max: int, engines=DEFAULT_ENGINES) -> list:
             rows.append(BenchRow(engine.value, setup, elapsed, deviation, n_max))
     return rows
 
-
-def rows_to_dict(params: Params, rows) -> dict:
-    return {"p": repr(float(params.p)), "k": params.k, "n_max": rows[0].n_max,
-            "rows": [r.to_dict() for r in rows]}
-
-
-def rows_to_json(params: Params, rows, stream):
-    json.dump(rows_to_dict(params, rows), stream, indent=2)
-    stream.write("\n")
-
-
-def rows_to_text(params: Params, rows) -> str:
-    header = (f"engine timings for p={params.p}, k={params.k}, "
-              f"n_max={rows[0].n_max}")
-    lines = [header,
-             f"{'engine':<12} {'setup[s]':>10} {'eval[s]':>10} {'max deviation':>14}"]
-    for r in rows:
-        lines.append(f"{r.engine:<12} {r.setup_seconds:>10.6f} "
-                     f"{r.eval_seconds:>10.6f} {r.max_abs_deviation:>14.3e}")
-    return "\n".join(lines)

@@ -3,13 +3,16 @@
 Subcommands: pmf, table, moments, roots, verify, sample, bench.
 Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
-rational.  Exit codes: 0 success, 1 a verification check failed, 2 bad usage.
+rational.  `_write` is the one place that turns a report into JSON, CSV or
+text.  Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
+including an --out path that cannot be opened.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import json
 import sys
 import warnings
@@ -22,8 +25,8 @@ from . import simulate as sim_mod
 from . import verify as verify_mod
 from .numerics import (DomainError, GeomkError, Mode, ModeError, ParseError,
                        PrecisionWarning, coerce, parse_scalar)
-from .params import make_params
-from .pmf import Engine, _json_scalar, _render, build_table
+from .params import as_float_params, make_params
+from .pmf import Engine, _json_scalar, _render, build_table, recurrence_series
 from .pmf import pmf as pmf_eval
 
 ENGINE_CHOICES = [e.value for e in Engine]
@@ -33,18 +36,39 @@ ENGINE_CHOICES = [e.value for e in Engine]
 def _out_stream(path):
     if path in (None, "-"):
         yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise GeomkError(f"--out: cannot open {path}: {exc.strerror}") from None
+    with handle:
+        yield handle
 
 
-def _add_common(parser, default_mode="exact", formats=("text", "json", "csv"),
-                default_format="text"):
+def _write(args, payload, rows, lines):
+    """Write one report to `args.out` in `args.format`.
+
+    JSON is `payload()` indented by 2; CSV is `rows`, header first; text is
+    `lines`.  Every line ends in LF, and only the requested form is built.
+    """
+    with _out_stream(args.out) as out:
+        if args.format == "json":
+            json.dump(payload(), out, indent=2)
+            out.write("\n")
+        elif args.format == "csv":
+            csv.writer(out, lineterminator="\n").writerows(rows)
+        else:
+            for line in lines:
+                out.write(f"{line}\n")
+
+
+def _add_common(parser, default_mode="exact", default_format="text"):
     parser.add_argument("--p", required=True,
                         help="success probability, decimal or fraction (e.g. 0.5 or 1/2)")
     parser.add_argument("--k", required=True, type=int, help="run length (>= 1)")
     parser.add_argument("--mode", choices=["float", "exact"], default=default_mode)
-    parser.add_argument("--format", choices=list(formats), default=default_format)
+    parser.add_argument("--format", choices=["text", "json", "csv"],
+                        default=default_format)
     parser.add_argument("--out", default="-", help="output path, '-' for stdout")
 
 
@@ -78,25 +102,22 @@ def cmd_pmf(args):
         warnings.simplefilter("always", PrecisionWarning)
         value = pmf_eval(params, args.n, engine)
     degraded = any(issubclass(w.category, PrecisionWarning) for w in caught)
-    payload = {"p": str(params.p), "k": params.k, "n": args.n,
-               "engine": engine.value, "mode": params.mode.value,
-               "value": _json_scalar(value), "decimal": float(value),
-               "precision_degraded": degraded}
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            json.dump(payload, out, indent=2)
-            out.write("\n")
-        elif args.format == "csv":
-            out.write("n,f\n")
-            out.write(f"{args.n},{_render(value)}\n")
-        else:
-            out.write(f"{_render(value)}\n")
-            if isinstance(value, Fraction):
-                out.write(f"decimal: {float(value)!r}\n")
-            out.write(f"engine: {engine.value}, mode: {params.mode.value}\n")
-            if degraded:
-                out.write("note: precision degraded (heavy cancellation in "
-                          "this formula at these arguments)\n")
+
+    def lines():
+        yield _render(value)
+        if isinstance(value, Fraction):
+            yield f"decimal: {float(value)!r}"
+        yield f"engine: {engine.value}, mode: {params.mode.value}"
+        if degraded:
+            yield ("note: precision degraded (heavy cancellation in this "
+                   "formula at these arguments)")
+
+    _write(args,
+           lambda: {"p": str(params.p), "k": params.k, "n": args.n,
+                    "engine": engine.value, "mode": params.mode.value,
+                    "value": _json_scalar(value), "decimal": float(value),
+                    "precision_degraded": degraded},
+           [("n", "f"), (args.n, _render(value))], lines())
     return 0
 
 
@@ -104,19 +125,21 @@ def cmd_table(args):
     params = _params_from(args)
     engine = _engine_from(args, params.mode)
     table = build_table(params, engine, args.n_max)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            table.to_json(out)
-        elif args.format == "csv":
-            table.to_csv(out)
-        else:
-            out.write(f"pmf table for p={params.p}, k={params.k} "
-                      f"(engine={engine.value}, mode={params.mode.value})\n")
-            for n, f, c in table.rows():
-                out.write(f"  n={n:<5d} f={_render(f):<24} "
-                          f"cumulative={_render(c)}\n")
-            if table.tail_bound is not None:
-                out.write(f"  tail bound beyond n_max: {table.tail_bound!r}\n")
+
+    def rows():
+        yield "n", "f", "cumulative"
+        for n, f, c in table.rows():
+            yield n, _render(f), _render(c)
+
+    def lines():
+        yield (f"pmf table for p={params.p}, k={params.k} "
+               f"(engine={engine.value}, mode={params.mode.value})")
+        for n, f, c in table.rows():
+            yield f"  n={n:<5d} f={_render(f):<24} cumulative={_render(c)}"
+        if table.tail_bound is not None:
+            yield f"  tail bound beyond n_max: {table.tail_bound!r}"
+
+    _write(args, table.to_dict, rows(), lines())
     return 0
 
 
@@ -124,18 +147,25 @@ def cmd_moments(args):
     params = _params_from(args)
     engine = _engine_from(args, params.mode)
     report = moments_mod.moment_report(params, args.r_max, engine)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            json.dump(report.to_dict(), out, indent=2)
-            out.write("\n")
-        elif args.format == "csv":
-            out.write("r,factorial,raw,central\n")
-            for r in range(1, report.r_max + 1):
-                central = "" if r < 2 else _render(report.central[r - 2])
-                out.write(f"{r},{_render(report.factorial[r - 1])},"
-                          f"{_render(report.raw[r - 1])},{central}\n")
-        else:
-            out.write(report.to_text() + "\n")
+
+    def rows():
+        yield "r", "factorial", "raw", "central"
+        for r in range(1, report.r_max + 1):
+            central = "" if r < 2 else _render(report.central[r - 2])
+            yield (r, _render(report.factorial[r - 1]),
+                   _render(report.raw[r - 1]), central)
+
+    def lines():
+        yield (f"moments for p={params.p}, k={params.k} "
+               f"({params.mode.value}, engine={report.method.value})")
+        yield f"  mean     = {_render(report.mean)}"
+        yield f"  variance = {_render(report.variance)}"
+        for r in range(1, report.r_max + 1):
+            flag = "  [precision degraded]" if report.precision_flags[r - 1] else ""
+            yield (f"  r={r}: factorial={_render(report.factorial[r - 1])} "
+                   f"raw={_render(report.raw[r - 1])}{flag}")
+
+    _write(args, report.to_dict, rows(), lines())
     return 0
 
 
@@ -145,50 +175,51 @@ def cmd_roots(args):
     params = _params_from(args)
     root_set = roots_mod.find_roots(params)
     cert = roots_mod.certify_roots(root_set, params)
-    payload = {"p": str(params.p), "k": params.k,
-               "roots": [{"re": z.real, "im": z.imag} for z in root_set.roots],
-               "principal_index": root_set.principal_index}
-    payload.update(cert.to_dict())
-    with _out_stream(args.out) as out:
-        if args.format == "csv":
-            out.write("index,re,im,identity_residual\n")
-            for i, z in enumerate(root_set.roots):
-                out.write(f"{i},{z.real!r},{z.imag!r},"
-                          f"{cert.identity_residuals[i]!r}\n")
-        elif args.format == "text":
-            out.write(f"roots for p={params.p}, k={params.k} "
-                      f"(degenerate={cert.degenerate})\n")
-            for i, z in enumerate(root_set.roots):
-                tag = " (principal)" if i == root_set.principal_index else ""
-                out.write(f"  {z.real:+.15f} {z.imag:+.15f}i{tag}\n")
-            out.write(f"  certification: {'PASS' if cert.passed else 'FAIL'}\n")
-        else:
-            json.dump(payload, out, indent=2)
-            out.write("\n")
+
+    def rows():
+        yield "index", "re", "im", "identity_residual"
+        for i, z in enumerate(root_set.roots):
+            yield i, repr(z.real), repr(z.imag), repr(cert.identity_residuals[i])
+
+    def lines():
+        yield f"roots for p={params.p}, k={params.k} (degenerate={cert.degenerate})"
+        for i, z in enumerate(root_set.roots):
+            tag = " (principal)" if i == root_set.principal_index else ""
+            yield f"  {z.real:+.15f} {z.imag:+.15f}i{tag}"
+        yield f"  certification: {'PASS' if cert.passed else 'FAIL'}"
+
+    _write(args,
+           lambda: {"p": str(params.p), "k": params.k,
+                    "roots": [{"re": z.real, "im": z.imag} for z in root_set.roots],
+                    "principal_index": root_set.principal_index,
+                    **cert.to_dict()},
+           rows(), lines())
     return 0 if cert.passed else 1
 
 
 def cmd_verify(args):
     mode = Mode(args.mode)
     if args.p_grid:
-        p_values = []
-        for token in args.p_grid.split(","):
-            p_values.append(coerce(parse_scalar(token.strip(), mode), mode))
+        try:
+            p_values = [coerce(parse_scalar(token.strip(), mode), mode)
+                        for token in args.p_grid.split(",")]
+        except ParseError as exc:
+            raise ParseError(f"--p-grid: {exc}") from None
     else:
         p_values = [coerce(p, mode) for p in verify_mod.DEFAULT_P_GRID]
     report = verify_mod.run_verify(p_values, args.k_max, args.n_max,
                                    args.r_max, mode,
                                    corrupt_engine=args.corrupt_engine)
-    with _out_stream(args.out) as out:
-        if args.format == "text":
-            for check in report.checks:
-                status = "PASS" if check.passed else "FAIL"
-                out.write(f"{status} {check.name} ({check.cases} cases)\n")
-                for failure in check.failures[:3]:
-                    out.write(f"     failed at {failure}\n")
-            out.write(f"{'PASS' if report.passed else 'FAIL'} overall\n")
-        else:
-            report.to_json(out)
+
+    def lines():
+        for check in report.checks:
+            status = "PASS" if check.passed else "FAIL"
+            yield f"{status} {check.name} ({check.cases} cases)"
+            for failure in check.failures[:3]:
+                yield f"     failed at {failure}"
+        yield f"{'PASS' if report.passed else 'FAIL'} overall"
+
+    _write(args, report.to_dict, (), lines())
     return 0 if report.passed else 1
 
 
@@ -204,23 +235,30 @@ def cmd_sample(args):
                                max_steps_per_trial=args.max_steps)
     summary = sim_mod.run_simulation(config)
     gof = sim_mod.gof_report(summary, params)
-    with _out_stream(args.out) as out:
-        if args.format == "csv":
-            summary.histogram_csv(out)
-        elif args.format == "text":
-            out.write(f"simulated {summary.trials} trials at p={params.p}, "
-                      f"k={params.k} (seed={config.seed})\n")
-            out.write(f"  sample mean     = {summary.sample_mean}\n")
-            out.write(f"  sample variance = {_or_na(summary.sample_variance)}\n")
-            out.write(f"  truncated       = {summary.truncated_count}\n")
-            out.write(f"  chi-square p    = {gof.p_value:.6f}"
-                      f"{' [flagged]' if gof.flagged else ''}\n")
-            out.write(f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
-                      f"{_or_na(gof.variance_z, '.3f')}\n")
-        else:
-            json.dump({"summary": summary.to_dict(), "gof": gof.to_dict()},
-                      out, indent=2)
-            out.write("\n")
+
+    def rows():
+        yield "n", "count", "frequency", "analytic"
+        completed = summary.trials - summary.truncated_count
+        n_max = max(summary.histogram) if summary.histogram else params.k
+        analytic = recurrence_series(as_float_params(params), n_max)
+        for n in range(params.k, n_max + 1):
+            count = summary.histogram.get(n, 0)
+            freq = count / completed if completed else 0.0
+            yield n, count, repr(freq), repr(float(analytic[n]))
+
+    def lines():
+        yield (f"simulated {summary.trials} trials at p={params.p}, "
+               f"k={params.k} (seed={config.seed})")
+        yield f"  sample mean     = {summary.sample_mean}"
+        yield f"  sample variance = {_or_na(summary.sample_variance)}"
+        yield f"  truncated       = {summary.truncated_count}"
+        yield (f"  chi-square p    = {gof.p_value:.6f}"
+               f"{' [flagged]' if gof.flagged else ''}")
+        yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
+               f"{_or_na(gof.variance_z, '.3f')}")
+
+    _write(args, lambda: {"summary": summary.to_dict(), "gof": gof.to_dict()},
+           rows(), lines())
     return 1 if gof.hard_fail else 0
 
 
@@ -228,18 +266,31 @@ def cmd_bench(args):
     if args.mode == "exact":
         raise ModeError("benchmarks run in float mode only; use --mode float")
     params = _params_from(args)
-    engines = [Engine(token.strip()) for token in args.engines.split(",")]
-    rows = bench_mod.run_benchmarks(params, args.n_max, engines)
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            bench_mod.rows_to_json(params, rows, out)
-        elif args.format == "csv":
-            out.write("engine,setup_seconds,eval_seconds,max_abs_deviation,n_max\n")
-            for r in rows:
-                out.write(f"{r.engine},{r.setup_seconds!r},{r.eval_seconds!r},"
-                          f"{r.max_abs_deviation!r},{r.n_max}\n")
-        else:
-            out.write(bench_mod.rows_to_text(params, rows) + "\n")
+    names = [token.strip() for token in args.engines.split(",")]
+    for name in names:
+        if name not in ENGINE_CHOICES:
+            raise DomainError(f"--engines: unknown engine {name!r}; valid "
+                              f"engines: {', '.join(ENGINE_CHOICES)}")
+    rows = bench_mod.run_benchmarks(params, args.n_max,
+                                    [Engine(name) for name in names])
+
+    def csv_rows():
+        yield "engine", "setup_seconds", "eval_seconds", "max_abs_deviation", "n_max"
+        for r in rows:
+            yield (r.engine, repr(r.setup_seconds), repr(r.eval_seconds),
+                   repr(r.max_abs_deviation), r.n_max)
+
+    def lines():
+        yield f"engine timings for p={params.p}, k={params.k}, n_max={args.n_max}"
+        yield f"{'engine':<12} {'setup[s]':>10} {'eval[s]':>10} {'max deviation':>14}"
+        for r in rows:
+            yield (f"{r.engine:<12} {r.setup_seconds:>10.6f} "
+                   f"{r.eval_seconds:>10.6f} {r.max_abs_deviation:>14.3e}")
+
+    _write(args,
+           lambda: {"p": repr(float(params.p)), "k": params.k,
+                    "n_max": args.n_max, "rows": [r.to_dict() for r in rows]},
+           csv_rows(), lines())
     return 0
 
 

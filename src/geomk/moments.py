@@ -28,7 +28,7 @@ from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
                        Scalar, SolverError, falling_factorial)
 from .params import Params, as_float_params, qpk
 from .pmf import (Engine, _closedform_sum, _float_pmf, _json_scalar,
-                  _muselli_sum, _render, _scaled_pmf, _scaled_pq)
+                  _muselli_sum, _scaled_pmf, _scaled_pq)
 from .pmf import pmf as pmf_eval
 
 logger = logging.getLogger(__name__)
@@ -137,17 +137,6 @@ class MomentReport:
             "variance": _json_scalar(self.variance),
             "precision_flags": list(self.precision_flags),
         }
-
-    def to_text(self):
-        lines = [f"moments for p={self.params.p}, k={self.params.k} "
-                 f"({self.params.mode.value}, engine={self.method.value})",
-                 f"  mean     = {_render(self.mean)}",
-                 f"  variance = {_render(self.variance)}"]
-        for r in range(1, self.r_max + 1):
-            flag = "  [precision degraded]" if self.precision_flags[r - 1] else ""
-            lines.append(f"  r={r}: factorial={_render(self.factorial[r - 1])} "
-                         f"raw={_render(self.raw[r - 1])}{flag}")
-        return "\n".join(lines)
 
 
 def moment_report(params: Params, r_max: int,

@@ -27,9 +27,7 @@ recurrence stays in double precision (_float_pmf).
 
 from __future__ import annotations
 
-import csv
 import decimal
-import json
 import math
 import operator
 import warnings
@@ -353,12 +351,6 @@ class PmfTable:
         for n, (f, c) in enumerate(zip(self.entries, self.cumulative)):
             yield n, f, c
 
-    def to_csv(self, stream):
-        writer = csv.writer(stream)
-        writer.writerow(["n", "f", "cumulative"])
-        for n, f, c in self.rows():
-            writer.writerow([n, _render(f), _render(c)])
-
     def to_dict(self):
         return {
             "p": str(self.params.p),
@@ -372,10 +364,6 @@ class PmfTable:
                 for n, f, c in self.rows()
             ],
         }
-
-    def to_json(self, stream):
-        json.dump(self.to_dict(), stream, indent=2)
-        stream.write("\n")
 
 
 def _render(value: Scalar) -> str:

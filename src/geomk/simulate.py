@@ -30,8 +30,6 @@ integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +38,7 @@ from typing import Optional
 from . import moments as moments_mod
 from .numerics import DomainError
 # pmf_recurrence stays importable from here: perfbench's tracer rebinds it.
-from .pmf import _float_pmf, pmf_recurrence, recurrence_series  # noqa: F401
+from .pmf import _float_pmf, pmf_recurrence  # noqa: F401
 from .params import Params, as_float_params
 
 _MASK = (1 << 64) - 1
@@ -107,22 +105,6 @@ class SimSummary:
             "truncated_count": self.truncated_count,
             "histogram": {str(n): c for n, c in sorted(self.histogram.items())},
         }
-
-    def to_json(self, stream):
-        json.dump(self.to_dict(), stream, indent=2)
-        stream.write("\n")
-
-    def histogram_csv(self, stream):
-        params = self.config.params
-        completed = self.trials - self.truncated_count
-        writer = csv.writer(stream)
-        writer.writerow(["n", "count", "frequency", "analytic"])
-        n_max = max(self.histogram) if self.histogram else params.k
-        analytic = recurrence_series(as_float_params(params), n_max)
-        for n in range(params.k, n_max + 1):
-            count = self.histogram.get(n, 0)
-            freq = count / completed if completed else 0.0
-            writer.writerow([n, count, repr(freq), repr(float(analytic[n]))])
 
 
 def _first_run(state: int, p: float, k: int, cap: int):

@@ -7,7 +7,6 @@ CheckResult with the worst deviation seen, so a failure pinpoints the
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,7 +15,7 @@ from typing import Callable, Optional
 
 from . import moments as moments_mod
 from . import roots as roots_mod
-from .numerics import Mode, PrecisionWarning, Scalar
+from .numerics import DomainError, Mode, PrecisionWarning, Scalar
 from .params import Params, as_float_params, make_params
 from .pmf import (Engine, _scaled_pmf, _scaled_pq, pgf_eval, pmf_closedform,
                   pmf_muselli, pmf_rootsum, recurrence_series)
@@ -58,10 +57,6 @@ class VerifyReport:
     def to_dict(self):
         return {"mode": self.mode, "grid": self.grid, "passed": self.passed,
                 "checks": [c.to_dict() for c in self.checks]}
-
-    def to_json(self, stream):
-        json.dump(self.to_dict(), stream, indent=2)
-        stream.write("\n")
 
 
 def _grid_params(p_values, k_max, mode: Mode):
@@ -270,12 +265,21 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
 
     corrupt_engine is a test hook: it perturbs the named pmf engine by 1e-9
     at n = k+1 so the harness's failure path can itself be exercised.
+    A grid that would check nothing raises DomainError.
     """
+    if not p_values:
+        raise DomainError("--p-grid: no probabilities given")
+    for flag, value, least in (("--k-max", k_max, 1), ("--n-max", n_max, 0),
+                               ("--r-max", r_max, 1)):
+        if value < least:
+            raise DomainError(f"{flag}: must be >= {least}, got {value}")
     engines = {"muselli": pmf_muselli,
                "closedform": pmf_closedform}
     if corrupt_engine is not None:
         if corrupt_engine not in engines:
-            raise ValueError(f"unknown engine to corrupt: {corrupt_engine}")
+            raise DomainError(
+                f"--corrupt-engine: unknown engine {corrupt_engine!r}; "
+                f"valid engines: {', '.join(engines)}")
         original = engines[corrupt_engine]
 
         def corrupted(params, n, _fn=original):

@@ -1,9 +1,14 @@
+import csv
+import io
+import itertools
 import json
 import math
+import types
 
 import jsonschema
 import pytest
 
+from geomk import bench as bench_mod
 from geomk.cli import main
 from geomk.schema import SCHEMA_NAMES, load_schema
 
@@ -151,6 +156,31 @@ class TestVerifyCommand:
         first = failing[0]["failures"][0]
         assert {"p", "k", "n"} <= set(first)
 
+    def test_unknown_corrupt_engine_exits_2(self, capsys):
+        code, out, err = run_cli("verify", "--p-grid", "1/2", "--k-max", "1",
+                                 "--corrupt-engine", "bogus", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --corrupt-engine: unknown engine 'bogus'; "
+                       "valid engines: muselli, closedform\n")
+
+    @pytest.mark.parametrize("flag,value", [("--k-max", "0"), ("--r-max", "0"),
+                                            ("--n-max", "-1")])
+    def test_vacuous_grid_exits_2(self, flag, value, capsys):
+        code, out, err = run_cli("verify", "--p-grid", "1/2", "--k-max", "1",
+                                 "--n-max", "5", "--r-max", "1", flag, value,
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag}: must be >= ")
+        assert err.count("\n") == 1
+
+    def test_malformed_p_grid_names_the_flag(self, capsys):
+        code, _, err = run_cli("verify", "--p-grid", "1/2,x", "--k-max", "1",
+                               capsys=capsys)
+        assert code == 2
+        assert err.startswith("error: --p-grid: ")
+
     def test_text_format(self, capsys):
         code, out, _ = run_cli("verify", "--p-grid", "1/2", "--k-max", "1",
                                "--n-max", "20", "--r-max", "2",
@@ -247,6 +277,14 @@ class TestBenchCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 3  # header + 2 engines
 
+    def test_unknown_engine_exits_2(self, capsys):
+        code, out, err = run_cli("bench", "--p", "0.3", "--k", "2",
+                                 "--engines", "recurrence,bogus", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: --engines: unknown engine 'bogus'; valid engines: "
+                       "recurrence, rootsum, muselli, closedform\n")
+
 
 class TestOutputFile:
     def test_out_writes_file(self, tmp_path, capsys):
@@ -257,6 +295,62 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("n,f,cumulative")
+
+    def test_unopenable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run_cli("pmf", "--p", "1/2", "--k", "1", "--n", "5",
+                                 "--out", str(target), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --out: cannot open {target}: "
+                       "No such file or directory\n")
+
+
+CSV_HEADERS = {
+    "pmf": ["n", "f"],
+    "table": ["n", "f", "cumulative"],
+    "moments": ["r", "factorial", "raw", "central"],
+    "roots": ["index", "re", "im", "identity_residual"],
+    "sample": ["n", "count", "frequency", "analytic"],
+    "bench": ["engine", "setup_seconds", "eval_seconds", "max_abs_deviation",
+              "n_max"],
+}
+COMMANDS = [
+    ("pmf", "--p", "1/2", "--k", "2", "--n", "5"),
+    ("table", "--p", "1/3", "--k", "2", "--n-max", "8"),
+    ("moments", "--p", "0.3", "--k", "2", "--r-max", "3", "--mode", "float"),
+    ("roots", "--p", "0.5", "--k", "3"),
+    ("verify", "--p-grid", "1/2", "--k-max", "1", "--n-max", "10",
+     "--r-max", "2"),
+    ("sample", "--p", "0.5", "--k", "2", "--trials", "200", "--seed", "2"),
+    ("bench", "--p", "0.5", "--k", "2", "--n-max", "30"),
+]
+
+
+@pytest.mark.parametrize("argv,fmt", [
+    (argv, fmt) for argv in COMMANDS
+    for fmt in (("text", "json") if argv[0] == "verify" else ("text", "json", "csv"))
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_every_format_is_one_dialect(argv, fmt, tmp_path, capsys, monkeypatch):
+    # A counting clock makes bench's timing columns the same on both runs.
+    monkeypatch.setattr(bench_mod, "time",
+                        types.SimpleNamespace(perf_counter=itertools.count().__next__))
+    code, out, err = run_cli(*argv, "--format", fmt, capsys=capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    if fmt == "csv":
+        assert "\r" not in out
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == CSV_HEADERS[argv[0]]
+        assert len(rows) > 1
+        assert all(len(row) == len(rows[0]) for row in rows)
+    elif fmt == "json":
+        json.loads(out)
+    target = tmp_path / "report"
+    code, out_with_file, _ = run_cli(*argv, "--format", fmt, "--out",
+                                     str(target), capsys=capsys)
+    assert (code, out_with_file) == (0, "")
+    assert target.read_bytes() == out.encode()
 
 
 def test_every_schema_loads():

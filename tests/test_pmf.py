@@ -1,4 +1,3 @@
-import io
 import json
 import math
 from fractions import Fraction
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomk.cli import main
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
                             PrecisionWarning)
 from geomk.params import make_params
@@ -236,20 +236,18 @@ class TestBuildTable:
         diffs = [b - a for a, b in zip(table.cumulative, table.cumulative[1:])]
         assert all(d >= -1e-15 for d in diffs)
 
-    def test_csv_shape(self):
-        table = build_table(HALF2, Engine.RECURRENCE, 5)
-        buffer = io.StringIO()
-        table.to_csv(buffer)
-        lines = buffer.getvalue().strip().splitlines()
+    def test_csv_shape(self, capsys):
+        assert main(["table", "--p", "1/2", "--k", "2", "--n-max", "5",
+                     "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,f,cumulative"
         assert lines[3] == "2,1/4,1/4"
         assert lines[-1] == "5,3/32,19/32"
 
-    def test_json_roundtrip(self):
-        table = build_table(HALF2, Engine.RECURRENCE, 5)
-        buffer = io.StringIO()
-        table.to_json(buffer)
-        payload = json.loads(buffer.getvalue())
+    def test_json_roundtrip(self, capsys):
+        assert main(["table", "--p", "1/2", "--k", "2", "--n-max", "5",
+                     "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["entries"][5] == {"n": 5, "f": "3/32", "cumulative": "19/32"}
         assert payload["engine"] == "recurrence"
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomk.cli import main
 from geomk.moments import mean, variance
 from geomk.numerics import DomainError
 from geomk.params import make_params
@@ -299,24 +301,19 @@ class TestChi2Tail:
         assert '"p_value"' in result.stdout
 
 
-def test_summary_json_roundtrip():
-    import io
-    import json
-    summary = run_simulation(SimConfig(params=HALF2, trials=200, seed=8))
-    buffer = io.StringIO()
-    summary.to_json(buffer)
-    payload = json.loads(buffer.getvalue())
+def test_summary_json_roundtrip(capsys):
+    assert main(["sample", "--p", "0.5", "--k", "2", "--trials", "200",
+                 "--seed", "8", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)["summary"]
     assert payload["trials"] == 200
     assert payload["seed"] == 8
     assert sum(payload["histogram"].values()) == 200
 
 
-def test_histogram_csv_has_analytic_column():
-    import io
-    summary = run_simulation(SimConfig(params=HALF2, trials=500, seed=13))
-    buffer = io.StringIO()
-    summary.histogram_csv(buffer)
-    lines = buffer.getvalue().strip().splitlines()
+def test_histogram_csv_has_analytic_column(capsys):
+    assert main(["sample", "--p", "0.5", "--k", "2", "--trials", "500",
+                 "--seed", "13", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,count,frequency,analytic"
     first = lines[1].split(",")
     assert first[0] == "2"

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from geomk.numerics import Mode
+import pytest
+
+from geomk.numerics import DomainError, Mode
 from geomk.verify import (check_mean_variance, check_pgf_identity,
                           check_rootsum_pmf, pgf_series_gap, run_verify)
 from geomk.params import make_params
@@ -28,6 +30,12 @@ def test_corruption_is_caught():
     bad = {c.name: c for c in report.checks}["cross_engine_pmf"]
     assert bad.failures
     assert bad.failures[0]["engine"] == "closedform"
+
+
+def test_empty_p_grid_rejected():
+    # the CLI cannot send an empty grid; the other bounds are tested there
+    with pytest.raises(DomainError, match="no probabilities"):
+        run_verify(p_values=[], k_max=1, n_max=5, r_max=1)
 
 
 def test_rootsum_check_skips_near_degenerate():
