@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import roots as roots_mod
 from .numerics import Mode, ModeError, PrecisionWarning
 from .params import Params
-from .pmf import Engine, pmf_rootsum, recurrence_series
+from .pmf import Engine, _rootsum_values, recurrence_series
 from .pmf import pmf as pmf_eval
 
 DEFAULT_ENGINES = (Engine.RECURRENCE, Engine.MUSELLI, Engine.CLOSED_FORM,
@@ -61,8 +61,8 @@ def run_benchmarks(params: Params, n_max: int, engines=DEFAULT_ENGINES) -> list:
                 setup = time.perf_counter() - t0
             t0 = time.perf_counter()
             if engine is Engine.ROOT_SUM:
-                values = [pmf_rootsum(params, root_set, n)
-                          for n in range(n_max + 1)]
+                values = list(_rootsum_values(params, root_set,
+                                              range(n_max + 1)))
             else:
                 values = [pmf_eval(params, n, engine) for n in range(n_max + 1)]
             elapsed = time.perf_counter() - t0

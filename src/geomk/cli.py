@@ -5,7 +5,8 @@ Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
 text.  Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
-including an --out path that cannot be opened.
+including an --out path that cannot be opened, and 141 (128 + SIGPIPE) when
+the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -30,6 +32,7 @@ from .pmf import Engine, _json_scalar, _render, build_table, recurrence_series
 from .pmf import pmf as pmf_eval
 
 ENGINE_CHOICES = [e.value for e in Engine]
+EXIT_BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports a killed writer
 
 
 @contextlib.contextmanager
@@ -361,10 +364,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except GeomkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (`geomk ... | head`).  Point stdout
+        # at devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

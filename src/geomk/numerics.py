@@ -14,7 +14,6 @@ and combine with either mode.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from enum import Enum
 from typing import Iterable, Union

@@ -266,31 +266,48 @@ def pmf_closedform(params: Params, n: int) -> Scalar:
     return _closedform_sum(params, n, f"pmf_closedform(n={n}, {params})")
 
 
+def _rootsum_values(params: Params, root_set: RootSet, ns):
+    """Yield the spectral f(n) = sum_j c_j lambda_j^{n-k} for each n in ns.
+
+    The one rootsum loop: the root set is checked against params and the
+    weights c_j are computed once, then each n costs one power per root.
+    Every value is the same float pmf_rootsum(params, root_set, n) returns.
+    """
+    k = params.k
+    principal = root_set.roots[root_set.principal_index]
+    if roots_mod._identity_residual(principal, params) > 1e-10:
+        raise ConsistencyError(
+            f"root set does not belong to {params} (principal residual too large)")
+    pairs = list(zip(roots_mod.spectral_coefficients(params, root_set),
+                     root_set.roots))
+    for n in ns:
+        if n < k:
+            yield 0.0
+            continue
+        acc = sum([c * z ** (n - k) for c, z in pairs])
+        if abs(acc.imag) > IMAG_RESIDUE_TOL:
+            raise ConsistencyError(
+                f"imaginary residue {acc.imag:.3e} exceeds {IMAG_RESIDUE_TOL} "
+                f"at n={n} for {params}")
+        yield acc.real
+
+
 def pmf_rootsum(params: Params, root_set: RootSet, n: int) -> float:
     """Spectral engine: f(n) = sum_j c_j lambda_j^{n-k} (float mode only).
 
     The weights come from roots.spectral_coefficients, which selects the
     degenerate branch (weight 2 on the principal root, 1 elsewhere) when
     p = k/(k+1).  The imaginary part of the assembled sum must cancel to
-    below 1e-12 before it is discarded.
+    below 1e-12 before it is discarded.  Tables and sweeps over many n use
+    the same loop (_rootsum_values), which checks the root set and computes
+    the weights once for all of them.
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("pmf_rootsum requires float-mode params")
     _check_n(n)
-    k = params.k
-    if n < k:
+    if n < params.k:
         return 0.0
-    principal = root_set.roots[root_set.principal_index]
-    if roots_mod._identity_residual(principal, params) > 1e-10:
-        raise ConsistencyError(
-            f"root set does not belong to {params} (principal residual too large)")
-    coeffs = roots_mod.spectral_coefficients(params, root_set)
-    acc = sum(c * z ** (n - k) for c, z in zip(coeffs, root_set.roots))
-    if abs(acc.imag) > IMAG_RESIDUE_TOL:
-        raise ConsistencyError(
-            f"imaginary residue {acc.imag:.3e} exceeds {IMAG_RESIDUE_TOL} "
-            f"at n={n} for {params}")
-    return acc.real
+    return next(_rootsum_values(params, root_set, (n,)))
 
 
 def pgf_eval(params: Params, s: Scalar) -> Scalar:
@@ -387,9 +404,12 @@ def _json_scalar(value: Scalar):
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
-    In float mode the table also carries a geometric bound on the mass
-    beyond n_max, derived from the root set (which is solved on a float
-    twin of the params when the engine itself never needed one).
+    The rootsum engine solves the roots once and evaluates every entry in
+    one pass of _rootsum_values (one root-set check, one set of weights);
+    the entries are the values pmf_rootsum gives.  In float mode the table
+    also carries a geometric bound on the mass beyond n_max, derived from
+    the root set (which is solved on a float twin of the params when the
+    engine itself never needed one).
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
@@ -400,7 +420,7 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
         if params.mode is not Mode.FLOAT:
             raise ModeError("the rootsum engine is float-only")
         root_set = roots_mod.find_roots(params)
-        entries = [pmf_rootsum(params, root_set, n) for n in range(n_max + 1)]
+        entries = list(_rootsum_values(params, root_set, range(n_max + 1)))
     else:
         entries = [pmf(params, n, engine) for n in range(n_max + 1)]
 

@@ -75,9 +75,12 @@ def aux_poly_eval(params: Params, z: complex) -> complex:
 
 
 def _horner_pair(coeffs, z):
-    """(value, derivative) of the polynomial at z in one pass."""
-    val = 0j
-    der = 0j
+    """(value, derivative) of the polynomial at z in one pass.
+
+    The sums start from the float 0.0, so a real z is evaluated in real
+    arithmetic: the same bits as the real part of the complex evaluation.
+    """
+    val = der = 0.0
     for c in coeffs:
         der = der * z + val
         val = val * z + c
@@ -92,8 +95,7 @@ def _principal_root(coeffs) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        val = _horner_pair(coeffs, mid)[0].real
-        if val < 0.0:
+        if _horner_pair(coeffs, mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -102,20 +104,41 @@ def _principal_root(coeffs) -> float:
         val, der = _horner_pair(coeffs, z)
         if der == 0:
             break
-        step = (val / der).real
+        step = val / der
         z -= step
         if abs(step) <= 1e-17 * (1.0 + abs(z)):
             break
     return z
 
 
+def _branch_starts(p: float, q: float, k: int) -> list:
+    """Start points for the k - 1 non-principal roots, one per branch.
+
+    The roots solve z^k (1 - z) = q p^k, that is z = w p (q / (1 - z))^(1/k)
+    for a k-th root of unity w.  Root m (1 <= m < k) lies on the branch
+    w = e^(2 pi i m / k), near |z| = p, so it starts at w p and takes a few
+    fixed-point steps on its own branch.  q p^k itself is never formed: it
+    underflows to 0 at large k and would collapse every start onto 0.
+    """
+    starts = []
+    for m in range(1, k):
+        branch = cmath.exp(2j * cmath.pi * m / k) * p
+        z = branch
+        for _ in range(3):
+            z = branch * (q / (1.0 - z)) ** (1.0 / k)
+        starts.append(z)
+    return starts
+
+
 def find_roots(params: Params) -> RootSet:
     """All k roots: principal by bisection+Newton, rest by Aberth iteration.
 
-    The non-principal estimates start on a circle of radius max(p, q) with
-    the principal root pinned; simultaneous iteration exploits the
-    guaranteed distinctness of the roots.  Raises SolverError (carrying the
-    best residuals) instead of returning an uncertified set.
+    Each non-principal estimate starts on its own branch of the identity
+    z^k (1 - z) = q p^k, near |z| = p (see _branch_starts), so Aberth's
+    simultaneous iteration, with the principal root pinned, begins close to
+    the roots and stops after a few sweeps; the start never forms q p^k,
+    which underflows at large k.  Raises SolverError (carrying the best
+    residuals) instead of returning an uncertified set.
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("find_roots requires float-mode params")
@@ -127,12 +150,7 @@ def find_roots(params: Params) -> RootSet:
     if k == 1:
         roots = [complex(q, 0.0)]
     else:
-        principal = _principal_root(coeffs)
-        radius = max(p, q)
-        z = [complex(principal, 0.0)]
-        for m in range(k - 1):
-            theta = 2.0 * cmath.pi * (m + 1) / k + 0.45
-            z.append(radius * cmath.exp(1j * theta))
+        z = [complex(_principal_root(coeffs), 0.0)] + _branch_starts(p, q, k)
 
         converged = False
         for _ in range(MAX_ITER):

@@ -17,8 +17,8 @@ from . import moments as moments_mod
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, PrecisionWarning, Scalar
 from .params import Params, as_float_params, make_params
-from .pmf import (Engine, _scaled_pmf, _scaled_pq, pgf_eval, pmf_closedform,
-                  pmf_muselli, pmf_rootsum, recurrence_series)
+from .pmf import (Engine, _rootsum_values, _scaled_pmf, _scaled_pq, pgf_eval,
+                  pmf_closedform, pmf_muselli, recurrence_series)
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
@@ -107,8 +107,8 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
                 continue
             root_set = roots_mod.find_roots(params)
             reference = recurrence_series(params, n_max)
-            for n in range(n_max + 1):
-                value = pmf_rootsum(params, root_set, n)
+            values = _rootsum_values(params, root_set, range(n_max + 1))
+            for n, value in enumerate(values):
                 dev = abs(value - reference[n])
                 result.cases += 1
                 _track(result, dev <= FLOAT_PMF_TOL, dev,

@@ -3,6 +3,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 
 import jsonschema
@@ -351,6 +354,28 @@ def test_every_format_is_one_dialect(argv, fmt, tmp_path, capsys, monkeypatch):
                                      str(target), capsys=capsys)
     assert (code, out_with_file) == (0, "")
     assert target.read_bytes() == out.encode()
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # `geomk table ... | head -1`: the reader leaves after the header.  The
+    # table (about 0.8 MB) outgrows the pipe buffer, so later writes fail.
+    import geomk
+    src = os.path.dirname(os.path.dirname(geomk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geomk", "table", "--p", "1/3", "--k", "2",
+         "--n-max", "20000", "--mode", "float", "--format", "csv"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"n,f,cumulative\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert err == b""
+    assert proc.returncode == 141
 
 
 def test_every_schema_loads():

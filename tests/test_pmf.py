@@ -10,10 +10,10 @@ from geomk.cli import main
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
                             PrecisionWarning)
 from geomk.params import make_params
-from geomk.pmf import (Engine, build_table, pgf_eval, pmf, pmf_closedform,
-                       pmf_muselli, pmf_recurrence, pmf_rootsum,
-                       recurrence_series)
-from geomk.roots import RootSet, find_roots
+from geomk.pmf import (Engine, _rootsum_values, build_table, pgf_eval, pmf,
+                       pmf_closedform, pmf_muselli, pmf_recurrence,
+                       pmf_rootsum, recurrence_series)
+from geomk.roots import RootSet, find_roots, spectral_coefficients
 
 HALF2 = make_params(Fraction(1, 2), 2)
 ALL_SUM_ENGINES = [pmf_recurrence, pmf_muselli, pmf_closedform]
@@ -177,6 +177,50 @@ class TestRootSum:
                        residuals=(0.0, 0.0), degenerate=params.degenerate)
         with pytest.raises(ConsistencyError):
             pmf_rootsum(params, fake, 5)
+
+
+class TestRootSumLoop:
+    """The one rootsum loop gives, bit for bit, the per-n spectral sum."""
+
+    # p = 1/2 (k = 1), 2/3 (k = 2) and 0.75 (k = 3) are the degenerate
+    # p = k/(k+1), which take the weight-2 branch.
+    GRID = [(p, k) for p in (0.5, 2 / 3, 0.75, 0.2, 0.37, 0.9)
+            for k in (1, 2, 3, 7)]
+
+    @staticmethod
+    def _per_n(params, root_set, n):
+        if n < params.k:
+            return 0.0
+        weights = spectral_coefficients(params, root_set)
+        acc = sum(c * z ** (n - params.k) for c, z in zip(weights, root_set.roots))
+        return acc.real
+
+    @pytest.mark.parametrize("p,k", GRID)
+    def test_loop_equals_pointwise(self, p, k):
+        params = make_params(p, k)
+        root_set = find_roots(params)
+        n_max = 150
+        values = list(_rootsum_values(params, root_set, range(n_max + 1)))
+        assert values == [pmf_rootsum(params, root_set, n) for n in range(n_max + 1)]
+        assert values == [self._per_n(params, root_set, n) for n in range(n_max + 1)]
+
+    @pytest.mark.parametrize("p,k", GRID)
+    def test_table_entries_equal_pointwise(self, p, k):
+        params = make_params(p, k)
+        table = build_table(params, Engine.ROOT_SUM, 80)
+        root_set = find_roots(params)
+        assert list(table.entries) == [pmf_rootsum(params, root_set, n)
+                                       for n in range(81)]
+
+    def test_degenerate_grid_is_flagged(self):
+        flags = {(p, k) for p, k in self.GRID
+                 if make_params(p, k).degenerate.is_degenerate}
+        assert flags == {(0.5, 1), (2 / 3, 2), (0.75, 3)}
+
+    def test_foreign_root_set_rejected(self):
+        root_set = find_roots(make_params(0.3, 2))
+        with pytest.raises(ConsistencyError):
+            next(_rootsum_values(make_params(0.7, 2), root_set, range(5)))
 
 
 class TestPgf:

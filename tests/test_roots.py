@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
@@ -13,6 +15,24 @@ from geomk.roots import (RootSet, aux_poly_coeffs, aux_poly_eval,
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
 GOLDEN_MINUS = (1 - math.sqrt(5)) / 4
+
+
+def _largest_k(p, k_cap, floor):
+    """Largest k <= k_cap with q p^k >= floor for the float params of p."""
+    k = 1
+    while k < k_cap:
+        params = make_params(p, k + 1)
+        if params.q * params.p ** (k + 1) < floor:
+            break
+        k += 1
+    return k
+
+
+@st.composite
+def solvable_pairs(draw):
+    """(p, k) with p in [0.02, 0.98], k in [1, 120] and q p^k >= 1e-12."""
+    p = draw(st.floats(min_value=0.02, max_value=0.98))
+    return p, draw(st.integers(min_value=1, max_value=_largest_k(p, 120, 1e-12)))
 
 
 class TestAuxPoly:
@@ -92,6 +112,38 @@ class TestFindRoots:
                         key=lambda z: (z.real, z.imag))
         for a, b in zip(ours, theirs):
             assert abs(a - complex(b)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pair=solvable_pairs())
+    def test_solves_and_certifies_property(self, pair):
+        p, k = pair
+        params = make_params(p, k)
+        root_set = find_roots(params)
+        roots = root_set.roots
+        assert certify_roots(root_set, params).passed
+        # Companion-matrix eigenvalues drift by up to ~3e-7 at k ~ 100, so
+        # two Newton steps on numpy's own polyval sharpen the oracle first.
+        coeffs = np.array(aux_poly_coeffs(params))
+        theirs = np.roots(coeffs)
+        for _ in range(2):
+            theirs = theirs - np.polyval(coeffs, theirs) / np.polyval(
+                np.polyder(coeffs), theirs)
+        theirs = [complex(z) for z in theirs]
+        assert len(roots) == len(theirs) == k
+        for z in roots:
+            assert min(abs(z - w) for w in theirs) <= 1e-9
+        for w in theirs:
+            assert min(abs(z - w) for z in roots) <= 1e-9
+
+    @pytest.mark.parametrize("p,k_last", [(0.3, 28), (0.5, 48), (0.9, 305)])
+    def test_large_k_down_to_q_pk_1e_15(self, p, k_last):
+        # k_last is the last k with q p^k >= 1e-15
+        assert _largest_k(p, 1000, 1e-15) == k_last
+        for k in (k_last // 2, k_last - 1, k_last):
+            params = make_params(p, k)
+            root_set = find_roots(params)
+            assert len(root_set.roots) == k
+            assert certify_roots(root_set, params).passed
 
     def test_ordering_principal_first_then_descending(self):
         root_set = find_roots(make_params(0.5, 6))
