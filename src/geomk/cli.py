@@ -4,7 +4,10 @@ Subcommands: pmf, table, moments, roots, verify, sample, bench.
 Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
-text.  Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
+text; indented JSON is streamed row by row through the C encoder, with the
+bytes of `json.dumps(report, indent=2)`.  `main` builds the argparse parser
+once per process and reuses it, so in-process callers pay for it once.
+Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 including an --out path that cannot be opened, and 141 (128 + SIGPIPE) when
 the reader closes stdout before the output ends.
 """
@@ -14,11 +17,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
+import functools
+import math
 import os
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import bench as bench_mod
 from . import moments as moments_mod
@@ -51,18 +56,120 @@ def _out_stream(path):
 def _write(args, payload, rows, lines):
     """Write one report to `args.out` in `args.format`.
 
-    JSON is `payload()` indented by 2; CSV is `rows`, header first; text is
-    `lines`.  Every line ends in LF, and only the requested form is built.
+    JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
+    `_json_chunks`; CSV is `rows`, header first; text is `lines`.  Every
+    line ends in LF, and only the requested form is built.
     """
     with _out_stream(args.out) as out:
         if args.format == "json":
-            json.dump(payload(), out, indent=2)
+            out.writelines(_json_chunks(payload()))
             out.write("\n")
         elif args.format == "csv":
             csv.writer(out, lineterminator="\n").writerows(rows)
         else:
             for line in lines:
                 out.write(f"{line}\n")
+
+
+def _json_chunks(value, nl="\n"):
+    """The text of `json.dumps(value, indent=2)` in pieces; `nl` is the
+    newline and indent that the line holding `value` starts with.
+
+    Dicts and lists are walked here, and a flat row inside a list is one
+    piece from the C encoder (`_flat_row`).  The report is never one
+    string: an exact table holds megabytes of digits.
+    """
+    if isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            row = _flat_row(item, inner) if isinstance(item, dict) else None
+            if row is None:
+                yield sep
+                yield from _json_chunks(item, inner)
+            else:
+                yield sep + row
+            sep = "," + inner
+        yield nl + "]"
+    elif isinstance(value, dict):
+        if not value:
+            yield "{}"
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            yield f"{sep}{encode_basestring_ascii(_json_key(key))}: "
+            yield from _json_chunks(item, inner)
+            sep = "," + inner
+        yield nl + "}"
+    else:
+        yield _encode_scalar(value)
+
+
+def _flat_row(row, nl):
+    """`row` indented at `nl`, or None unless it is a non-empty dict of
+    scalars and the C encoder exists.
+
+    With item separator "," + the inner indent, the C encoder writes such a
+    row as the indented encoder does, less the line breaks after "{" and
+    before "}".  A row is flat exactly when its text holds one "{" and no
+    "["; a string holding a bracket only sends its row the slow way.
+    """
+    if c_make_encoder is None or not row:
+        return None
+    inner = nl + "  "
+    text = "".join(_row_encoder(inner)(row, 0))
+    if text.count("{") != 1 or "[" in text:
+        return None
+    return "{" + inner + text[1:-1] + nl + "}"
+
+
+@functools.cache
+def _row_encoder(inner):
+    # The positional signature json.JSONEncoder.iterencode uses: markers,
+    # default, encoder, indent, key_separator, item_separator, sort_keys,
+    # skipkeys, allow_nan.  No markers: reports are trees.
+    return c_make_encoder(None, _unserializable, encode_basestring_ascii,
+                          None, ": ", "," + inner, False, False, True)
+
+
+def _encode_scalar(value):
+    """A scalar as json encodes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if math.isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return _unserializable(value)
+
+
+def _json_key(key):
+    """A dict key as json turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _encode_scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _unserializable(value):
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def _add_common(parser, default_mode="exact", default_format="text"):
@@ -360,9 +467,14 @@ def build_parser():
     return parser
 
 
+# argparse keeps no parse state on a parser (each parse_args makes a new
+# Namespace, and usage errors look up sys.stderr when printed), so one
+# parser serves every call in the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()

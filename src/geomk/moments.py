@@ -41,7 +41,7 @@ def factorial_moment(params: Params, r: int,
     _check_r(r)
     n = (r + 1) * params.k + r
     f = pmf_eval(params, n, engine, root_set)
-    return math.factorial(r) * f / qpk(params) ** (r + 1)
+    return math.factorial(r) * f / _qpk_power(params, r)
 
 
 def factorial_moment_muselli(params: Params, r: int) -> Scalar:
@@ -54,7 +54,7 @@ def factorial_moment_muselli(params: Params, r: int) -> Scalar:
     _check_r(r)
     total = _muselli_sum(params, (r + 1) * params.k + r,
                          f"factorial_moment_muselli(r={r}, {params})")
-    return math.factorial(r) * total / qpk(params) ** (r + 1)
+    return math.factorial(r) * total / _qpk_power(params, r)
 
 
 def factorial_moment_closed(params: Params, r: int) -> Scalar:
@@ -62,7 +62,16 @@ def factorial_moment_closed(params: Params, r: int) -> Scalar:
     _check_r(r)
     total = _closedform_sum(params, (r + 1) * params.k + r,
                             f"factorial_moment_closed(r={r}, {params})")
-    return math.factorial(r) * total / qpk(params) ** (r + 1)
+    return math.factorial(r) * total / _qpk_power(params, r)
+
+
+def _qpk_power(params: Params, r: int) -> Scalar:
+    """(q p^k)^{r+1}, the divisor of every factorial-moment route."""
+    power = qpk(params) ** (r + 1)
+    if power == 0:
+        raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
+                          f"underflows the float range; use exact mode")
+    return power
 
 
 def mean(params: Params) -> Scalar:

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -7,12 +8,24 @@ import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomk import bench as bench_mod
-from geomk.cli import main
+from geomk import cli
+from geomk import moments as moments_mod
+from geomk import roots as roots_mod
+from geomk import simulate as sim_mod
+from geomk import verify as verify_mod
+from geomk.cli import build_parser, main
+from geomk.numerics import Mode
+from geomk.params import make_params
+from geomk.pmf import Engine, build_table
 from geomk.schema import SCHEMA_NAMES, load_schema
 
 
@@ -20,6 +33,12 @@ def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def counting_clock(monkeypatch):
+    """A fresh clock for bench that reads 0, 1, 2, ... on each call."""
+    monkeypatch.setattr(bench_mod, "time",
+                        types.SimpleNamespace(perf_counter=itertools.count().__next__))
 
 
 class TestPmfCommand:
@@ -115,6 +134,17 @@ class TestMomentsCommand:
         payload = json.loads(out)
         jsonschema.validate(payload, load_schema("moment_report"))
         assert payload["mean"] == "12"
+
+    @pytest.mark.parametrize("engine", ["recurrence", "muselli", "closedform"])
+    def test_float_divisor_underflow_exits_2(self, engine, capsys):
+        # (q p^k)^2 underflows to 0.0 in double at p = 0.5, k = 1100.
+        code, out, err = run_cli("moments", "--p", "0.5", "--k", "1100",
+                                 "--mode", "float", "--engine", engine,
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: factorial moment r=1 of (p=0.5, k=1100, float): "
+                       "(q p^k)^2 underflows the float range; use exact mode\n")
 
 
 class TestRootsCommand:
@@ -336,8 +366,7 @@ COMMANDS = [
 ], ids=lambda value: value if isinstance(value, str) else value[0])
 def test_every_format_is_one_dialect(argv, fmt, tmp_path, capsys, monkeypatch):
     # A counting clock makes bench's timing columns the same on both runs.
-    monkeypatch.setattr(bench_mod, "time",
-                        types.SimpleNamespace(perf_counter=itertools.count().__next__))
+    counting_clock(monkeypatch)
     code, out, err = run_cli(*argv, "--format", fmt, capsys=capsys)
     assert (code, err) == (0, "")
     assert out.endswith("\n") and not out.endswith("\n\n")
@@ -387,3 +416,169 @@ def test_every_schema_loads():
 def test_unknown_schema_rejected():
     with pytest.raises(KeyError):
         load_schema("nope")
+
+
+def json_written(payload, stdout=None):
+    """What `_write` puts on stdout for `payload` in JSON format."""
+    stdout = io.StringIO() if stdout is None else stdout
+    with contextlib.redirect_stdout(stdout):
+        cli._write(types.SimpleNamespace(out="-", format="json"),
+                   lambda: payload, (), ())
+    return stdout.getvalue()
+
+
+# Strings that look like the writer's own structure, beside arbitrary text.
+JSON_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(["{", "[", "}", "]", "},\n      {", '"', "\\", "\n",
+                     "{}", "[1]", ": ", "\u00e9", "\u2603", "\U0001f600"]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=True, allow_infinity=True),
+                         JSON_TEXT)
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.floats(), st.booleans(),
+                      st.none())
+JSON_ROWS = st.dictionaries(JSON_KEYS, JSON_SCALARS, max_size=6)
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_ROWS),
+    lambda children: st.one_of(
+        st.lists(st.one_of(JSON_ROWS, children), max_size=6),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(JSON_KEYS, children, max_size=6)),
+    max_leaves=40)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c", "python"])
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(payload=JSON_PAYLOADS)
+def test_json_writer_matches_json_dumps(c_encoder, payload):
+    with contextlib.ExitStack() as stack:
+        if not c_encoder:
+            stack.enter_context(mock.patch.object(cli, "c_make_encoder", None))
+        assert json_written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_writer_streams_rows():
+    # A report is written in pieces, never as one document string.
+    class Writes(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    payload = {"entries": [{"n": n, "f": str(3 ** n)} for n in range(400)]}
+    stdout = Writes()
+    assert json_written(payload, stdout) == json.dumps(payload, indent=2) + "\n"
+    assert max(stdout.sizes) < 400
+
+
+def _roots_payload(params):
+    root_set = roots_mod.find_roots(params)
+    cert = roots_mod.certify_roots(root_set, params)
+    return {"p": str(params.p), "k": params.k,
+            "roots": [{"re": z.real, "im": z.imag} for z in root_set.roots],
+            "principal_index": root_set.principal_index, **cert.to_dict()}
+
+
+def _sample_payload(params, trials, seed):
+    summary = sim_mod.run_simulation(sim_mod.SimConfig(params, trials, seed))
+    gof = sim_mod.gof_report(summary, params)
+    return {"summary": summary.to_dict(), "gof": gof.to_dict()}
+
+
+def _bench_payload(params, n_max, monkeypatch):
+    counting_clock(monkeypatch)
+    rows = bench_mod.run_benchmarks(params, n_max, list(Engine))
+    return {"p": repr(float(params.p)), "k": params.k, "n_max": n_max,
+            "rows": [r.to_dict() for r in rows]}
+
+
+# p = floor(10^100 / 3) / 10^100: f(n) has a denominator of 100n digits, so
+# the last rows of the exact table are past CPython's 4300-digit int limit.
+WIDE_P = Fraction(10 ** 100 // 3, 10 ** 100)
+LIBRARY_REPORTS = {
+    "table-float": (
+        ("table", "--p", "0.3", "--k", "3", "--n-max", "300", "--mode", "float",
+         "--engine", "rootsum"),
+        lambda mp: build_table(make_params(0.3, 3), Engine.ROOT_SUM, 300).to_dict()),
+    "table-exact": (
+        ("table", "--p", f"{WIDE_P.numerator}/{WIDE_P.denominator}", "--k", "2",
+         "--n-max", "48"),
+        lambda mp: build_table(make_params(WIDE_P, 2), Engine.RECURRENCE, 48).to_dict()),
+    "roots": (("roots", "--p", "0.4", "--k", "5"),
+              lambda mp: _roots_payload(make_params(0.4, 5))),
+    "moments": (("moments", "--p", "1/3", "--k", "2", "--r-max", "5"),
+                lambda mp: moments_mod.moment_report(
+                    make_params(Fraction(1, 3), 2), 5).to_dict()),
+    "verify": (("verify", "--p-grid", "1/2", "--k-max", "2", "--n-max", "20",
+                "--r-max", "2", "--corrupt-engine", "muselli"),
+               lambda mp: verify_mod.run_verify(
+                   [Fraction(1, 2)], 2, 20, 2, Mode.EXACT,
+                   corrupt_engine="muselli").to_dict()),
+    "sample": (("sample", "--p", "0.5", "--k", "2", "--trials", "300",
+                "--seed", "4"),
+               lambda mp: _sample_payload(make_params(0.5, 2), 300, 4)),
+    "bench": (("bench", "--p", "0.5", "--k", "2", "--n-max", "40"),
+              lambda mp: _bench_payload(make_params(0.5, 2), 40, mp)),
+}
+
+
+@pytest.mark.parametrize("name", LIBRARY_REPORTS)
+def test_json_output_is_json_dumps_of_the_library_report(name, capsys,
+                                                         monkeypatch):
+    argv, library = LIBRARY_REPORTS[name]
+    expected = json.dumps(library(monkeypatch), indent=2) + "\n"
+    counting_clock(monkeypatch)
+    _, out, err = run_cli(*argv, "--format", "json", capsys=capsys)
+    assert err == ""
+    assert out == expected
+    if name == "table-exact":
+        assert max(len(entry["f"]) for entry in json.loads(out)["entries"]) > 4300
+
+
+def test_parser_is_built_once_per_process():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+def _calls(argvs, capsys):
+    results = []
+    for argv in argvs:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        results.append((code, out, err))
+    return results
+
+
+def test_reused_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    argvs = [
+        ("moments", "--p", "1/2", "--k", "2", "--r-max", "8", "--format", "json"),
+        ("moments", "--p", "1/2", "--k", "2", "--format", "json"),
+        ("pmf", "--p", "1/2", "--k", "2", "--n", "5"),
+        ("pmf", "--p", "1/2", "--k", "2"),
+        ("pmf", "--p", "1/2", "--k", "2", "--n", "5"),
+        ("table", "--p", "1/3", "--k", "2"),
+        ("verify", "--p-grid", "1/2", "--k-max", "1", "--n-max", "10",
+         "--r-max", "2", "--format", "text"),
+        ("pmf", "--p", "1.5", "--k", "2", "--n", "5"),
+        ("moments", "--p", "1/2", "--k", "2", "--format", "json"),
+    ]
+    reused = _calls(argvs, capsys)
+    # The default --r-max comes back after a call that set it.
+    assert json.loads(reused[0][1])["r_max"] == 8
+    assert json.loads(reused[1][1])["r_max"] == 4
+    # A usage error goes to the current stderr, exits 2 and leaves the
+    # parser as it was.
+    assert reused[3][:2] == (2, "")
+    assert reused[3][2].startswith("usage: geomk pmf ")
+    assert reused[3][2].endswith(
+        "error: the following arguments are required: --n\n")
+    assert reused[4] == reused[2]
+    assert reused[5][0] == 2 and "--n-max" in reused[5][2]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert _calls(argvs, capsys) == reused

@@ -73,6 +73,17 @@ class TestThreeRoutes:
             for route in (factorial_moment_muselli, factorial_moment_closed):
                 assert abs(route(params, r) - reference) <= 1e-9 * reference
 
+    @pytest.mark.parametrize("k", [600, 1100])
+    @pytest.mark.parametrize("route", [factorial_moment, factorial_moment_muselli,
+                                       factorial_moment_closed])
+    def test_float_divisor_underflow_is_a_domain_error(self, route, k):
+        # (q p^k)^2 = 2^-2(k+1) is 0.0 in double: q p^k itself at k = 1100,
+        # only its square at k = 600.
+        with pytest.raises(DomainError, match=r"\(q p\^k\)\^2 underflows the float range"):
+            route(make_params(0.5, k), 1)
+        # Exact mode has no range: mu_(1) = (1 - 2^-k) / 2^-(k+1).
+        assert route(make_params(Fraction(1, 2), k), 1) == 2 ** (k + 1) - 2
+
 
 class TestMeanVariance:
     @pytest.mark.parametrize("params,expected", [
