@@ -14,6 +14,7 @@ spectral engine is a cross-check, not the reference path.
 from __future__ import annotations
 
 import cmath
+import sys
 from dataclasses import dataclass
 
 from .numerics import ConsistencyError, Mode, ModeError, SolverError
@@ -138,13 +139,17 @@ def find_roots(params: Params) -> RootSet:
     simultaneous iteration, with the principal root pinned, begins close to
     the roots and stops after a few sweeps; the start never forms q p^k,
     which underflows at large k.  Raises SolverError (carrying the best
-    residuals) instead of returning an uncertified set.
+    residuals) instead of returning an uncertified set, and raises it at
+    once when p^k is below the normal double range (see _underflow).
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("find_roots requires float-mode params")
     k = params.k
     p = float(params.p)
     q = float(params.q)
+    reason = _underflow(p, k)
+    if reason:
+        raise SolverError(f"{reason} for {params}")
     coeffs = aux_poly_coeffs(params)
 
     if k == 1:
@@ -189,6 +194,20 @@ def find_roots(params: Params) -> RootSet:
     residuals = [residuals[0]] + [residuals[i] for i in order]
     return RootSet(roots=tuple(roots), principal_index=0,
                    residuals=tuple(residuals), degenerate=params.degenerate)
+
+
+def _underflow(p: float, k: int) -> str:
+    """Why float roots cannot be certified at (p, k), or "" if they can.
+
+    The roots lie near |z| = p, so once p^k is subnormal z^k carries almost
+    no precision there: Aberth's stop test is never met, and the identity
+    check z^k (1 - z) = q p^k compares 0 with 0 and passes any root.  k = 1
+    has the closed-form root q.
+    """
+    if k >= 2 and p ** k < sys.float_info.min:
+        return (f"p^k = {p ** k:.3g} underflows the normal double range, "
+                f"so float roots cannot be certified")
+    return ""
 
 
 def _canonicalize(coeffs, z):
@@ -260,7 +279,9 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     Passes iff: exactly one positive real root, all magnitudes < 1, pairwise
     separation above threshold, and every identity residual within
     tolerance.  Magnitudes inside [1 - 1e-9, 1) pass with a warning since
-    no sharper literature bound is available.
+    no sharper literature bound is available.  When p^k underflows the
+    normal double range the identity check is vacuous, so the set fails
+    with a warning that says so.
     """
     roots = root_set.roots
     identity = tuple(_identity_residual(r, params) for r in roots)
@@ -277,11 +298,15 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     max_mag = max(abs(r) for r in roots)
 
     warnings = []
+    underflow = _underflow(float(params.p), params.k)
+    if underflow:
+        warnings.append(underflow)
     if 1.0 - MAGNITUDE_WARN_BAND <= max_mag < 1.0:
         warnings.append(
             f"max root magnitude {max_mag:.15f} is within {MAGNITUDE_WARN_BAND} of 1")
 
-    passed = (positive_real == 1
+    passed = (not underflow
+              and positive_real == 1
               and max_mag < 1.0
               and min_sep > SEPARATION_TOL
               and max(identity) <= IDENTITY_TOL)

@@ -15,14 +15,25 @@ single-threaded result exactly.
 
 The stream is counter-based: draw n of a stream at state s is
 mix((s + n * 0x9E3779B97F4A7C15) mod 2^64), so any draw can be computed
-without the ones before it.  The trial loop uses this to skip work, in the
-manner of Boyer-Moore string search: it first tests the last draw of the
-earliest window of k draws that could complete a run.  A failure there
-rules out every window containing it, so the k - 1 draws before it are
-never computed; a success is followed by a backward scan over the draws
-not yet decided.  The step at which the first run completes, and the
+without the ones before it.  The one-trial loop behind
+`sample_waiting_time` uses this to skip work, in the manner of Boyer-Moore
+string search: it first tests the last draw of the earliest window of k
+draws that could complete a run.  A failure there rules out every window
+containing it, so the k - 1 draws before it are never computed; a success
+is followed by a backward scan over the draws not yet decided.  The step at which the first run completes, and the
 stream's state after it, are the same as the draw-by-draw loop's, bit for
 bit; only the number of draws evaluated falls.
+
+`run_simulation` does not call that loop per trial.  It runs the trials of
+a block of 1024 in lockstep, one draw per live trial per round, as 128-bit
+lanes of one Python int (SIMD within a register): each lane holds a 64-bit
+state, and its upper half takes the 64x64-bit products of the finalizer,
+so CPython's bigint loops pay the per-draw cost once per round instead of
+the interpreter once per draw.  Right shifts are masked so that no bits
+cross lanes.  A block is compacted once fewer than half its lanes are
+live, and once at most 16 are, each is finished by the skip loop,
+restarted k - 1 draws back (see _lane_block).  Histograms and truncation
+counts are those of the one-trial loop, bit for bit.
 
 Chi-square p-values use the finite closed form of the upper tail for an
 integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
@@ -31,8 +42,9 @@ integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
 from . import moments as moments_mod
@@ -44,6 +56,10 @@ from .params import Params, as_float_params
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _U53 = 2.0 ** -53
+_LANES = 1024        # trials per block: 16 KB per packed int
+_SLOT = 128          # bits per lane
+_SLOT_BYTES = _SLOT // 8
+_HANDOFF = 16        # live lanes at or below which the skip loop takes over
 
 
 def _mix64(z: int) -> int:
@@ -107,12 +123,17 @@ class SimSummary:
         }
 
 
+def _threshold(p: float) -> int:
+    """t with uniform() < p exactly when the draw's 64-bit output is < t."""
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
 def _first_run(state: int, p: float, k: int, cap: int):
     """(step, state): the step at which the first run of k successes
     completes in the stream at `state`, or None after `cap` steps without
     one, and the stream's state after the last draw.
 
-    This is the one trial loop.  Draw n succeeds when
+    This is the one-trial loop.  Draw n succeeds when
     (mix(state + n*G) >> 11) * 2^-53 < p, which holds exactly when
     mix(state + n*G) < t with t = ceil(p * 2^53) << 11 (scaling by 2^53 is
     exact, and the left side is an integer multiple of 2^-53).
@@ -126,7 +147,7 @@ def _first_run(state: int, p: float, k: int, cap: int):
     and the next end is m + k.  Draws done+1..m-1 are never computed.  The
     generator is inlined because a call per draw would dominate the cost.
     """
-    t = math.ceil(p * 2.0 ** 53) << 11
+    t = _threshold(p)
     step_k = k * _GOLDEN
     done = 0
     end = k
@@ -162,20 +183,133 @@ def sample_waiting_time(params: Params, rng: SplitMix64,
     return step
 
 
+def _spread(n: int):
+    """(ones, index): 1 and i in lane i of n lanes, built by doubling."""
+    ones, index, m = 1, 0, 1
+    while m < n:
+        index |= (index + m * ones) << (_SLOT * m)
+        ones |= ones << (_SLOT * m)
+        m *= 2
+    width = (1 << (_SLOT * n)) - 1
+    return ones & width, index & width
+
+
+def _mix_lanes(s: int, mask: int) -> int:
+    """The splitmix64 finalizer in every lane; `mask` holds 2^64 - 1 in each.
+
+    A right shift pulls the low bits of the next lane into the top of this
+    one, so every shift is masked before the next multiply."""
+    z = (s ^ (s >> 30)) & mask
+    z = (z * 0xBF58476D1CE4E5B9) & mask
+    z = (z ^ (z >> 27)) & mask
+    z = (z * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & mask
+
+
+def _lane_bytes(flags: int, n: int) -> bytes:
+    """Byte j is nonzero exactly when bit 64 of lane j is set in `flags`."""
+    return flags.to_bytes(_SLOT_BYTES * n, "little")[8::_SLOT_BYTES]
+
+
+def _compact(x: int, keep: list, n: int) -> int:
+    """The lanes `keep` of the n-lane packed int x, packed anew in order."""
+    b = x.to_bytes(_SLOT_BYTES * n, "little")
+    w = _SLOT_BYTES
+    return int.from_bytes(b"".join([b[w * j:w * j + w] for j in keep]),
+                          "little")
+
+
+def _lane_block(key: int, n: int, p: float, k: int, cap: int,
+                histogram: Counter) -> int:
+    """Run the n trials keyed by key, key + G, ..., key + (n-1)*G (mod
+    2^64): add the step at which each completes to `histogram`, and return
+    how many hit the cap.
+
+    Round `step` draws once in every lane.  Draw `step` succeeds in a lane
+    when bit 64 of (2^64 + t - 1) - output is set, that is when output < t,
+    the test _first_run makes; the subtraction never borrows across lanes.
+    Success masks keep only live lanes.  A run completes in a lane when the
+    success masks of the last k rounds all have its bit; the k - 1 masks
+    before round 1 are zero, so nothing completes before round k.
+
+    Lanes that have completed keep drawing until fewer than half the block
+    is live; then the live lanes are copied out through to_bytes and packed
+    anew.  Once at most _HANDOFF lanes are live, each is finished by
+    _first_run from the state of draw d = max(step - k + 1, 0).  The restart
+    is exact: a run that completes after `step` begins after d, and a run
+    inside draws d + 1..step would have completed already.
+    """
+    ones, index = _spread(n)
+    mask = ones * _MASK
+    golden = ones * _GOLDEN
+    limit = ones * ((1 << 64) + _threshold(p) - 1)
+    live = ones << 64
+    s = _mix_lanes((key * ones + index * _GOLDEN) & mask, mask)
+    recent = deque([0] * (k - 1), maxlen=k - 1)
+    lanes = alive = n
+    step = 0
+    while step < cap and alive > _HANDOFF:
+        step += 1
+        s = (s + golden) & mask
+        success = (limit - _mix_lanes(s, mask)) & live
+        run = success
+        for earlier in recent:
+            run &= earlier
+        recent.append(success)
+        if run:
+            live ^= run
+            done = run.bit_count()
+            histogram[step] += done
+            alive -= done
+            if alive > _HANDOFF and 2 * alive < lanes:
+                keep = list(compress(range(lanes), _lane_bytes(live, lanes)))
+                s = _compact(s, keep, lanes)
+                recent = deque([_compact(m, keep, lanes) for m in recent],
+                               maxlen=k - 1)
+                lanes = alive
+                width = (1 << (_SLOT * lanes)) - 1
+                mask &= width
+                golden &= width
+                limit &= width
+                live = (ones & width) << 64
+    if not alive:
+        return 0
+    if step == cap:
+        return alive
+    # Hand the last live lanes to the skip loop.
+    d = max(step - k + 1, 0)
+    back = (step - d) * _GOLDEN
+    states = s.to_bytes(_SLOT_BYTES * lanes, "little")
+    truncated = 0
+    for j in compress(range(lanes), _lane_bytes(live, lanes)):
+        state = int.from_bytes(states[_SLOT_BYTES * j:_SLOT_BYTES * j + 8],
+                               "little")
+        wait, _ = _first_run((state - back) & _MASK, p, k, cap - d)
+        if wait is None:
+            truncated += 1
+        else:
+            histogram[d + wait] += 1
+    return truncated
+
+
 def run_simulation(config: SimConfig) -> SimSummary:
-    """Deterministic summary over config.trials independent samples."""
+    """Deterministic summary over config.trials independent samples.
+
+    Trial i is the stream keyed by (seed + i*G) mod 2^64, as in
+    SplitMix64.for_trial; the trials run in blocks of _LANES lanes (see
+    _lane_block), so the histogram and the truncation count are those of
+    sample_waiting_time on each trial's stream, bit for bit.
+    """
     p = float(config.params.p)
     k = config.params.k
     seed = config.seed & _MASK
     cap = config.max_steps_per_trial
     histogram = Counter()
     truncated = 0
-    for i in range(config.trials):
-        n, _ = _first_run(_mix64((seed + i * _GOLDEN) & _MASK), p, k, cap)
-        if n is None:
-            truncated += 1
-        else:
-            histogram[n] += 1
+    for start in range(0, config.trials, _LANES):
+        truncated += _lane_block((seed + start * _GOLDEN) & _MASK,
+                                 min(_LANES, config.trials - start),
+                                 p, k, cap, histogram)
 
     completed = config.trials - truncated
     mean = variance = None
@@ -283,10 +417,10 @@ def gof_report(summary: SimSummary, params: Params,
 
     mean_z = variance_z = None
     if completed >= 2 and summary.sample_mean is not None:
-        mu = float(moments_mod.mean(fparams))
-        var = float(moments_mod.variance(fparams))
-        mean_z = (summary.sample_mean - mu) / math.sqrt(var / completed)
         report = moments_mod.moment_report(fparams, 4)
+        mu = float(report.mean)
+        var = float(report.variance)
+        mean_z = (summary.sample_mean - mu) / math.sqrt(var / completed)
         mu4 = float(report.central[2])
         var_of_s2 = (mu4 - var ** 2 * (completed - 3) / (completed - 1)) / completed
         if var_of_s2 > 0 and summary.sample_variance is not None:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
-from geomk.roots import (RootSet, aux_poly_coeffs, aux_poly_eval,
-                         certify_roots, find_roots, pmf_envelope,
-                         spectral_coefficients, tail_bound)
+from geomk.roots import (RootSet, _branch_starts, _principal_root,
+                         aux_poly_coeffs, aux_poly_eval, certify_roots,
+                         find_roots, pmf_envelope, spectral_coefficients,
+                         tail_bound)
 
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
@@ -187,6 +189,31 @@ class TestCertify:
         cert = certify_roots(find_roots(params), params)
         assert cert.passed
         assert cert.warnings and "within" in cert.warnings[0]
+
+
+class TestUnderflow:
+    """Below the normal double range p^k carries no precision near the
+    roots, so neither the solver nor the certificate may claim success."""
+
+    def test_solver_fails_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="underflows"):
+            find_roots(make_params(0.09, 300))
+        assert time.perf_counter() - start < 1.0
+
+    def test_certificate_rejects_vacuous_identity(self):
+        # The solver's own starting points: z^300 underflows to 0 at every
+        # one of them, so the identity check alone compares 0 with 0.
+        params = make_params(0.06, 300)
+        starts = ([complex(_principal_root(aux_poly_coeffs(params)), 0.0)]
+                  + _branch_starts(0.06, 0.94, 300))
+        root_set = RootSet(roots=tuple(starts), principal_index=0,
+                           residuals=(0.0,) * 300,
+                           degenerate=params.degenerate)
+        cert = certify_roots(root_set, params)
+        assert max(cert.identity_residuals) <= 1e-12
+        assert not cert.passed
+        assert any("underflows" in w for w in cert.warnings)
 
 
 class TestSpectralHelpers:

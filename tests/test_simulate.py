@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomk import simulate
 from geomk.cli import main
 from geomk.moments import mean, variance
 from geomk.numerics import DomainError
 from geomk.params import make_params
-from geomk.simulate import (_GOLDEN, _MASK, SimConfig, SimSummary, SplitMix64,
-                            _chi2_sf, _mix64, gof_report, run_simulation,
-                            sample_waiting_time)
+from geomk.simulate import (_GOLDEN, _LANES, _MASK, SimConfig, SimSummary,
+                            SplitMix64, _chi2_sf, _mix64, gof_report,
+                            run_simulation, sample_waiting_time)
 
 HALF2 = make_params(0.5, 2)
 
@@ -156,6 +157,80 @@ class TestOneTrialLoop:
                 assert rng.state == (state + max(cap, 0) * _GOLDEN) & _MASK
             else:
                 assert step == k
+
+
+def _one_trial_counts(params, trials, seed, cap):
+    """(histogram, truncated) of sample_waiting_time over each trial."""
+    draws = [sample_waiting_time(params, SplitMix64.for_trial(seed, i), cap)
+             for i in range(trials)]
+    return dict(Counter(n for n in draws if n is not None)), draws.count(None)
+
+
+def _lane_counts(params, trials, seed, cap):
+    summary = run_simulation(SimConfig(params=params, trials=trials,
+                                       seed=seed, max_steps_per_trial=cap))
+    return summary.histogram, summary.truncated_count
+
+
+class TestLaneKernel:
+    """run_simulation's lanes against the independent one-trial loop."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(k=st.integers(1, 12), trials=st.integers(1, 90),
+           seed=st.integers(0, _MASK), extra=st.integers(0, 400),
+           p=st.one_of(st.integers(1, 63).map(lambda a: a / 64),
+                       st.integers(1, 2 ** 20 - 1).map(lambda a: a / 2 ** 20),
+                       st.sampled_from([1e-3, 1 - 2 ** -30])))
+    def test_matches_one_trial_loop(self, k, trials, seed, extra, p):
+        params = make_params(p, k)
+        cap = min(k + extra, 400)
+        assert (_lane_counts(params, trials, seed, cap)
+                == _one_trial_counts(params, trials, seed, cap))
+
+    @pytest.mark.parametrize("trials", [1, _LANES - 1, _LANES, _LANES + 1,
+                                        4095, 4096, 4097])
+    def test_block_edges(self, trials):
+        assert (_lane_counts(HALF2, trials, 606, 10_000_000)
+                == _one_trial_counts(HALF2, trials, 606, 10_000_000))
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_cap_at_k_and_k_plus_1(self, k):
+        params = make_params(0.7, k)
+        for cap in (k, k + 1):
+            counts = _lane_counts(params, 500, 12, cap)
+            assert counts == _one_trial_counts(params, 500, 12, cap)
+            assert 0 < counts[1] < 500
+            assert set(counts[0]) <= {k, k + 1}
+
+    @pytest.mark.parametrize("k, m", [(1, 1), (2, 2), (3, 1)])
+    def test_draw_on_the_threshold(self, k, m):
+        # The first trial whose draw m has its low 11 bits zero: at p equal
+        # to that draw's uniform it fails, one float up it succeeds.
+        i = next(i for i in range(10 ** 6)
+                 if _mix64((SplitMix64.for_trial(99, i).state + m * _GOLDEN)
+                           & _MASK) & 0x7FF == 0 and i >= 40)
+        state = SplitMix64.for_trial(99, i).state
+        u = (_mix64((state + m * _GOLDEN) & _MASK) >> 11) * 2.0 ** -53
+        for p in (u, math.nextafter(u, 1.0)):
+            params = make_params(p, k)
+            assert (_lane_counts(params, i + 1, 99, 60)
+                    == _one_trial_counts(params, i + 1, 99, 60))
+
+    def test_hand_off_to_one_trial_loop(self, monkeypatch):
+        params = make_params(0.5, 3)
+        want = _one_trial_counts(params, 300, 8, 10_000_000)
+        caps = []
+        real = simulate._first_run
+
+        def recording(state, p, k, cap):
+            caps.append(cap)
+            return real(state, p, k, cap)
+
+        monkeypatch.setattr(simulate, "_first_run", recording)
+        assert _lane_counts(params, 300, 8, 10_000_000) == want
+        # At most 16 trials reach the one-trial loop, restarted past draw 0.
+        assert 0 < len(caps) <= 16
+        assert len(set(caps)) == 1 and caps[0] < 10_000_000 - 3
 
 
 class TestRunSimulation:
