@@ -238,14 +238,13 @@ def cmd_table(args):
 
     def rows():
         yield "n", "f", "cumulative"
-        for n, f, c in table.rows():
-            yield n, _render(f), _render(c)
+        yield from table.text_rows()
 
     def lines():
         yield (f"pmf table for p={params.p}, k={params.k} "
                f"(engine={engine.value}, mode={params.mode.value})")
-        for n, f, c in table.rows():
-            yield f"  n={n:<5d} f={_render(f):<24} cumulative={_render(c)}"
+        for n, f, c in table.text_rows():
+            yield f"  n={n:<5d} f={f:<24} cumulative={c}"
         if table.tail_bound is not None:
             yield f"  tail bound beyond n_max: {table.tail_bound!r}"
 

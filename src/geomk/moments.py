@@ -19,7 +19,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -28,7 +27,7 @@ from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
                        Scalar, SolverError, falling_factorial)
 from .params import Params, as_float_params, qpk
 from .pmf import (Engine, _closedform_sum, _float_pmf, _json_scalar,
-                  _muselli_sum, _scaled_pmf, _scaled_pq)
+                  _muselli_sum, _over_power, _scaled_pmf, _scaled_pq)
 from .pmf import pmf as pmf_eval
 
 logger = logging.getLogger(__name__)
@@ -219,13 +218,16 @@ def factorial_moment_series(params: Params, r_max: int,
     is f(n) = g(n) / b^n for the integers g of pmf._scaled_pmf, so each
     partial sum is an integer over b^n, extended by S <- S b + n^(r) g(n)
     and reduced once at the end.  Float mode sums the float recurrence with
-    Neumaier compensation.
+    Neumaier compensation.  An oracle that cannot stop within
+    _MAX_ORACLE_TERMS terms raises SolverError before it sums
+    (_check_reach).
     """
     _check_r(r_max)
     k = params.k
     fparams = as_float_params(params)
     root_set = roots_mod.find_roots(fparams)
     env_a, env_m = roots_mod.pmf_envelope(fparams, root_set)
+    _check_reach(params, r_max, rel_tol, env_a, env_m)
     exact = params.mode is Mode.EXACT
 
     if exact:
@@ -267,10 +269,39 @@ def factorial_moment_series(params: Params, r_max: int,
 
     if exact:
         scale = b ** n
-        final = tuple(Fraction(s, scale) for s in sums)
+        final = tuple(_over_power(s, scale, b) for s in sums)
     else:
         final = tuple(s + c for s, c in zip(sums, carries))
     return SeriesOracle(sums=final, bounds=tuple(bounds), n_terms=n)
+
+
+def _check_reach(params: Params, r_max: int, rel_tol: float,
+                 env_a: float, env_m: float):
+    """Raise SolverError if the oracle's truncation test cannot pass within
+    _MAX_ORACLE_TERMS terms.
+
+    The test needs _series_tail_bound(n, r_max) <= rel_tol * S, and the
+    float partial sum S stays below mu_(r_max).  Where the bound is defined
+    (a suffix of n, as rho falls with n) it decreases, since consecutive
+    leads differ by the factor rho < 1 and 1 - rho grows.  So the first n
+    at which it falls to rel_tol * mu_(r_max) comes no later than the
+    loop's stop, and it lies past the last n the loop reaches exactly when
+    the bound there is still above.  The float estimate of mu_(r_max) is
+    doubled to cover its rounding and that of S; an estimate that is not a
+    finite positive double, or a bound past the float range, skips the check.
+    """
+    try:
+        estimate = 2 * factorial_moment(as_float_params(params), r_max)
+        bound = _series_tail_bound(env_a, env_m, params.k + _MAX_ORACLE_TERMS,
+                                   r_max)
+    except (DomainError, OverflowError):
+        return
+    if not 0 < estimate < math.inf:
+        return
+    if bound is None or bound > rel_tol * estimate:
+        raise SolverError(
+            f"series oracle cannot reach rel_tol={rel_tol} within "
+            f"{_MAX_ORACLE_TERMS} terms for {params}")
 
 
 def _series_tail_bound(env_a: float, env_m: float, n: int, r: int) -> Optional[float]:

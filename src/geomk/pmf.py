@@ -122,11 +122,44 @@ def _scaled_series(params: Params, n_max: int):
     return b, [0] * k + list(islice(_scaled_pmf(a, c, k), n_max - k + 1))
 
 
+# A Fraction from a numerator and denominator already in lowest terms,
+# without the gcd the public constructor spends: CPython 3.12 added the
+# private _from_coprime_ints, and 3.10 and 3.11 take _normalize=False.
+# Elsewhere the public constructor serves, and reduces once more.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    try:
+        Fraction(1, 1, _normalize=False)
+    except TypeError:
+        _coprime_fraction = Fraction
+    else:
+        def _coprime_fraction(numerator, denominator):
+            return Fraction(numerator, denominator, _normalize=False)
+
+
+def _over_power(s: int, power: int, b: int) -> Fraction:
+    """s / power as a reduced Fraction, where every prime of power divides b.
+
+    A prime that divides both s and power then divides b, so dividing both
+    by t = gcd(s, b, power) until t = 1 leaves them coprime.  Each step is
+    linear in the size of s (gcd(s, b) takes one pass of s % b), where
+    gcd(s, power) is quadratic.
+    """
+    if not s:
+        return Fraction(0)
+    while (t := math.gcd(s, b, power)) != 1:
+        s //= t
+        power //= t
+    return _coprime_fraction(s, power)
+
+
 def _unscaled(scaled, b: int) -> list:
-    """[s(n) / b^n for n = 0, 1, ...], each reduced once."""
+    """[s(n) / b^n for n = 0, 1, ...], each reduced once by _over_power
+    (the factors of b only), never by a full gcd."""
     values, power = [], 1
     for s in scaled:
-        values.append(Fraction(s, power))
+        values.append(_over_power(s, power, b))
         power *= b
     return values
 
@@ -160,7 +193,7 @@ def pmf_recurrence(params: Params, n: int) -> Scalar:
         return _zero(params)
     if params.mode is Mode.EXACT:
         a, c, b = _scaled_pq(params)
-        return Fraction(_nth(_scaled_pmf(a, c, k), n - k), b ** n)
+        return _over_power(_nth(_scaled_pmf(a, c, k), n - k), b ** n, b)
     return _nth(_float_pmf(params), n - k)
 
 
@@ -354,6 +387,12 @@ def pmf(params: Params, n: int, engine: Engine = Engine.RECURRENCE,
 
 @dataclass(frozen=True)
 class PmfTable:
+    """f(0..n_max) with running cumulative sums, and their text.
+
+    entries and cumulative are reduced Fractions in exact mode and floats in
+    float mode.  text_rows is the one text form of the table: to_dict (in
+    exact mode), the CLI's CSV rows and its text lines all read it.
+    """
     params: Params
     engine: Engine
     entries: tuple          # f(0), f(1), ..., f(n_max)
@@ -368,7 +407,24 @@ class PmfTable:
         for n, (f, c) in enumerate(zip(self.entries, self.cumulative)):
             yield n, f, c
 
+    def text_rows(self):
+        """Yield (n, f_text, cumulative_text), each text as _render writes
+        the value.
+
+        An exact recurrence table takes its digits from _exact_texts, in
+        time linear in their number; every other table renders its values.
+        """
+        if self.engine is Engine.RECURRENCE and self.params.mode is Mode.EXACT:
+            yield from _exact_texts(self.params, self.entries, self.cumulative)
+        else:
+            for n, f, c in self.rows():
+                yield n, _render(f), _render(c)
+
     def to_dict(self):
+        if self.params.mode is Mode.EXACT:
+            rows = self.text_rows()
+        else:
+            rows = ((n, float(f), float(c)) for n, f, c in self.rows())
         return {
             "p": str(self.params.p),
             "k": self.params.k,
@@ -376,18 +432,75 @@ class PmfTable:
             "engine": self.engine.value,
             "n_max": self.n_max,
             "tail_bound": self.tail_bound,
-            "entries": [
-                {"n": n, "f": _json_scalar(f), "cumulative": _json_scalar(c)}
-                for n, f, c in self.rows()
-            ],
+            "entries": [{"n": n, "f": f, "cumulative": c} for n, f, c in rows],
         }
+
+
+# Integer arithmetic on decimal.Decimal that can only be exact: any rounding
+# traps, so a digit that would be wrong raises instead.  Only *, +, -, //, %
+# and ** to a non-negative integer power may run in it; "/" would compute a
+# quotient to MAX_PREC digits.
+_EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
+
+
+def _exact_texts(params: Params, entries, cumulative):
+    """Yield (n, f_text, cumulative_text) for an exact recurrence table whose
+    reduced values are entries and cumulative.
+
+    _scaled_pmf runs again over Decimal integers, with C(n) = C(n-1) b + g(n)
+    beside it, so g(n) / b^n and C(n) / b^n have base-10 digits from the
+    start.  Each value is divided by the factor G = b^n // denominator that
+    its reduction removed (no division when G = 1), and str() of a Decimal
+    is linear in its digits where str(int) and Decimal(int) are quadratic.
+    Rows are made in batches inside _EXACT_DECIMAL and yielded outside it,
+    so no caller ever runs in that context.
+    """
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    for n in range(k):
+        yield n, "0", "0"
+    rows = _decimal_rows(a, c, b, k, entries, cumulative)
+    while True:
+        with decimal.localcontext(_EXACT_DECIMAL):
+            batch = list(islice(rows, 64))
+        if not batch:
+            return
+        yield from batch
+
+
+def _decimal_rows(a, c, b, k, entries, cumulative):
+    values = _scaled_pmf(decimal.Decimal(a), decimal.Decimal(c), k)
+    b_dec, total = decimal.Decimal(b), decimal.Decimal(0)
+    power = b ** k
+    power_dec = decimal.Decimal(power)
+    for n in range(k, len(entries)):
+        g = next(values)
+        total = total * b_dec + g
+        yield (n, _text_over(g, power, power_dec, entries[n].denominator),
+               _text_over(total, power, power_dec, cumulative[n].denominator))
+        power *= b
+        power_dec *= b_dec
+
+
+def _text_over(scaled, power: int, power_dec, denominator: int) -> str:
+    """_render of the value scaled / power in (0, 1) whose reduced
+    denominator is `denominator`; scaled and power_dec are the Decimal
+    forms of the numerator and of power."""
+    shared = power // denominator
+    if shared != 1:
+        shared = decimal.Decimal(shared)
+        scaled, power_dec = scaled // shared, power_dec // shared
+    return str(scaled) + "/" + str(power_dec)
 
 
 def _render(value: Scalar) -> str:
     """Text form: a reduced fraction of any size, or the float's repr.
 
     Decimal converts an int of any size exactly, so exact values are not
-    bound by the digit limit of str(int).
+    bound by the digit limit of str(int); the conversion is quadratic in
+    the digits, which exact recurrence tables avoid (_exact_texts).
     """
     if not isinstance(value, Fraction):
         return repr(float(value))

@@ -6,6 +6,7 @@ against the sum of their exact terms rounded once.
 """
 
 import csv
+import decimal
 import json
 import math
 import sys
@@ -20,9 +21,9 @@ from geomk.cli import main
 from geomk.moments import factorial_moment_series
 from geomk.numerics import PrecisionWarning, gen_binomial
 from geomk.params import make_params
-from geomk.pmf import (CANCELLATION_FLAG_RATIO, Engine, build_table,
-                       pmf_closedform, pmf_muselli, pmf_recurrence,
-                       recurrence_series)
+from geomk.pmf import (CANCELLATION_FLAG_RATIO, Engine, _over_power,
+                       _render, build_table, pmf_closedform, pmf_muselli,
+                       pmf_recurrence, recurrence_series)
 from geomk.simulate import SimConfig, gof_report, run_simulation
 
 
@@ -75,6 +76,81 @@ class TestExactRecurrence:
         expected = tuple(sum(math.perm(n, r) * f[n] for n in range(n_terms + 1))
                          for r in range(1, r_max + 1))
         assert oracle.sums == expected
+
+
+def scaled_values(a, b, k, n_max):
+    """g(0..n_max) and C(0..n_max) with f(n) = g(n) / b^n and F(n) = C(n) / b^n
+    for p = a/b, from g(n) = c sum_{i<k} a^i g(n-1-i) directly."""
+    c = b - a
+    g = [0] * k + [a ** k]
+    for n in range(k + 1, n_max + 1):
+        g.append(c * sum(a ** i * g[n - 1 - i] for i in range(k)))
+    cumulative, total = [], 0
+    for value in g[:n_max + 1]:
+        total = total * b + value
+        cumulative.append(total)
+    return g[:n_max + 1], cumulative
+
+
+# Denominators with one prime, a prime power, two and many primes, a large
+# prime, and large powers of a small prime.
+DENOMINATORS = (2, 3, 12, 2 ** 20, 10 ** 3, 2310, 1000003)
+
+
+@st.composite
+def table_args(draw):
+    b = draw(st.sampled_from(DENOMINATORS))
+    a = draw(st.integers(min_value=1, max_value=b - 1))
+    k = draw(st.integers(min_value=1, max_value=10))
+    return a, b, k, draw(st.integers(min_value=k, max_value=300))
+
+
+class TestReductionByFactorsOfB:
+    """Exact tables reduce g(n) / b^n by the factors of b only, and print
+    their digits from a Decimal run of the kernel."""
+
+    def assert_table(self, a, b, k, n_max):
+        table = build_table(make_params(Fraction(a, b), k), Engine.RECURRENCE,
+                            n_max)
+        g, cumulative = scaled_values(a, b, k, n_max)
+        for n in range(n_max + 1):
+            for value, scaled in ((table.entries[n], g[n]),
+                                  (table.cumulative[n], cumulative[n])):
+                expected = Fraction(scaled, b ** n)
+                assert (value.numerator, value.denominator) == (
+                    expected.numerator, expected.denominator)
+        assert list(table.text_rows()) == [
+            (n, _render(f), _render(c)) for n, f, c in table.rows()]
+        return table
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(args=table_args())
+    def test_property(self, args):
+        self.assert_table(*args)
+
+    def test_fibonacci_numerators(self):
+        # p = 1/2, k = 2: g(n) is the Fibonacci number F(n - 1), and F(6m)
+        # is divisible by 8 from m = 1 on, so the loop strips 2 repeatedly.
+        table = self.assert_table(1, 2, 2, 300)
+        assert table.entries[7] == Fraction(8, 2 ** 7) == Fraction(1, 16)
+        assert _over_power(8, 2 ** 7, 2) == Fraction(1, 16)
+        assert _over_power(3 * 2 ** 40, 2 ** 50, 2) == Fraction(3, 2 ** 10)
+
+    def test_zeros_below_k(self):
+        table = self.assert_table(7, 12, 6, 20)
+        assert table.entries[:6] == (Fraction(0),) * 6
+        assert list(table.text_rows())[:6] == [(n, "0", "0") for n in range(6)]
+
+    @pytest.mark.parametrize("b", DENOMINATORS)
+    def test_n_max_equals_k(self, b):
+        table = self.assert_table(1, b, 4, 4)
+        assert table.entries[-1] == Fraction(1, b) ** 4 == table.cumulative[-1]
+
+    def test_over_power_on_single_values(self):
+        assert _over_power(0, 10 ** 9, 10) == 0
+        assert _over_power(7 ** 30, 10 ** 9, 10) == Fraction(7 ** 30, 10 ** 9)
+        assert _over_power(2 ** 20 * 5 ** 3, 10 ** 9, 10) == Fraction(
+            2 ** 11, 5 ** 6)
 
 
 def fraction_terms_sum(terms_of, p, k, n):
@@ -183,6 +259,51 @@ class TestHugeExactOutput:
         series = recurrence_series(make_params(Fraction(37, 100), 2), 2160)
         assert parse_fraction(f) == series[-1]
         assert parse_fraction(cumulative) == sum(series)
+
+
+def decimal_text(value):
+    """A reduced Fraction as the CLI writes it, past str(int)'s digit limit."""
+    num = str(decimal.Decimal(value.numerator))
+    if value.denominator == 1:
+        return num
+    return f"{num}/{decimal.Decimal(value.denominator)}"
+
+
+@pytest.fixture(scope="module")
+def wide_table_texts():
+    """(n, f, cumulative) texts of the exact table at p = 0.37, k = 2,
+    n_max = 2500, rendered here from its entries: the last rows have about
+    5000 denominator digits."""
+    table = build_table(make_params(Fraction(37, 100), 2), Engine.RECURRENCE,
+                        2500)
+    rows, running = [], Fraction(0)
+    for n, f in enumerate(table.entries):
+        running += f
+        rows.append((n, decimal_text(f), decimal_text(running)))
+    assert len(rows[-1][1]) > 4300
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_wide_exact_table_bytes(fmt, wide_table_texts, tmp_path):
+    out = tmp_path / "table"
+    assert main(["table", "--p", "0.37", "--k", "2", "--n-max", "2500",
+                 "--mode", "exact", "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "json":
+        expected = json.dumps({
+            "p": "37/100", "k": 2, "mode": "exact", "engine": "recurrence",
+            "n_max": 2500, "tail_bound": None,
+            "entries": [{"n": n, "f": f, "cumulative": c}
+                        for n, f, c in wide_table_texts]}, indent=2) + "\n"
+    elif fmt == "csv":
+        expected = "".join(f"{n},{f},{c}\n" for n, f, c in
+                           [("n", "f", "cumulative"), *wide_table_texts])
+    else:
+        expected = "".join(
+            ["pmf table for p=37/100, k=2 (engine=recurrence, mode=exact)\n"]
+            + [f"  n={n:<5d} f={f:<24} cumulative={c}\n"
+               for n, f, c in wide_table_texts])
+    assert out.read_text() == expected
 
 
 def test_gof_bins_follow_recurrence_series():

@@ -1,12 +1,14 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from geomk import moments as moments_mod
 from geomk.moments import (factorial_moment, factorial_moment_closed,
                            factorial_moment_muselli, factorial_moment_series,
                            mean, moment_report, stirling2, variance)
-from geomk.numerics import DomainError
+from geomk.numerics import DomainError, SolverError
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine
 
@@ -214,6 +216,43 @@ class TestSeriesOracle:
     def test_rejects_bad_order(self):
         with pytest.raises(DomainError):
             factorial_moment_series(HALF2, 0)
+
+    def test_unreachable_tolerance_fails_fast(self, monkeypatch):
+        # q p^k = 2^-31: the tail shrinks by about 5e-10 a term, so the
+        # oracle would sum its 4M-term cap of ever-wider integers first.
+        def kernel(*args):
+            raise AssertionError("the oracle started summing")
+
+        monkeypatch.setattr(moments_mod, "_scaled_pmf", kernel)
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match="cannot reach"):
+            factorial_moment_series(make_params(Fraction(1, 2), 30), 2)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("p,k,r_max", [
+        (Fraction(1, 2), 2, 3), (Fraction(2, 3), 1, 2), (Fraction(3, 10), 3, 2),
+        (Fraction(2, 3), 2, 2), (0.5, 2, 2), (0.8, 4, 4)])
+    def test_cap_at_the_stopping_point_still_finishes(self, p, k, r_max,
+                                                      monkeypatch):
+        # The precheck never refuses an oracle that stops within the cap:
+        # with the cap at exactly the terms it sums, the result is unchanged,
+        # and one term fewer fails.
+        params = make_params(p, k)
+        oracle = factorial_moment_series(params, r_max)
+        monkeypatch.setattr(moments_mod, "_MAX_ORACLE_TERMS", oracle.n_terms - k)
+        assert factorial_moment_series(params, r_max) == oracle
+        monkeypatch.setattr(moments_mod, "_MAX_ORACLE_TERMS",
+                            oracle.n_terms - k - 1)
+        with pytest.raises(SolverError):
+            factorial_moment_series(params, r_max)
+
+    @pytest.mark.parametrize("estimate", [math.inf, math.nan, 0.0])
+    def test_no_finite_estimate_skips_the_precheck(self, estimate, monkeypatch):
+        oracle = factorial_moment_series(HALF2, 3)
+        monkeypatch.setattr(moments_mod, "factorial_moment",
+                            lambda params, r: estimate)
+        monkeypatch.setattr(moments_mod, "_MAX_ORACLE_TERMS", oracle.n_terms - 2)
+        assert factorial_moment_series(HALF2, 3) == oracle
 
 
 def test_qpk_denominator_matches_moment_scaling():
