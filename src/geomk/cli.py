@@ -1,6 +1,6 @@
 """Command-line surface.
 
-Subcommands: pmf, table, moments, roots, verify, sample, bench.
+Subcommands: pmf, table, moments, roots, verify, sample.
 Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
@@ -25,7 +25,6 @@ import warnings
 from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from . import bench as bench_mod
 from . import moments as moments_mod
 from . import roots as roots_mod
 from . import simulate as sim_mod
@@ -371,38 +370,6 @@ def cmd_sample(args):
     return 1 if gof.hard_fail else 0
 
 
-def cmd_bench(args):
-    if args.mode == "exact":
-        raise ModeError("benchmarks run in float mode only; use --mode float")
-    params = _params_from(args)
-    names = [token.strip() for token in args.engines.split(",")]
-    for name in names:
-        if name not in ENGINE_CHOICES:
-            raise DomainError(f"--engines: unknown engine {name!r}; valid "
-                              f"engines: {', '.join(ENGINE_CHOICES)}")
-    rows = bench_mod.run_benchmarks(params, args.n_max,
-                                    [Engine(name) for name in names])
-
-    def csv_rows():
-        yield "engine", "setup_seconds", "eval_seconds", "max_abs_deviation", "n_max"
-        for r in rows:
-            yield (r.engine, repr(r.setup_seconds), repr(r.eval_seconds),
-                   repr(r.max_abs_deviation), r.n_max)
-
-    def lines():
-        yield f"engine timings for p={params.p}, k={params.k}, n_max={args.n_max}"
-        yield f"{'engine':<12} {'setup[s]':>10} {'eval[s]':>10} {'max deviation':>14}"
-        for r in rows:
-            yield (f"{r.engine:<12} {r.setup_seconds:>10.6f} "
-                   f"{r.eval_seconds:>10.6f} {r.max_abs_deviation:>14.3e}")
-
-    _write(args,
-           lambda: {"p": repr(float(params.p)), "k": params.k,
-                    "n_max": args.n_max, "rows": [r.to_dict() for r in rows]},
-           csv_rows(), lines())
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="geomk",
@@ -457,12 +424,6 @@ def build_parser():
     p_sample.add_argument("--max-steps", type=int, default=10_000_000,
                           dest="max_steps")
     p_sample.set_defaults(func=cmd_sample)
-
-    p_bench = sub.add_parser("bench", help="time every engine over a sweep")
-    _add_common(p_bench, default_mode="float")
-    p_bench.add_argument("--n-max", type=int, default=2000, dest="n_max")
-    p_bench.add_argument("--engines", default=",".join(ENGINE_CHOICES))
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

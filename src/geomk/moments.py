@@ -220,7 +220,8 @@ def factorial_moment_series(params: Params, r_max: int,
     and reduced once at the end.  Float mode sums the float recurrence with
     Neumaier compensation.  An oracle that cannot stop within
     _MAX_ORACLE_TERMS terms raises SolverError before it sums
-    (_check_reach).
+    (_check_reach), and one whose float terms or tail bounds pass the
+    double range raises SolverError when they do.
     """
     _check_r(r_max)
     k = params.k
@@ -240,32 +241,39 @@ def factorial_moment_series(params: Params, r_max: int,
         carries = [0.0] * r_max
     float_sums = [0.0] * r_max
 
-    for n, (value, f_float) in enumerate(zip(values, _float_pmf(fparams)),
-                                         start=k):
-        for ri in range(r_max):
-            ff = falling_factorial(n, ri + 1)
-            if exact:
-                sums[ri] = sums[ri] * b + ff * value
-            else:
-                term = ff * value
-                t = sums[ri] + term
-                if abs(sums[ri]) >= abs(term):
-                    carries[ri] += (sums[ri] - t) + term
+    try:
+        for n, (value, f_float) in enumerate(zip(values, _float_pmf(fparams)),
+                                             start=k):
+            for ri in range(r_max):
+                ff = falling_factorial(n, ri + 1)
+                if exact:
+                    sums[ri] = sums[ri] * b + ff * value
                 else:
-                    carries[ri] += (term - t) + sums[ri]
-                sums[ri] = t
-            float_sums[ri] += ff * f_float
+                    term = ff * value
+                    t = sums[ri] + term
+                    if abs(sums[ri]) >= abs(term):
+                        carries[ri] += (sums[ri] - t) + term
+                    else:
+                        carries[ri] += (term - t) + sums[ri]
+                    sums[ri] = t
+                float_sums[ri] += ff * f_float
 
-        if n % _CHECK_EVERY == 0 or n - k < 8:
-            bounds = [_series_tail_bound(env_a, env_m, n, ri + 1)
-                      for ri in range(r_max)]
-            if all(bd is not None and bd <= rel_tol * s
-                   for bd, s in zip(bounds, float_sums)):
-                break
-        if n - k >= _MAX_ORACLE_TERMS:
-            raise SolverError(
-                f"series oracle did not reach rel_tol={rel_tol} within "
-                f"{_MAX_ORACLE_TERMS} terms for {params}")
+            if n % _CHECK_EVERY == 0 or n - k < 8:
+                bounds = [_series_tail_bound(env_a, env_m, n, ri + 1)
+                          for ri in range(r_max)]
+                if all(bd is not None and bd <= rel_tol * s
+                       for bd, s in zip(bounds, float_sums)):
+                    break
+            if n - k >= _MAX_ORACLE_TERMS:
+                raise SolverError(
+                    f"series oracle did not reach rel_tol={rel_tol} within "
+                    f"{_MAX_ORACLE_TERMS} terms for {params}")
+    except OverflowError:
+        # n^(r) in a float term, or (n+1)^r in the tail bound, is an int
+        # too large for a double.
+        raise SolverError(
+            f"series oracle left the double range (about 1.8e308) at "
+            f"n={n} with r_max={r_max} for {params}") from None
 
     if exact:
         scale = b ** n

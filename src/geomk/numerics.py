@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from enum import Enum
-from typing import Iterable, Union
+from typing import Union
 
 Scalar = Union[Fraction, float]
-
-_EPS = 2.0 ** -52
 
 
 class Mode(Enum):
@@ -132,39 +130,6 @@ def gen_binomial(i: int, j: int) -> int:
     if j < 0:
         return 0
     return math.comb(i, j)
-
-
-def compensated_sum(terms: Iterable[Scalar]) -> Scalar:
-    """Sum a sequence of same-mode scalars.
-
-    Float terms are accumulated with Neumaier's compensated scheme, which
-    keeps the error within a few ulps of sum(|terms|) even for strongly
-    alternating series.  Exact terms are summed exactly.  Mixing modes
-    raises ModeError; the empty sum is 0.
-    """
-    values = list(terms)
-    if not values:
-        return 0
-    has_float = any(isinstance(v, float) for v in values)
-    has_exact = any(isinstance(v, Fraction) for v in values)
-    if has_float and has_exact:
-        raise ModeError("compensated_sum got a mix of float and exact scalars")
-    if not has_float:
-        total = Fraction(0)
-        for v in values:
-            total += v
-        return total
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        v = float(v)
-        t = total + v
-        if abs(total) >= abs(v):
-            carry += (total - t) + v
-        else:
-            carry += (v - t) + total
-        total = t
-    return total + carry
 
 
 def falling_factorial(n: int, r: int) -> int:

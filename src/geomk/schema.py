@@ -6,8 +6,7 @@ import json
 from importlib import resources
 
 SCHEMA_NAMES = ("pmf_value", "pmf_table", "moment_report",
-                "root_certification", "verify_report", "sample_report",
-                "bench_report")
+                "root_certification", "verify_report", "sample_report")
 
 
 def load_schema(name: str) -> dict:

@@ -11,13 +11,13 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional
+from typing import Optional
 
 from . import moments as moments_mod
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, PrecisionWarning, Scalar
 from .params import Params, as_float_params, make_params
-from .pmf import (Engine, _rootsum_values, _scaled_pmf, _scaled_pq, pgf_eval,
+from .pmf import (_rootsum_values, _scaled_pmf, _scaled_pq, pgf_eval,
                   pmf_closedform, pmf_muselli, recurrence_series)
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
@@ -116,16 +116,13 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
     return result
 
 
-def check_moment_routes(p_values, k_max: int, r_max: int, mode: Mode,
-                        eq5_engine: Engine = Engine.RECURRENCE,
-                        corrupt: Optional[Callable] = None) -> CheckResult:
+def check_moment_routes(p_values, k_max: int, r_max: int,
+                        mode: Mode) -> CheckResult:
     """Three-route factorial-moment agreement on the (p, k, r) grid."""
     result = CheckResult("moment_routes", True, 0)
     for params in _grid_params(p_values, k_max, mode):
         for r in range(1, r_max + 1):
-            via_pmf = moments_mod.factorial_moment(params, r, eq5_engine)
-            if corrupt is not None:
-                via_pmf = corrupt(params, r, via_pmf)
+            via_pmf = moments_mod.factorial_moment(params, r)
             routes = {
                 "muselli_sum": moments_mod.factorial_moment_muselli(params, r),
                 "closed_sum": moments_mod.factorial_moment_closed(params, r),

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -9,6 +8,7 @@ import subprocess
 import sys
 import types
 from fractions import Fraction
+from importlib import resources
 from unittest import mock
 
 import jsonschema
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomk import bench as bench_mod
 from geomk import cli
 from geomk import moments as moments_mod
 from geomk import roots as roots_mod
@@ -33,12 +32,6 @@ def run_cli(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
-
-
-def counting_clock(monkeypatch):
-    """A fresh clock for bench that reads 0, 1, 2, ... on each call."""
-    monkeypatch.setattr(bench_mod, "time",
-                        types.SimpleNamespace(perf_counter=itertools.count().__next__))
 
 
 class TestPmfCommand:
@@ -281,42 +274,17 @@ class TestSampleCommand:
         assert "--max-steps" in err
 
 
-class TestBenchCommand:
-    def test_json_schema_and_zero_self_deviation(self, capsys):
-        code, out, _ = run_cli("bench", "--p", "0.5", "--k", "3",
-                               "--n-max", "120", "--format", "json",
-                               capsys=capsys)
-        assert code == 0
-        payload = json.loads(out)
-        jsonschema.validate(payload, load_schema("bench_report"))
-        rows = {row["engine"]: row for row in payload["rows"]}
-        assert set(rows) == {"recurrence", "rootsum", "muselli", "closedform"}
-        assert rows["recurrence"]["max_abs_deviation"] == 0.0
-        assert rows["rootsum"]["setup_seconds"] > 0.0
-        assert rows["muselli"]["setup_seconds"] == 0.0
-
-    def test_exact_mode_rejected(self, capsys):
-        code, _, err = run_cli("bench", "--p", "1/2", "--k", "2",
-                               "--mode", "exact", capsys=capsys)
-        assert code == 2
-        assert "float" in err
-
-    def test_engine_subset(self, capsys):
-        code, out, _ = run_cli("bench", "--p", "0.5", "--k", "2",
-                               "--n-max", "60", "--engines",
-                               "recurrence,muselli", "--format", "csv",
-                               capsys=capsys)
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert len(lines) == 3  # header + 2 engines
-
-    def test_unknown_engine_exits_2(self, capsys):
-        code, out, err = run_cli("bench", "--p", "0.3", "--k", "2",
-                                 "--engines", "recurrence,bogus", capsys=capsys)
-        assert code == 2
-        assert out == ""
-        assert err == ("error: --engines: unknown engine 'bogus'; valid engines: "
-                       "recurrence, rootsum, muselli, closedform\n")
+def test_bench_is_not_a_subcommand(capsys):
+    # Engine timing lives in the benchmark harness, and engine deviations
+    # in `geomk verify --mode float`.
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--p", "0.5", "--k", "2"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert err.startswith("usage: geomk ")
+    assert "invalid choice: 'bench'" in err
+    assert "Traceback" not in err
 
 
 class TestOutputFile:
@@ -345,8 +313,6 @@ CSV_HEADERS = {
     "moments": ["r", "factorial", "raw", "central"],
     "roots": ["index", "re", "im", "identity_residual"],
     "sample": ["n", "count", "frequency", "analytic"],
-    "bench": ["engine", "setup_seconds", "eval_seconds", "max_abs_deviation",
-              "n_max"],
 }
 COMMANDS = [
     ("pmf", "--p", "1/2", "--k", "2", "--n", "5"),
@@ -356,7 +322,6 @@ COMMANDS = [
     ("verify", "--p-grid", "1/2", "--k-max", "1", "--n-max", "10",
      "--r-max", "2"),
     ("sample", "--p", "0.5", "--k", "2", "--trials", "200", "--seed", "2"),
-    ("bench", "--p", "0.5", "--k", "2", "--n-max", "30"),
 ]
 
 
@@ -364,9 +329,7 @@ COMMANDS = [
     (argv, fmt) for argv in COMMANDS
     for fmt in (("text", "json") if argv[0] == "verify" else ("text", "json", "csv"))
 ], ids=lambda value: value if isinstance(value, str) else value[0])
-def test_every_format_is_one_dialect(argv, fmt, tmp_path, capsys, monkeypatch):
-    # A counting clock makes bench's timing columns the same on both runs.
-    counting_clock(monkeypatch)
+def test_every_format_is_one_dialect(argv, fmt, tmp_path, capsys):
     code, out, err = run_cli(*argv, "--format", fmt, capsys=capsys)
     assert (code, err) == (0, "")
     assert out.endswith("\n") and not out.endswith("\n\n")
@@ -411,6 +374,14 @@ def test_every_schema_loads():
     for name in SCHEMA_NAMES:
         schema = load_schema(name)
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_shipped_schemas_are_the_named_ones():
+    # Both directions: no name without a file, and no file without a name.
+    shipped = {entry.name.removesuffix(".schema.json")
+               for entry in (resources.files("geomk") / "schemas").iterdir()
+               if entry.name.endswith(".schema.json")}
+    assert shipped == set(SCHEMA_NAMES)
 
 
 def test_unknown_schema_rejected():
@@ -488,13 +459,6 @@ def _sample_payload(params, trials, seed):
     return {"summary": summary.to_dict(), "gof": gof.to_dict()}
 
 
-def _bench_payload(params, n_max, monkeypatch):
-    counting_clock(monkeypatch)
-    rows = bench_mod.run_benchmarks(params, n_max, list(Engine))
-    return {"p": repr(float(params.p)), "k": params.k, "n_max": n_max,
-            "rows": [r.to_dict() for r in rows]}
-
-
 # p = floor(10^100 / 3) / 10^100: f(n) has a denominator of 100n digits, so
 # the last rows of the exact table are past CPython's 4300-digit int limit.
 WIDE_P = Fraction(10 ** 100 // 3, 10 ** 100)
@@ -502,35 +466,31 @@ LIBRARY_REPORTS = {
     "table-float": (
         ("table", "--p", "0.3", "--k", "3", "--n-max", "300", "--mode", "float",
          "--engine", "rootsum"),
-        lambda mp: build_table(make_params(0.3, 3), Engine.ROOT_SUM, 300).to_dict()),
+        lambda: build_table(make_params(0.3, 3), Engine.ROOT_SUM, 300).to_dict()),
     "table-exact": (
         ("table", "--p", f"{WIDE_P.numerator}/{WIDE_P.denominator}", "--k", "2",
          "--n-max", "48"),
-        lambda mp: build_table(make_params(WIDE_P, 2), Engine.RECURRENCE, 48).to_dict()),
+        lambda: build_table(make_params(WIDE_P, 2), Engine.RECURRENCE, 48).to_dict()),
     "roots": (("roots", "--p", "0.4", "--k", "5"),
-              lambda mp: _roots_payload(make_params(0.4, 5))),
+              lambda: _roots_payload(make_params(0.4, 5))),
     "moments": (("moments", "--p", "1/3", "--k", "2", "--r-max", "5"),
-                lambda mp: moments_mod.moment_report(
+                lambda: moments_mod.moment_report(
                     make_params(Fraction(1, 3), 2), 5).to_dict()),
     "verify": (("verify", "--p-grid", "1/2", "--k-max", "2", "--n-max", "20",
                 "--r-max", "2", "--corrupt-engine", "muselli"),
-               lambda mp: verify_mod.run_verify(
+               lambda: verify_mod.run_verify(
                    [Fraction(1, 2)], 2, 20, 2, Mode.EXACT,
                    corrupt_engine="muselli").to_dict()),
     "sample": (("sample", "--p", "0.5", "--k", "2", "--trials", "300",
                 "--seed", "4"),
-               lambda mp: _sample_payload(make_params(0.5, 2), 300, 4)),
-    "bench": (("bench", "--p", "0.5", "--k", "2", "--n-max", "40"),
-              lambda mp: _bench_payload(make_params(0.5, 2), 40, mp)),
+               lambda: _sample_payload(make_params(0.5, 2), 300, 4)),
 }
 
 
 @pytest.mark.parametrize("name", LIBRARY_REPORTS)
-def test_json_output_is_json_dumps_of_the_library_report(name, capsys,
-                                                         monkeypatch):
+def test_json_output_is_json_dumps_of_the_library_report(name, capsys):
     argv, library = LIBRARY_REPORTS[name]
-    expected = json.dumps(library(monkeypatch), indent=2) + "\n"
-    counting_clock(monkeypatch)
+    expected = json.dumps(library(), indent=2) + "\n"
     _, out, err = run_cli(*argv, "--format", "json", capsys=capsys)
     assert err == ""
     assert out == expected

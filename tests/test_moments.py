@@ -246,6 +246,14 @@ class TestSeriesOracle:
         with pytest.raises(SolverError):
             factorial_moment_series(params, r_max)
 
+    @pytest.mark.parametrize("p,k,r_max", [
+        (0.5, 4, 100), (Fraction(1, 2), 4, 100), (0.9, 3, 120)])
+    def test_terms_past_the_double_range_raise_solver_error(self, p, k, r_max):
+        # n^(r) reaches 1.8e308 before the tail is small: a float term, the
+        # float partial sum of the exact oracle, or the tail bound overflows.
+        with pytest.raises(SolverError, match="double range"):
+            factorial_moment_series(make_params(p, k), r_max)
+
     @pytest.mark.parametrize("estimate", [math.inf, math.nan, 0.0])
     def test_no_finite_estimate_skips_the_precheck(self, estimate, monkeypatch):
         oracle = factorial_moment_series(HALF2, 3)

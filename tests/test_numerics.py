@@ -1,15 +1,12 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from geomk.numerics import (Mode, ModeError, ParseError, compensated_sum,
-                            falling_factorial, gen_binomial, parse_scalar)
-
-EPS = 2.0 ** -52
+from geomk.numerics import (Mode, ParseError, falling_factorial, gen_binomial,
+                            parse_scalar)
 
 
 class TestGenBinomial:
@@ -43,50 +40,6 @@ class TestGenBinomial:
         for i in range(0, 25):
             for j in range(0, i + 1):
                 assert gen_binomial(i, j) == math.comb(i, j)
-
-
-class TestCompensatedSum:
-    def test_residual_preserved(self):
-        assert compensated_sum([1.0, -1.0, 1e-16]) == 1e-16
-
-    def test_empty(self):
-        assert compensated_sum([]) == 0
-
-    def test_exact_rationals(self):
-        assert compensated_sum([Fraction(1, 3), Fraction(1, 6)]) == Fraction(1, 2)
-
-    def test_mixed_modes_rejected(self):
-        with pytest.raises(ModeError):
-            compensated_sum([0.5, Fraction(1, 2)])
-
-    def test_ints_are_neutral(self):
-        assert compensated_sum([1, 2, 3]) == 6
-        assert compensated_sum([1.5, 2]) == 3.5
-
-    @settings(max_examples=60)
-    @given(st.lists(st.floats(min_value=-1e8, max_value=1e8,
-                              allow_nan=False, allow_infinity=False),
-                    min_size=1, max_size=50),
-           st.integers(min_value=0, max_value=2 ** 32))
-    def test_shuffle_stability(self, values, seed):
-        base = compensated_sum(values)
-        shuffled = list(values)
-        random.Random(seed).shuffle(shuffled)
-        other = compensated_sum(shuffled)
-        budget = 4 * EPS * sum(abs(v) for v in values)
-        assert abs(base - other) <= budget
-
-    def test_alternating_cancellation(self):
-        # large alternating pairs leave exactly the small residual
-        terms = [1e15, -1e15, 3.0, 1e12, -1e12]
-        assert compensated_sum(terms) == 3.0
-
-    @given(st.lists(st.fractions(max_denominator=10 ** 6), max_size=30),
-           st.integers(min_value=0, max_value=2 ** 32))
-    def test_exact_sum_is_order_independent(self, values, seed):
-        shuffled = list(values)
-        random.Random(seed).shuffle(shuffled)
-        assert compensated_sum(values) == compensated_sum(shuffled)
 
 
 class TestParseScalar:
