@@ -26,8 +26,8 @@ from . import roots as roots_mod
 from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
                        Scalar, SolverError, falling_factorial)
 from .params import Params, as_float_params, qpk
-from .pmf import (Engine, _closedform_sum, _float_pmf, _json_scalar,
-                  _muselli_sum, _over_power, _scaled_pmf, _scaled_pq)
+from .pmf import (Engine, _closedform_values, _float_pmf, _json_scalar,
+                  _muselli_values, _over_power, _scaled_pmf, _scaled_pq)
 from .pmf import pmf as pmf_eval
 
 logger = logging.getLogger(__name__)
@@ -51,16 +51,18 @@ def factorial_moment_muselli(params: Params, r: int) -> Scalar:
     Terms are evaluated exactly in both modes (see pmf._finish_sum).
     """
     _check_r(r)
-    total = _muselli_sum(params, (r + 1) * params.k + r,
-                         f"factorial_moment_muselli(r={r}, {params})")
+    total = next(_muselli_values(
+        params, ((r + 1) * params.k + r,),
+        lambda n: f"factorial_moment_muselli(r={r}, {params})"))
     return math.factorial(r) * total / _qpk_power(params, r)
 
 
 def factorial_moment_closed(params: Params, r: int) -> Scalar:
     """mu_(r) from the vanishing-free pmf form, upper limits r+1 and r."""
     _check_r(r)
-    total = _closedform_sum(params, (r + 1) * params.k + r,
-                            f"factorial_moment_closed(r={r}, {params})")
+    total = next(_closedform_values(
+        params, ((r + 1) * params.k + r,),
+        lambda n: f"factorial_moment_closed(r={r}, {params})"))
     return math.factorial(r) * total / _qpk_power(params, r)
 
 

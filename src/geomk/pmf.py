@@ -164,23 +164,27 @@ def _unscaled(scaled, b: int) -> list:
     return values
 
 
-def _finish_sum(params: Params, terms: list, scale: int, label) -> Scalar:
-    """sum(terms) / scale for integer terms: reduced once in exact mode,
-    rounded once in float mode.
+def _finish_sum(params: Params, plus: int, minus: int, scale: int, label,
+                n: int) -> Scalar:
+    """(plus - minus) / scale, where plus and minus sum the magnitudes of an
+    alternating sum's positive and negative integer terms: reduced once in
+    exact mode, rounded once in float mode.
 
-    The cancellation guard still fires when sum |terms| dwarfs the result:
-    the returned float is correctly rounded, but the formula itself is
-    ill-conditioned there (a one-ulp change of p moves the result by far
-    more than one ulp).
+    The cancellation guard still fires when sum |terms| = plus + minus
+    dwarfs the result: the returned float is correctly rounded, but the
+    formula itself is ill-conditioned there (a one-ulp change of p moves
+    the result by far more than one ulp).  Its text, label(n), is built
+    only then.
     """
-    total = sum(terms)
+    total = plus - minus
     if params.mode is Mode.EXACT:
         return Fraction(total, scale)
     result = total / scale
-    magnitude = sum(map(abs, terms)) / scale
-    if terms and magnitude > CANCELLATION_FLAG_RATIO * abs(result):
+    magnitude = (plus + minus) / scale
+    if magnitude > CANCELLATION_FLAG_RATIO * abs(result):
+        # past the term generator and the function that drew from it
         warnings.warn(
-            f"{label}: precision degraded (sum of |terms| = {magnitude:.3e} vs "
+            f"{label(n)}: precision degraded (sum of |terms| = {magnitude:.3e} vs "
             f"result = {result:.3e})", PrecisionWarning, stacklevel=4)
     return result
 
@@ -209,63 +213,120 @@ def recurrence_series(params: Params, n_max: int) -> list:
     return [0.0] * k + list(islice(_float_pmf(params), n_max - k + 1))
 
 
-def _falling_powers(b: int, top: int, stride: int, count: int) -> list:
-    """[b^top, b^(top - stride), ...], count values, built from the smallest
-    up so that each costs one multiplication by b^stride."""
-    if count < 1:
+def _falling_powers(runs: dict, b: int, stride: int, top: int) -> list:
+    """[b^top, b^(top - stride), ..., b^(top mod stride)] ([] for top < 0).
+
+    runs keeps the powers built so far: one ascending run per class of
+    exponents mod stride, each power one multiplication by b^stride from
+    the one before.  One top builds only the powers it returns, and a pass
+    over many tops that shares runs builds each power once.
+    """
+    if top < 0:
         return []
-    power, step = b ** (top - (count - 1) * stride), b ** stride
-    powers = [power]
-    for _ in range(count - 1):
-        power *= step
-        powers.append(power)
-    return powers[::-1]
+    last, low = divmod(top, stride)
+    run = runs.get(low)
+    if run is None:
+        run = runs[low] = [b ** low]
+    if len(run) <= last:
+        power, step = run[-1], b ** stride
+        for _ in range(len(run), last + 1):
+            power *= step
+            run.append(power)
+    return run[last::-1]
 
 
-def _muselli_sum(params: Params, n: int, label) -> Scalar:
-    """Muselli's sum at n >= k, as integer terms over the scale b^(n+1).
+def _muselli_values(params: Params, ns, label=None):
+    """Yield Muselli's sum f(n) for each n in ns: the one copy of the formula.
 
-    Term m is (-1)^(m-1) a^(mk) c^(m-1) [b C(i, m-2) + c C(i, m-1)]
-    b^(n+1-m(k+1)) with i = n - mk - 1: the rational term times b^(n+1).
+    Each sum at n >= k is integer terms over the scale b^(n+1): term m is
+    (-1)^(m-1) a^(mk) c^(m-1) [b C(i, m-2) + c C(i, m-1)] b^(n+1-m(k+1))
+    with i = n - mk - 1, the rational term times b^(n+1).  a, c, b and the
+    powers of b (_falling_powers) are built once for all of ns, and one n
+    builds only the powers it uses, so a lone call pays for no other n.
+    Each lead a^(mk) c^(m-1) is one small multiplication from the last.
+    label(n) names the sum in a PrecisionWarning (default: the pmf_muselli
+    call).
     """
     a, c, b = _scaled_pq(params)
     k = params.k
-    lead, ratio = a ** k, a ** k * c          # a^(mk) c^(m-1) at m = 1
-    powers = _falling_powers(b, n - k, k + 1, (n + 1) // (k + 1))
-    terms = []
-    for m, power in enumerate(powers, start=1):
-        i = n - m * k - 1
-        bracket = b * gen_binomial(i, m - 2) + c * gen_binomial(i, m - 1)
-        term = lead * bracket * power
-        terms.append(term if m % 2 == 1 else -term)
-        lead *= ratio
-    return _finish_sum(params, terms, b ** (n + 1), label)
+    label = label or (lambda n: f"pmf_muselli(n={n}, {params})")
+    first, ratio, runs = a ** k, a ** k * c, {}
+    for n in ns:
+        # b^(n+1-m(k+1)) for m = 1..(n+1)//(k+1)
+        powers = _falling_powers(runs, b, k + 1, n - k)
+        if not powers:
+            yield _zero(params)
+            continue
+        i = n - k - 1                           # -1 at n = k
+        lead = first
+        plus = lead * (b * gen_binomial(i, -1) + c * gen_binomial(i, 0)) * powers[0]
+        minus = 0
+        # From m = 2 on, i >= m - 2 >= 0: math.comb is the extended
+        # coefficient there, including C(i, m - 1) = 0 at i = m - 2.
+        for m, power in enumerate(powers[1:], start=2):
+            lead *= ratio
+            i = n - m * k - 1
+            term = lead * (b * math.comb(i, m - 2) + c * math.comb(i, m - 1)) * power
+            if m % 2:
+                plus += term
+            else:
+                minus += term
+        yield _finish_sum(params, plus, minus, b ** (n + 1), label, n)
 
 
-def _closedform_sum(params: Params, n: int, label) -> Scalar:
-    """The vanishing-free sum at n > 2k, as integer terms over the scale b^n
-    (each rational term times b^n)."""
+def _closedform_head(params: Params, n: int) -> Scalar:
+    """The vanishing-free f(n) for n <= 2k, where it is no sum: 0 below k,
+    p^k at k and the plateau q p^k on [k+1, 2k]."""
+    k = params.k
+    if n < k:
+        return _zero(params)
+    if n == k:
+        return params.p ** k
+    return params.q * params.p ** k
+
+
+def _closedform_values(params: Params, ns, label=None):
+    """Yield the vanishing-free f(n) for each n in ns: the one copy of the
+    formula.
+
+    _closedform_head up to 2k, and past it integer terms over the scale b^n
+    (each rational term times b^n).  As in _muselli_values, a, c, b and the
+    powers of b are built once for all of ns.
+    """
     a, c, b = _scaled_pq(params)
     k = params.k
+    label = label or (lambda n: f"pmf_closedform(n={n}, {params})")
     ratio = a ** k * c
-    terms = [ratio * b ** (n - k - 1)]
-    groups = (
-        # (-1)^(m-1) p^(mk) q^(m-1) C(i, m-2) for m = 2..(n+1)//(k+1)
-        (a ** k * ratio, n + 1, 2, (n + 1) // (k + 1)),
-        # (-1)^(m-1) p^(mk) q^m C(i, m-1) for m = 2..n//(k+1)
-        (ratio * ratio, n, 1, n // (k + 1)),
-    )
-    for lead, top, j_shift, m_last in groups:      # term m carries b^(top - m(k+1))
-        powers = _falling_powers(b, top - 2 * (k + 1), k + 1, m_last - 1)
-        for m, power in enumerate(powers, start=2):
-            i, j = n - m * k - 1, m - j_shift
-            if not 0 <= j <= i:
-                raise ConsistencyError(
-                    f"vanishing-free form produced C({i},{j}) at n={n}, m={m}")
-            term = lead * math.comb(i, j) * power
-            terms.append(-term if m % 2 == 0 else term)
-            lead *= ratio
-    return _finish_sum(params, terms, b ** n, label)
+    # (-1)^(m-1) p^(mk) q^(m-1) C(i, m-2) for m = 2..(n+1)//(k+1), and
+    # (-1)^(m-1) p^(mk) q^m C(i, m-1) for m = 2..n//(k+1): the leads of m = 2
+    groups = ((a ** k * ratio, 1, 2), (ratio * ratio, 0, 1))
+    runs = {}
+    for n in ns:
+        if n <= 2 * k:
+            yield _closedform_head(params, n)
+            continue
+        plus, minus = ratio * b ** (n - k - 1), 0
+        for lead, top_shift, j_shift in groups:
+            # with top = n + top_shift, term m = 2..top//(k+1) carries
+            # b^(top - m(k+1))
+            powers = _falling_powers(runs, b, k + 1, n + top_shift - 2 * (k + 1))
+            for m, power in enumerate(powers, start=2):
+                i, j = n - m * k - 1, m - j_shift
+                if not 0 <= j <= i:
+                    raise ConsistencyError(
+                        f"vanishing-free form produced C({i},{j}) at n={n}, m={m}")
+                term = lead * math.comb(i, j) * power
+                if m % 2:
+                    plus += term
+                else:
+                    minus += term
+                lead *= ratio
+        yield _finish_sum(params, plus, minus, b ** n, label, n)
+
+
+# The term generator of each alternating formula, by engine.
+_ALTERNATING_SUMS = {Engine.MUSELLI: _muselli_values,
+                     Engine.CLOSED_FORM: _closedform_values}
 
 
 def pmf_muselli(params: Params, n: int) -> Scalar:
@@ -276,9 +337,7 @@ def pmf_muselli(params: Params, n: int) -> Scalar:
     PrecisionWarning (see _finish_sum).
     """
     _check_n(n)
-    if (n + 1) // (params.k + 1) < 1:
-        return _zero(params)
-    return _muselli_sum(params, n, f"pmf_muselli(n={n}, {params})")
+    return next(_muselli_values(params, (n,)))
 
 
 def pmf_closedform(params: Params, n: int) -> Scalar:
@@ -289,14 +348,9 @@ def pmf_closedform(params: Params, n: int) -> Scalar:
     binomial arguments all satisfy 0 <= j <= i (checked).
     """
     _check_n(n)
-    k = params.k
-    if n < k:
-        return _zero(params)
-    if n == k:
-        return params.p ** k
-    if n <= 2 * k:
-        return params.q * params.p ** k
-    return _closedform_sum(params, n, f"pmf_closedform(n={n}, {params})")
+    if n <= 2 * params.k:
+        return _closedform_head(params, n)
+    return next(_closedform_values(params, (n,)))
 
 
 def _rootsum_values(params: Params, root_set: RootSet, ns):
@@ -518,8 +572,9 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
     The rootsum engine solves the roots once and evaluates every entry in
-    one pass of _rootsum_values (one root-set check, one set of weights);
-    the entries are the values pmf_rootsum gives.  In float mode the table
+    one pass of _rootsum_values (one root-set check, one set of weights),
+    and each alternating sum in one pass of its term generator; the entries
+    are the values the single-point engines give.  In float mode the table
     also carries a geometric bound on the mass beyond n_max, derived from
     the root set (which is solved on a float twin of the params when the
     engine itself never needed one).
@@ -534,8 +589,10 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
             raise ModeError("the rootsum engine is float-only")
         root_set = roots_mod.find_roots(params)
         entries = list(_rootsum_values(params, root_set, range(n_max + 1)))
+    elif engine in _ALTERNATING_SUMS:
+        entries = list(_ALTERNATING_SUMS[engine](params, range(n_max + 1)))
     else:
-        entries = [pmf(params, n, engine) for n in range(n_max + 1)]
+        raise DomainError(f"unknown engine {engine!r}")
 
     if engine is Engine.RECURRENCE and params.mode is Mode.EXACT:
         # The cumulative C(n) = F(n) b^n is an integer too, with

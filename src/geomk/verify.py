@@ -17,8 +17,9 @@ from . import moments as moments_mod
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, PrecisionWarning, Scalar
 from .params import Params, as_float_params, make_params
-from .pmf import (_rootsum_values, _scaled_pmf, _scaled_pq, pgf_eval,
-                  pmf_closedform, pmf_muselli, recurrence_series)
+# pmf_muselli stays importable from here: perfbench's tracer rebinds it.
+from .pmf import (_ALTERNATING_SUMS, _rootsum_values, _scaled_pmf,  # noqa: F401
+                  _scaled_pq, pgf_eval, pmf_muselli, recurrence_series)
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
@@ -65,39 +66,46 @@ def _grid_params(p_values, k_max, mode: Mode):
             yield make_params(p if mode is Mode.EXACT else float(p), k)
 
 
+# name -> term generator of each alternating-sum engine
+_ENGINES = {engine.value: values for engine, values in _ALTERNATING_SUMS.items()}
+
+
 def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
                            engines: Optional[dict] = None) -> CheckResult:
     """Alternating-sum engines against the recurrence on the full grid.
 
-    Exact mode demands bit-exact equality of reduced rationals; float mode
-    allows FLOAT_PMF_TOL absolute deviation.
+    engines maps a name to a term generator (params, ns) -> f(n) for n in
+    ns (default: the muselli and closedform engines' own), each run in one
+    pass per (p, k) cell.  Exact mode demands bit-exact equality of reduced
+    rationals; float mode allows FLOAT_PMF_TOL absolute deviation.
     """
     if engines is None:
-        engines = {"muselli": pmf_muselli,
-                   "closedform": pmf_closedform}
+        engines = _ENGINES
     result = CheckResult("cross_engine_pmf", True, 0)
+    exact, ns = mode is Mode.EXACT, range(n_max + 1)
     for params in _grid_params(p_values, k_max, mode):
         reference = recurrence_series(params, n_max)
-        for name, fn in engines.items():
-            for n in range(n_max + 1):
-                value = fn(params, n)
-                dev = _deviation(value, reference[n], mode)
+        for name, values in engines.items():
+            for n, value, expected in zip(ns, values(params, ns), reference):
+                equal, dev = _compare(value, expected, exact)
                 result.cases += 1
-                ok = (value == reference[n] if mode is Mode.EXACT
-                      else dev <= FLOAT_PMF_TOL)
+                ok = equal if exact else dev <= FLOAT_PMF_TOL
                 _track(result, ok, dev,
-                       {"engine": name, "p": str(params.p), "k": params.k,
-                        "n": n, "deviation": dev})
+                       lambda: {"engine": name, "p": str(params.p),
+                                "k": params.k, "n": n, "deviation": dev})
     return result
 
 
-def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
+def check_rootsum_pmf(p_values, k_max: int, n_max: int,
+                      find_roots=None) -> CheckResult:
     """Spectral engine against the recurrence (always float).
 
     Pairs within ROOTSUM_DEGENERACY_SKIP of p = k/(k+1) but not flagged
     degenerate are skipped: there the generic weights are ill-conditioned
-    and only the exactly-degenerate branch is well-posed.
+    and only the exactly-degenerate branch is well-posed.  find_roots
+    solves a cell's float params (default roots.find_roots).
     """
+    find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("rootsum_pmf", True, 0)
     for p in p_values:
         for k in range(1, k_max + 1):
@@ -105,14 +113,15 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
             near = abs(float(p) - k / (k + 1))
             if not params.degenerate.is_degenerate and near < ROOTSUM_DEGENERACY_SKIP:
                 continue
-            root_set = roots_mod.find_roots(params)
+            root_set = find_roots(params)
             reference = recurrence_series(params, n_max)
             values = _rootsum_values(params, root_set, range(n_max + 1))
             for n, value in enumerate(values):
                 dev = abs(value - reference[n])
                 result.cases += 1
                 _track(result, dev <= FLOAT_PMF_TOL, dev,
-                       {"p": repr(float(p)), "k": k, "n": n, "deviation": dev})
+                       lambda: {"p": repr(float(p)), "k": k, "n": n,
+                                "deviation": dev})
     return result
 
 
@@ -128,14 +137,14 @@ def check_moment_routes(p_values, k_max: int, r_max: int,
                 "closed_sum": moments_mod.factorial_moment_closed(params, r),
             }
             for name, value in routes.items():
-                dev = _deviation(value, via_pmf, mode)
+                equal, dev = _compare(value, via_pmf, mode is Mode.EXACT)
                 rel = dev / float(abs(via_pmf))
                 result.cases += 1
-                ok = (value == via_pmf if mode is Mode.EXACT
-                      else rel <= FLOAT_MOMENT_TOL)
+                ok = equal if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
                 _track(result, ok, rel,
-                       {"route": name, "p": str(params.p), "k": params.k,
-                        "r": r, "relative_deviation": rel})
+                       lambda: {"route": name, "p": str(params.p),
+                                "k": params.k, "r": r,
+                                "relative_deviation": rel})
     return result
 
 
@@ -149,41 +158,47 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
         var = moments_mod.variance(params)
         chain = mu2 - mu1 * mu1 + mu1
         for name, lhs, rhs in (("mean", mu1, mu), ("variance", chain, var)):
-            dev = _deviation(lhs, rhs, mode)
+            equal, dev = _compare(lhs, rhs, mode is Mode.EXACT)
             rel = dev / max(float(abs(rhs)), 1.0)
             result.cases += 1
-            ok = lhs == rhs if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
+            ok = equal if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
             _track(result, ok, rel,
-                   {"identity": name, "p": str(params.p), "k": params.k,
-                    "relative_deviation": rel})
+                   lambda: {"identity": name, "p": str(params.p),
+                            "k": params.k, "relative_deviation": rel})
     return result
 
 
-def check_root_certification(p_values, k_max: int) -> CheckResult:
-    """find_roots + certify_roots must pass on every float (p, k) pair."""
+def check_root_certification(p_values, k_max: int,
+                             find_roots=None) -> CheckResult:
+    """find_roots + certify_roots must pass on every float (p, k) pair
+    (find_roots as in check_rootsum_pmf)."""
+    find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("root_certification", True, 0)
     for p in p_values:
         for k in range(1, k_max + 1):
             params = make_params(float(p), k)
-            cert = roots_mod.certify_roots(roots_mod.find_roots(params), params)
+            cert = roots_mod.certify_roots(find_roots(params), params)
             worst = max(cert.identity_residuals)
             result.cases += 1
             _track(result, cert.passed, worst,
-                   {"p": repr(float(p)), "k": k,
-                    "max_identity_residual": worst,
-                    "positive_real_count": cert.positive_real_count,
-                    "max_magnitude": cert.max_magnitude})
+                   lambda: {"p": repr(float(p)), "k": k,
+                            "max_identity_residual": worst,
+                            "positive_real_count": cert.positive_real_count,
+                            "max_magnitude": cert.max_magnitude})
     return result
 
 
-def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
+def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12,
+                   root_set: Optional[roots_mod.RootSet] = None):
     """(|pgf - truncated series|, tail bound, n used) at the point s.
 
     The series is truncated once the geometric bound A (m s)^{N+1} / (1 - ms)
-    on the remaining mass drops below bound_tol.
+    on the remaining mass drops below bound_tol.  A and m come from the
+    root set of the float twin of params (solved on demand).
     """
     fparams = as_float_params(params)
-    root_set = roots_mod.find_roots(fparams)
+    if root_set is None:
+        root_set = roots_mod.find_roots(fparams)
     env_a, env_m = roots_mod.pmf_envelope(fparams, root_set)
     sf = abs(float(s))
     ratio = env_m * sf
@@ -216,41 +231,65 @@ def _exact_partial_sum(params: Params, s: Fraction, n: int) -> Fraction:
     return Fraction(acc, w ** n)
 
 
-def check_pgf_identity(p_values, k_max: int, s_values, mode: Mode) -> CheckResult:
-    """Truncated pmf series against the closed-form generating function."""
+def check_pgf_identity(p_values, k_max: int, s_values, mode: Mode,
+                       find_roots=None) -> CheckResult:
+    """Truncated pmf series against the closed-form generating function
+    (find_roots as in check_rootsum_pmf, one solve per (p, k) cell)."""
+    find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("pgf_identity", True, 0)
     slack = 0.0 if mode is Mode.EXACT else 1e-12
     for params in _grid_params(p_values, k_max, mode):
+        root_set = find_roots(as_float_params(params))
         for s in s_values:
             s_typed = Fraction(s) if mode is Mode.EXACT else float(s)
-            gap, bound, _ = pgf_series_gap(params, s_typed)
+            gap, bound, _ = pgf_series_gap(params, s_typed, root_set=root_set)
             result.cases += 1
             _track(result, gap <= bound + slack, gap,
-                   {"p": str(params.p), "k": params.k, "s": str(s),
-                    "gap": gap, "tail_bound": bound})
+                   lambda: {"p": str(params.p), "k": params.k, "s": str(s),
+                            "gap": gap, "tail_bound": bound})
         one = Fraction(1) if mode is Mode.EXACT else 1.0
         at_one = pgf_eval(params, one)
+        gap = float(abs(at_one - 1))
         result.cases += 1
-        _track(result, at_one == 1, float(abs(at_one - 1)),
-               {"p": str(params.p), "k": params.k, "s": "1",
-                "gap": float(abs(at_one - 1))})
+        _track(result, at_one == 1, gap,
+               lambda: {"p": str(params.p), "k": params.k, "s": "1",
+                        "gap": gap})
     return result
 
 
-def _deviation(value: Scalar, reference: Scalar, mode: Mode) -> float:
-    """float(|value - reference|); equal exact values skip the subtraction."""
-    if mode is Mode.EXACT and value == reference:
-        return 0.0
-    return float(abs(value - reference))
+def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
+    """(equal, float(|value - reference|)): equal is the exact verdict
+    (False in float mode), and equal exact values skip the subtraction."""
+    equal = exact and value == reference
+    return equal, 0.0 if equal else float(abs(value - reference))
 
 
-def _track(result: CheckResult, ok: bool, magnitude: float, info: dict):
-    if result.worst is None or magnitude > result.worst_magnitude:
-        result.worst = info
+def _track(result: CheckResult, ok: bool, magnitude: float, info):
+    """Count one case against result; info() builds the case's record, and
+    runs only when the case fails or sets a new worst."""
+    worst = result.worst is None or magnitude > result.worst_magnitude
+    if ok and not worst:
+        return
+    record = info()
+    if worst:
+        result.worst = record
         result.worst_magnitude = magnitude
     if not ok:
         result.passed = False
-        result.failures.append(info)
+        result.failures.append(record)
+
+
+def _root_solver():
+    """roots.find_roots that solves each float params once: the one root set
+    of a (p, k) cell, shared by the checks of one run_verify call."""
+    solved = {}
+
+    def find_roots(params: Params) -> roots_mod.RootSet:
+        if params not in solved:
+            solved[params] = roots_mod.find_roots(params)
+        return solved[params]
+
+    return find_roots
 
 
 def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
@@ -270,8 +309,7 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
                                ("--r-max", r_max, 1)):
         if value < least:
             raise DomainError(f"{flag}: must be >= {least}, got {value}")
-    engines = {"muselli": pmf_muselli,
-               "closedform": pmf_closedform}
+    engines = dict(_ENGINES)
     if corrupt_engine is not None:
         if corrupt_engine not in engines:
             raise DomainError(
@@ -279,28 +317,26 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
                 f"valid engines: {', '.join(engines)}")
         original = engines[corrupt_engine]
 
-        def corrupted(params, n, _fn=original):
-            value = _fn(params, n)
-            if n == params.k + 1:
-                bump = (Fraction(1, 10 ** 9) if params.mode is Mode.EXACT
-                        else 1e-9)
-                return value + bump
-            return value
+        def corrupted(params, ns, _values=original):
+            bump = Fraction(1, 10 ** 9) if params.mode is Mode.EXACT else 1e-9
+            for n, value in zip(ns, _values(params, ns)):
+                yield value + bump if n == params.k + 1 else value
 
         engines[corrupt_engine] = corrupted
 
     s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+    find_roots = _root_solver()
     # The checks quantify deviations themselves; per-cell cancellation
     # warnings would only repeat what the report already says.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PrecisionWarning)
         checks = [
             check_cross_engine_pmf(p_values, k_max, n_max, mode, engines),
-            check_rootsum_pmf(p_values, k_max, min(n_max, 100)),
+            check_rootsum_pmf(p_values, k_max, min(n_max, 100), find_roots),
             check_moment_routes(p_values, k_max, r_max, mode),
             check_mean_variance(p_values, k_max, mode),
-            check_root_certification(p_values, k_max),
-            check_pgf_identity(p_values, k_max, s_values, mode),
+            check_root_certification(p_values, k_max, find_roots),
+            check_pgf_identity(p_values, k_max, s_values, mode, find_roots),
         ]
     grid = {"p": [str(p) for p in p_values], "k_max": k_max,
             "n_max": n_max, "r_max": r_max}

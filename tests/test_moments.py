@@ -8,7 +8,7 @@ from geomk import moments as moments_mod
 from geomk.moments import (factorial_moment, factorial_moment_closed,
                            factorial_moment_muselli, factorial_moment_series,
                            mean, moment_report, stirling2, variance)
-from geomk.numerics import DomainError, SolverError
+from geomk.numerics import DomainError, PrecisionWarning, SolverError
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine
 
@@ -74,6 +74,17 @@ class TestThreeRoutes:
             reference = factorial_moment(params, r)
             for route in (factorial_moment_muselli, factorial_moment_closed):
                 assert abs(route(params, r) - reference) <= 1e-9 * reference
+
+    @pytest.mark.parametrize("route", [factorial_moment_muselli,
+                                       factorial_moment_closed])
+    def test_cancellation_warning_names_the_route(self, route):
+        # the warning's text names the route and r, and it points at the
+        # route's caller
+        with pytest.warns(PrecisionWarning,
+                          match=rf"^{route.__name__}\(r=8, \(p=0\.75, k=2, float\)\): "
+                                r"precision degraded") as caught:
+            route(make_params(0.75, 2), 8)
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("k", [600, 1100])
     @pytest.mark.parametrize("route", [factorial_moment, factorial_moment_muselli,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,8 @@ from geomk.cli import main
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
                             PrecisionWarning)
 from geomk.params import make_params
-from geomk.pmf import (Engine, _rootsum_values, build_table, pgf_eval, pmf,
+from geomk.pmf import (Engine, _closedform_values, _muselli_values,
+                       _rootsum_values, build_table, pgf_eval, pmf,
                        pmf_closedform, pmf_muselli, pmf_recurrence,
                        pmf_rootsum, recurrence_series)
 from geomk.roots import RootSet, find_roots, spectral_coefficients
@@ -73,8 +75,11 @@ class TestMuselli:
 
     def test_precision_warning_on_heavy_cancellation(self):
         params = make_params(0.5, 1)
-        with pytest.warns(PrecisionWarning):
+        with pytest.warns(PrecisionWarning,
+                          match=r"^pmf_muselli\(n=100, \(p=0\.5, k=1, float\)\): "
+                                r"precision degraded \(sum of \|terms\| = ") as caught:
             value = pmf_muselli(params, 100)
+        assert [w.filename for w in caught] == [__file__]
         # the value is still correctly rounded despite the warning
         assert value == pytest.approx(0.5 ** 100, rel=1e-12)
 
@@ -125,6 +130,30 @@ class TestCrossEngine:
         value = pmf_recurrence(params, n)
         assert pmf_muselli(params, n) == value
         assert pmf_closedform(params, n) == value
+
+    @settings(max_examples=60, deadline=None)
+    @given(num=st.integers(min_value=1, max_value=59),
+           den=st.integers(min_value=2, max_value=60),
+           k=st.integers(min_value=1, max_value=8),
+           ns=st.lists(st.integers(min_value=0, max_value=120), min_size=1,
+                       max_size=30))
+    def test_term_generators_match_single_points(self, num, den, k, ns):
+        # one pass over ns, in any order and with repeats, shares its powers
+        # of b across n; each value must still be the lone call's
+        if num >= den:
+            return
+        exact = make_params(Fraction(num, den), k)
+        floats = make_params(num / den, k)
+        reference = recurrence_series(exact, 120)
+        for values, single in ((_muselli_values, pmf_muselli),
+                               (_closedform_values, pmf_closedform)):
+            assert list(values(exact, ns)) == [reference[n] for n in ns]
+            assert list(values(exact, ns)) == [single(exact, n) for n in ns]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", PrecisionWarning)
+                batch = [v.hex() for v in values(floats, ns)]
+                lone = [single(floats, n).hex() for n in ns]
+            assert batch == lone
 
 
 class TestRootSum:
@@ -294,6 +323,22 @@ class TestBuildTable:
         payload = json.loads(capsys.readouterr().out)
         assert payload["entries"][5] == {"n": 5, "f": "3/32", "cumulative": "19/32"}
         assert payload["engine"] == "recurrence"
+
+    @pytest.mark.parametrize("engine,single", [(Engine.MUSELLI, pmf_muselli),
+                                               (Engine.CLOSED_FORM, pmf_closedform)])
+    def test_alternating_table_is_one_pass_of_single_points(self, engine, single):
+        # p = 0.5, k = 1 cancels heavily from n of about 40 on
+        params = make_params(0.5, 1)
+        with warnings.catch_warnings(record=True) as table_warnings:
+            warnings.simplefilter("always", PrecisionWarning)
+            table = build_table(params, engine, 80)
+        with warnings.catch_warnings(record=True) as point_warnings:
+            warnings.simplefilter("always", PrecisionWarning)
+            points = [single(params, n) for n in range(81)]
+        assert [v.hex() for v in table.entries] == [v.hex() for v in points]
+        messages = [str(w.message) for w in table_warnings]
+        assert messages == [str(w.message) for w in point_warnings]
+        assert messages and messages[0].startswith(f"{single.__name__}(n=")
 
     def test_rootsum_table_needs_float(self):
         with pytest.raises(ModeError):

@@ -1,11 +1,13 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from geomk import roots as roots_mod
 from geomk.numerics import DomainError, Mode
 from geomk.verify import (check_mean_variance, check_pgf_identity,
                           check_rootsum_pmf, pgf_series_gap, run_verify)
-from geomk.params import make_params
+from geomk.params import as_float_params, make_params
 
 
 def test_small_exact_sweep_passes():
@@ -32,6 +34,38 @@ def test_corruption_is_caught():
     assert bad.failures[0]["engine"] == "closedform"
 
 
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+@pytest.mark.parametrize("engine", ["muselli", "closedform"])
+def test_corruption_fails_exactly_at_k_plus_one(engine, mode):
+    p_values = [Fraction(1, 2), Fraction(2, 3)]
+    report = run_verify(p_values=p_values, k_max=3, n_max=20, r_max=2,
+                        mode=mode, corrupt_engine=engine)
+    checks = {c.name: c for c in report.checks}
+    bad = checks.pop("cross_engine_pmf")
+    assert {(f["engine"], f["p"], f["k"], f["n"]) for f in bad.failures} == {
+        (engine, str(p if mode is Mode.EXACT else float(p)), k, k + 1)
+        for p in p_values for k in range(1, 4)}
+    assert len(bad.failures) == 6
+    assert all(c.passed for c in checks.values())
+
+
+@pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+def test_roots_solved_once_per_cell(monkeypatch, mode):
+    solved = Counter()
+    find_roots = roots_mod.find_roots
+
+    def counting(params):
+        solved[params.p, params.k] += 1
+        return find_roots(params)
+
+    monkeypatch.setattr(roots_mod, "find_roots", counting)
+    # 2/3 at k = 2 is the degenerate cell p = k/(k+1)
+    report = run_verify(p_values=[Fraction(1, 2), Fraction(2, 3)], k_max=3,
+                        n_max=30, r_max=2, mode=mode)
+    assert report.passed
+    assert solved == {(p, k): 1 for p in (0.5, 2 / 3) for k in range(1, 4)}
+
+
 def test_empty_p_grid_rejected():
     # the CLI cannot send an empty grid; the other bounds are tested there
     with pytest.raises(DomainError, match="no probabilities"):
@@ -54,6 +88,9 @@ def test_pgf_gap_within_bound():
     gap, bound, n_used = pgf_series_gap(params, Fraction(9, 10))
     assert 0 <= gap <= bound
     assert n_used > 2
+    root_set = roots_mod.find_roots(as_float_params(params))
+    assert pgf_series_gap(params, Fraction(9, 10), root_set=root_set) == (
+        gap, bound, n_used)
 
 
 def test_pgf_check_includes_unit_point():
