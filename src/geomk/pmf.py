@@ -30,6 +30,7 @@ from __future__ import annotations
 import decimal
 import math
 import operator
+import sys
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from typing import Optional
 from . import roots as roots_mod
 from .numerics import (ConsistencyError, DomainError, Mode, ModeError,
                        PrecisionWarning, Scalar, gen_binomial)
-from .params import Params
+from .params import Params, qpk
 from .roots import RootSet
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -451,7 +452,7 @@ class PmfTable:
     engine: Engine
     entries: tuple          # f(0), f(1), ..., f(n_max)
     cumulative: tuple
-    tail_bound: Optional[float]  # float-mode geometric bound beyond n_max
+    tail_bound: Optional[float]  # float mode: P(N > n_max)
 
     @property
     def n_max(self) -> int:
@@ -568,6 +569,22 @@ def _json_scalar(value: Scalar):
     return _render(value) if isinstance(value, Fraction) else float(value)
 
 
+def _tail_mass(params: Params, f_far: Scalar) -> Scalar:
+    """P(N > n) from f_far = f(n + k + 1).
+
+    A wait longer than n ends at n + k + 1 exactly when trial n + 1 fails
+    and the next k succeed, so f(n + k + 1) = P(N > n) q p^k (Feller
+    Vol. 1, XIII.7): exact on rationals, and one division in floats, which
+    raise DomainError once q p^k is below the normal double range.
+    """
+    scale = qpk(params)
+    if params.mode is Mode.FLOAT and scale < sys.float_info.min:
+        raise DomainError(
+            f"q p^k = {scale:.3g} underflows the normal double range, so the "
+            f"float tail mass is lost for {params}")
+    return f_far / scale
+
+
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
@@ -575,17 +592,20 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     one pass of _rootsum_values (one root-set check, one set of weights),
     and each alternating sum in one pass of its term generator; the entries
     are the values the single-point engines give.  In float mode the table
-    also carries a geometric bound on the mass beyond n_max, derived from
-    the root set (which is solved on a float twin of the params when the
-    engine itself never needed one).
+    also carries the mass beyond n_max, P(N > n_max) = f(n_max + k + 1) /
+    (q p^k) (_tail_mass): a recurrence table walks k + 1 values further,
+    and every other engine takes f(n_max + k + 1) from one float
+    recurrence walk.
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
-    root_set = None
+    floating = params.mode is Mode.FLOAT
     if engine is Engine.RECURRENCE:
-        entries = recurrence_series(params, n_max)
+        # a float table walks on to f(n_max + k + 1), for its tail mass
+        walk = recurrence_series(params, n_max + (params.k + 1 if floating else 0))
+        entries, far = walk[:n_max + 1], walk[-1]
     elif engine is Engine.ROOT_SUM:
-        if params.mode is not Mode.FLOAT:
+        if not floating:
             raise ModeError("the rootsum engine is float-only")
         root_set = roots_mod.find_roots(params)
         entries = list(_rootsum_values(params, root_set, range(n_max + 1)))
@@ -594,7 +614,7 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     else:
         raise DomainError(f"unknown engine {engine!r}")
 
-    if engine is Engine.RECURRENCE and params.mode is Mode.EXACT:
+    if engine is Engine.RECURRENCE and not floating:
         # The cumulative C(n) = F(n) b^n is an integer too, with
         # C(n) = C(n-1) b + g(n); rerunning the kernel costs far less than
         # adding the reduced entries.
@@ -609,10 +629,10 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     _validate_table(params, entries, cumulative)
 
     bound = None
-    if params.mode is Mode.FLOAT:
-        if root_set is None:
-            root_set = roots_mod.find_roots(params)
-        bound = roots_mod.tail_bound(params, root_set, n_max)
+    if floating:
+        if engine is not Engine.RECURRENCE:
+            far = pmf_recurrence(params, n_max + params.k + 1)
+        bound = _tail_mass(params, far)
     return PmfTable(params=params, engine=engine, entries=tuple(entries),
                     cumulative=tuple(cumulative), tail_bound=bound)
 

@@ -360,10 +360,3 @@ def pmf_envelope(params: Params, root_set: RootSet) -> tuple:
     a = sum(abs(c) for c in coeffs) * m ** (-params.k)
     return a, m
 
-
-def tail_bound(params: Params, root_set: RootSet, n: int) -> float:
-    """Geometric bound on the pmf mass beyond n: C m^{n+1} / (1 - m)."""
-    coeffs = spectral_coefficients(params, root_set)
-    c = (params.k + 1) * max(abs(w) for w in coeffs)
-    m = abs(root_set.roots[root_set.principal_index])
-    return c * m ** (n + 1) / (1.0 - m)

@@ -7,6 +7,7 @@ CheckResult with the worst deviation seen, so a failure pinpoints the
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,10 +17,11 @@ from typing import Optional
 from . import moments as moments_mod
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, PrecisionWarning, Scalar
-from .params import Params, as_float_params, make_params
+from .params import Params, make_params
 # pmf_muselli stays importable from here: perfbench's tracer rebinds it.
-from .pmf import (_ALTERNATING_SUMS, _rootsum_values, _scaled_pmf,  # noqa: F401
-                  _scaled_pq, pgf_eval, pmf_muselli, recurrence_series)
+from .pmf import (_ALTERNATING_SUMS, _float_pmf, _over_power,  # noqa: F401
+                  _rootsum_values, _scaled_pmf, _scaled_pq, _tail_mass,
+                  pgf_eval, pmf_muselli, recurrence_series)
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
@@ -107,21 +109,19 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int,
     """
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("rootsum_pmf", True, 0)
-    for p in p_values:
-        for k in range(1, k_max + 1):
-            params = make_params(float(p), k)
-            near = abs(float(p) - k / (k + 1))
-            if not params.degenerate.is_degenerate and near < ROOTSUM_DEGENERACY_SKIP:
-                continue
-            root_set = find_roots(params)
-            reference = recurrence_series(params, n_max)
-            values = _rootsum_values(params, root_set, range(n_max + 1))
-            for n, value in enumerate(values):
-                dev = abs(value - reference[n])
-                result.cases += 1
-                _track(result, dev <= FLOAT_PMF_TOL, dev,
-                       lambda: {"p": repr(float(p)), "k": k, "n": n,
-                                "deviation": dev})
+    for params in _grid_params(p_values, k_max, Mode.FLOAT):
+        near = abs(params.p - params.k / (params.k + 1))
+        if not params.degenerate.is_degenerate and near < ROOTSUM_DEGENERACY_SKIP:
+            continue
+        root_set = find_roots(params)
+        reference = recurrence_series(params, n_max)
+        values = _rootsum_values(params, root_set, range(n_max + 1))
+        for n, value in enumerate(values):
+            dev = abs(value - reference[n])
+            result.cases += 1
+            _track(result, dev <= FLOAT_PMF_TOL, dev,
+                   lambda: {"p": str(params.p), "k": params.k, "n": n,
+                            "deviation": dev})
     return result
 
 
@@ -174,75 +174,69 @@ def check_root_certification(p_values, k_max: int,
     (find_roots as in check_rootsum_pmf)."""
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("root_certification", True, 0)
-    for p in p_values:
-        for k in range(1, k_max + 1):
-            params = make_params(float(p), k)
-            cert = roots_mod.certify_roots(find_roots(params), params)
-            worst = max(cert.identity_residuals)
-            result.cases += 1
-            _track(result, cert.passed, worst,
-                   lambda: {"p": repr(float(p)), "k": k,
-                            "max_identity_residual": worst,
-                            "positive_real_count": cert.positive_real_count,
-                            "max_magnitude": cert.max_magnitude})
+    for params in _grid_params(p_values, k_max, Mode.FLOAT):
+        cert = roots_mod.certify_roots(find_roots(params), params)
+        worst = max(cert.identity_residuals)
+        result.cases += 1
+        _track(result, cert.passed, worst,
+               lambda: {"p": str(params.p), "k": params.k,
+                        "max_identity_residual": worst,
+                        "positive_real_count": cert.positive_real_count,
+                        "max_magnitude": cert.max_magnitude})
     return result
 
 
-def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12,
-                   root_set: Optional[roots_mod.RootSet] = None):
+def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
     """(|pgf - truncated series|, tail bound, n used) at the point s.
 
-    The series is truncated once the geometric bound A (m s)^{N+1} / (1 - ms)
-    on the remaining mass drops below bound_tol.  A and m come from the
-    root set of the float twin of params (solved on demand).
+    The remainder sum_{i>n} f(i) s^i is at most |s|^(n+1) P(N > n), with
+    P(N > n) = f(n+k+1) / (q p^k) (pmf._tail_mass).  n starts at
+    max(k + 1, 8) and grows by max(8, n // 4) until that bound is at most
+    bound_tol, on one recurrence walk that each step extends.  In exact mode
+    the gap and the bound are exact rationals, each rounded once by one
+    int / int division, so an exact gap <= bound holds in floats too.
     """
-    fparams = as_float_params(params)
-    if root_set is None:
-        root_set = roots_mod.find_roots(fparams)
-    env_a, env_m = roots_mod.pmf_envelope(fparams, root_set)
-    sf = abs(float(s))
-    ratio = env_m * sf
-    n = max(params.k + 1, 8)
-    while env_a * ratio ** (n + 1) / (1.0 - ratio) > bound_tol:
-        n += max(8, n // 4)
-    if params.mode is Mode.EXACT:
-        partial = _exact_partial_sum(params, Fraction(s), n)
+    k, exact = params.k, params.mode is Mode.EXACT
+    if exact:
+        s = Fraction(s)
+        (u, v), (a, c, b) = s.as_integer_ratio(), _scaled_pq(params)
+        walk = _scaled_pmf(a, c, k)     # g(i) = f(i) b^i for i = k, k+1, ...
     else:
-        series = recurrence_series(params, n)
-        partial = sum(f * s ** i for i, f in enumerate(series))
-    gap = float(abs(pgf_eval(params, s) - partial))
-    bound = env_a * ratio ** (n + 1) / (1.0 - ratio)
-    return gap, bound, n
+        walk = _float_pmf(params)
+    values = []                         # f(k), f(k+1), ... as walk yields them
+
+    def bound_at(n):
+        values.extend(islice(walk, n + 2 - len(values)))   # to f(n+k+1)
+        if not exact:
+            return abs(s) ** (n + 1) * _tail_mass(params, values[n + 1])
+        tail = _tail_mass(params, _over_power(values[n + 1], b ** (n + k + 1), b))
+        return abs(u) ** (n + 1) * tail.numerator / (v ** (n + 1) * tail.denominator)
+
+    n = max(k + 1, 8)
+    while (bound := bound_at(n)) > bound_tol:
+        n += max(8, n // 4)
+    head = values[:n - k + 1]           # f(k..n)
+    if not exact:
+        partial = sum(f * s ** i for i, f in enumerate(head, start=k))
+        return abs(pgf_eval(params, s) - partial), bound, n
+    # w^n sum_{i<=n} f(i) s^i for w = b v: Horner's rule over the terms
+    # g(i) u^i keeps it an integer
+    w, acc, u_power = b * v, 0, u ** k
+    for g in head:
+        acc, u_power = acc * w + g * u_power, u_power * u
+    num, den = pgf_eval(params, s).as_integer_ratio()
+    return abs(num * w ** n - acc * den) / (den * w ** n), bound, n
 
 
-def _exact_partial_sum(params: Params, s: Fraction, n: int) -> Fraction:
-    """sum_{i<=n} f(i) s^i for exact params, reduced once.
-
-    With s = u/v and f(i) = g(i) / b^i the terms are g(i) u^i / w^i for
-    w = b v, so Horner's rule in w keeps the running sum an integer.
-    """
-    a, c, b = _scaled_pq(params)
-    k = params.k
-    u, w = s.numerator, b * s.denominator
-    acc, u_power = 0, u ** k
-    for g in islice(_scaled_pmf(a, c, k), n - k + 1):
-        acc = acc * w + g * u_power
-        u_power *= u
-    return Fraction(acc, w ** n)
-
-
-def check_pgf_identity(p_values, k_max: int, s_values, mode: Mode,
-                       find_roots=None) -> CheckResult:
-    """Truncated pmf series against the closed-form generating function
-    (find_roots as in check_rootsum_pmf, one solve per (p, k) cell)."""
-    find_roots = find_roots or roots_mod.find_roots
+def check_pgf_identity(p_values, k_max: int, s_values,
+                       mode: Mode) -> CheckResult:
+    """Truncated pmf series against the closed-form generating function."""
     result = CheckResult("pgf_identity", True, 0)
     slack = 0.0 if mode is Mode.EXACT else 1e-12
     for params in _grid_params(p_values, k_max, mode):
-        root_set = find_roots(as_float_params(params))
         for s in s_values:
             s_typed = Fraction(s) if mode is Mode.EXACT else float(s)
-            gap, bound, _ = pgf_series_gap(params, s_typed, root_set=root_set)
+            gap, bound, _ = pgf_series_gap(params, s_typed)
             result.cases += 1
             _track(result, gap <= bound + slack, gap,
                    lambda: {"p": str(params.p), "k": params.k, "s": str(s),
@@ -279,19 +273,6 @@ def _track(result: CheckResult, ok: bool, magnitude: float, info):
         result.failures.append(record)
 
 
-def _root_solver():
-    """roots.find_roots that solves each float params once: the one root set
-    of a (p, k) cell, shared by the checks of one run_verify call."""
-    solved = {}
-
-    def find_roots(params: Params) -> roots_mod.RootSet:
-        if params not in solved:
-            solved[params] = roots_mod.find_roots(params)
-        return solved[params]
-
-    return find_roots
-
-
 def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
                n_max: int = DEFAULT_N_MAX, r_max: int = DEFAULT_R_MAX,
                mode: Mode = Mode.EXACT,
@@ -325,7 +306,8 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
         engines[corrupt_engine] = corrupted
 
     s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-    find_roots = _root_solver()
+    # one root set per float (p, k) cell, shared by the root checks
+    find_roots = functools.cache(roots_mod.find_roots)
     # The checks quantify deviations themselves; per-cell cancellation
     # warnings would only repeat what the report already says.
     with warnings.catch_warnings():
@@ -336,7 +318,7 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
             check_moment_routes(p_values, k_max, r_max, mode),
             check_mean_variance(p_values, k_max, mode),
             check_root_certification(p_values, k_max, find_roots),
-            check_pgf_identity(p_values, k_max, s_values, mode, find_roots),
+            check_pgf_identity(p_values, k_max, s_values, mode),
         ]
     grid = {"p": [str(p) for p in p_values], "k_max": k_max,
             "n_max": n_max, "r_max": r_max}

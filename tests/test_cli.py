@@ -103,6 +103,26 @@ class TestTableCommand:
         jsonschema.validate(payload, load_schema("pmf_table"))
         assert payload["tail_bound"] > 0
 
+    def test_float_table_at_k_60(self, capsys):
+        # q p^k = 2^-61: the float roots are lost, the tail mass is not
+        code, out, err = run_cli("table", "--p", "0.5", "--k", "60",
+                                 "--n-max", "80", "--mode", "float",
+                                 "--format", "json", capsys=capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        mass = payload["tail_bound"] + payload["entries"][-1]["cumulative"]
+        assert abs(mass - 1) <= 1e-15
+
+    def test_float_table_past_the_double_range_exits_2(self, capsys):
+        code, out, err = run_cli("table", "--p", "0.5", "--k", "1100",
+                                 "--n-max", "1200", "--mode", "float",
+                                 capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: q p^k = 0 underflows")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_n_max_validation(self, capsys):
         code, _, err = run_cli("table", "--p", "1/2", "--k", "3", "--n-max", "1",
                                capsys=capsys)

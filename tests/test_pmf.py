@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomk.cli import main
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
-                            PrecisionWarning)
+                            PrecisionWarning, SolverError)
 from geomk.params import make_params
 from geomk.pmf import (Engine, _closedform_values, _muselli_values,
                        _rootsum_values, build_table, pgf_eval, pmf,
@@ -308,6 +308,28 @@ class TestBuildTable:
         assert table.cumulative[-1] + table.tail_bound >= 1.0 - 1e-12
         diffs = [b - a for a, b in zip(table.cumulative, table.cumulative[1:])]
         assert all(d >= -1e-15 for d in diffs)
+
+    @pytest.mark.filterwarnings("ignore::geomk.numerics.PrecisionWarning")
+    def test_float_tail_bound_is_the_tail_mass(self):
+        # P(N > n_max) = f(n_max + k + 1) / (q p^k): every float engine's
+        # table carries the exact tail 1 - F(n_max) of its p, to rounding
+        for p in [i / 20 for i in range(1, 20)]:
+            for k in range(1, 9):
+                exact = build_table(make_params(Fraction(p), k),
+                                    Engine.RECURRENCE, 120)
+                engines = [Engine.RECURRENCE, Engine.MUSELLI, Engine.CLOSED_FORM]
+                try:
+                    find_roots(make_params(p, k))
+                    engines.append(Engine.ROOT_SUM)
+                except SolverError:
+                    pass
+                for n_max in (k, 2 * k + 3, 40, 120):
+                    tail = 1 - exact.cumulative[n_max]
+                    for engine in engines:
+                        bound = build_table(make_params(p, k), engine,
+                                            n_max).tail_bound
+                        assert abs(bound - tail) <= 1e-12 * tail, (
+                            p, k, n_max, engine)
 
     def test_csv_shape(self, capsys):
         assert main(["table", "--p", "1/2", "--k", "2", "--n-max", "5",

@@ -11,8 +11,7 @@ from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
 from geomk.roots import (RootSet, _branch_starts, _principal_root,
                          aux_poly_coeffs, aux_poly_eval, certify_roots,
-                         find_roots, pmf_envelope, spectral_coefficients,
-                         tail_bound)
+                         find_roots, pmf_envelope, spectral_coefficients)
 
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
@@ -239,15 +238,6 @@ class TestSpectralHelpers:
         series = recurrence_series(params, 60)
         for n in range(3, 61):
             assert series[n] <= env_a * env_m ** n * (1 + 1e-9)
-
-    def test_tail_bound_dominates_true_tail(self):
-        from geomk.pmf import recurrence_series
-        params = make_params(0.5, 2)
-        root_set = find_roots(params)
-        n_max = 30
-        series = recurrence_series(params, 4000)
-        true_tail = 1.0 - math.fsum(series[:n_max + 1])
-        assert tail_bound(params, root_set, n_max) >= true_tail > 0
 
 
 def test_solver_error_carries_residuals():

@@ -2,12 +2,15 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomk import roots as roots_mod
 from geomk.numerics import DomainError, Mode
+from geomk.params import make_params, qpk
+from geomk.pmf import Engine, build_table, pgf_eval, recurrence_series
 from geomk.verify import (check_mean_variance, check_pgf_identity,
                           check_rootsum_pmf, pgf_series_gap, run_verify)
-from geomk.params import as_float_params, make_params
 
 
 def test_small_exact_sweep_passes():
@@ -86,11 +89,79 @@ def test_mean_variance_float():
 def test_pgf_gap_within_bound():
     params = make_params(Fraction(1, 2), 2)
     gap, bound, n_used = pgf_series_gap(params, Fraction(9, 10))
-    assert 0 <= gap <= bound
+    assert 0 <= gap <= bound <= 1e-12
     assert n_used > 2
-    root_set = roots_mod.find_roots(as_float_params(params))
-    assert pgf_series_gap(params, Fraction(9, 10), root_set=root_set) == (
-        gap, bound, n_used)
+
+
+def _remainder(params, s, n):
+    """sum_{i>n} f(i) s^i for n >= k + 1, exactly, from the recurrence of
+    the pgf's denominator D(s) = 1 - s + q p^k s^(k+1)."""
+    k, scale = params.k, qpk(params)
+    f = recurrence_series(params, n)
+    head = f[n] * s ** (n + 1) - scale * sum(
+        f[i] * s ** (i + k + 1) for i in range(n - k, n + 1))
+    return head / (1 - s + scale * s ** (k + 1))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(2, 50).flatmap(
+           lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+       st.integers(1, 60),
+       st.integers(2, 20).flatmap(
+           lambda v: st.tuples(st.integers(1 - v, v - 1).filter(bool),
+                               st.just(v))))
+def test_pgf_gap_is_the_exact_remainder_within_a_true_bound(ab, k, uv):
+    params = make_params(Fraction(*ab), k)
+    s = Fraction(*uv)
+    gap, bound, n = pgf_series_gap(params, s)
+    remainder = _remainder(params, s, n)
+    tail = 1 - sum(recurrence_series(params, n))
+    assert abs(remainder) <= abs(s) ** (n + 1) * tail
+    assert gap == float(abs(remainder))
+    assert bound == float(abs(s) ** (n + 1) * tail)
+    assert gap <= bound <= 1e-12
+
+
+def test_pgf_check_passes_on_the_two_fifths_grid():
+    # the float envelope once tied the exact gap to the last bit here
+    report = run_verify(p_values=[Fraction(2, 5)], k_max=1, n_max=6, r_max=1)
+    assert report.passed
+
+
+def test_exact_pgf_check_at_large_k():
+    # float roots fail from k = 53 on at p = 1/2; the check needs none
+    s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
+    result = check_pgf_identity([Fraction(1, 2)], 60, s_values, Mode.EXACT)
+    assert result.passed
+    assert result.cases == 60 * 4
+
+
+def test_pgf_gap_past_the_double_range():
+    # q p^k = 2^-1101 is below every double; the exact bound is not
+    params = make_params(Fraction(1, 2), 1100)
+    gap, bound, n = pgf_series_gap(params, Fraction(9, 10))
+    assert n == 1101
+    assert 0 <= gap <= bound <= 1e-12
+
+
+def test_pgf_check_and_tables_solve_no_roots(monkeypatch):
+    solved = Counter()
+
+    def counting(params):
+        solved[params.p, params.k] += 1
+        raise AssertionError("find_roots called")
+
+    monkeypatch.setattr(roots_mod, "find_roots", counting)
+    s_values = (Fraction(1, 10), Fraction(-1, 2), Fraction(9, 10))
+    for mode in Mode:
+        assert check_pgf_identity([Fraction(1, 3)], 3, s_values, mode).passed
+    for engine in (Engine.RECURRENCE, Engine.MUSELLI, Engine.CLOSED_FORM):
+        build_table(make_params(0.3, 3), engine, 20)
+        build_table(make_params(Fraction(3, 10), 3), engine, 20)
+    assert not solved
+    with pytest.raises(AssertionError, match="find_roots called"):
+        build_table(make_params(0.3, 3), Engine.ROOT_SUM, 20)
+    assert solved == {(0.3, 3): 1}
 
 
 def test_pgf_check_includes_unit_point():
