@@ -5,7 +5,9 @@ Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
 text; indented JSON is streamed row by row through the C encoder, with the
-bytes of `json.dumps(report, indent=2)`.  `main` builds the argparse parser
+bytes of `json.dumps(report, indent=2)`, and each CSV record is one
+`str.join` of its fields, with the bytes `csv.writer` writes in its default
+QUOTE_MINIMAL dialect with LF line ends.  `main` builds the argparse parser
 once per process and reuses it, so in-process callers pay for it once.
 Exit codes: 0 success, 1 a verification check failed, 2 bad usage,
 including an --out path that cannot be opened, and 141 (128 + SIGPIPE) when
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import math
 import os
@@ -64,10 +65,38 @@ def _write(args, payload, rows, lines):
             out.writelines(_json_chunks(payload()))
             out.write("\n")
         elif args.format == "csv":
-            csv.writer(out, lineterminator="\n").writerows(rows)
+            out.writelines(map(_csv_line, rows))
         else:
             for line in lines:
                 out.write(f"{line}\n")
+
+
+def _csv_line(row):
+    """One CSV record and its LF, as csv.writer(lineterminator="\n") writes
+    it in the default QUOTE_MINIMAL dialect.
+
+    None is the empty field and any other non-str value is str(value).  A
+    field holding a comma, a quote or a line break is quoted, with its
+    quotes doubled, and a record of one empty field is written as "".  The
+    fields are joined as they are, and quoted one by one only when the
+    joined record shows that one of them needs it.
+    """
+    if None in row:
+        row = ["" if value is None else value for value in row]
+    fields = [*map(str, row)]
+    if fields == [""]:
+        return '""\n'
+    line = ",".join(fields)
+    if (line.count(",") >= len(fields) or '"' in line or "\n" in line
+            or "\r" in line):
+        line = ",".join(map(_csv_field, fields))
+    return line + "\n"
+
+
+def _csv_field(field):
+    if any(ch in field for ch in ',"\n\r'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def _json_chunks(value, nl="\n"):

@@ -11,6 +11,12 @@ vanishing-free); all three must agree bit-exactly on rationals.
 An independent truncated-series oracle sums n(n-1)...(n-r+1) f(n) directly
 from the recurrence, with the truncation point chosen from the spectral
 tail envelope, so the identity itself is verifiable without trusting it.
+
+In exact mode, with p = a/b and q = c/b, every factorial, raw and central
+moment is an integer over a power of D = c a^k: mu_(r) = r! b g(n) / D^(r+1)
+for f(n) = g(n) / b^n.  moment_report converts the factorial moments to
+those integers and builds the raw and central moments from them, reducing
+each value to a Fraction once.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
@@ -155,6 +162,7 @@ def moment_report(params: Params, r_max: int,
 
     Raw moments use E[N^m] = sum_j S(m, j) mu_(j) with exact integer
     Stirling numbers; central moments expand binomially around the mean.
+    Exact mode evaluates both sums on integers (_exact_conversions).
     """
     _check_r(r_max)
     root_set = None
@@ -174,18 +182,66 @@ def moment_report(params: Params, r_max: int,
     if any(b <= a for a, b in zip(factorial, factorial[1:])):
         logger.info("factorial moments not strictly increasing for %s", params)
 
-    raw = [sum(stirling2(m, j) * factorial[j - 1] for j in range(1, m + 1))
-           for m in range(1, r_max + 1)]
-    mu = factorial[0]
-    raw0 = [1] + raw
-    central = []
-    for m in range(2, r_max + 1):
-        central.append(sum(math.comb(m, i) * raw0[i] * (-mu) ** (m - i)
-                           for i in range(m + 1)))
+    if params.mode is Mode.EXACT:
+        raw, central = _exact_conversions(params, factorial)
+    else:
+        raw = [sum(stirling2(m, j) * factorial[j - 1] for j in range(1, m + 1))
+               for m in range(1, r_max + 1)]
+        mu = factorial[0]
+        raw0 = [1] + raw
+        central = []
+        for m in range(2, r_max + 1):
+            central.append(sum(math.comb(m, i) * raw0[i] * (-mu) ** (m - i)
+                               for i in range(m + 1)))
     return MomentReport(params=params, r_max=r_max, factorial=tuple(factorial),
                         raw=tuple(raw), central=tuple(central),
                         mean=mean(params), variance=variance(params),
                         method=engine, precision_flags=tuple(flags))
+
+
+def _exact_conversions(params: Params, factorial) -> tuple:
+    """(raw, central) for exact factorial moments mu_(1..r_max), each a
+    Fraction reduced once.
+
+    With p = a/b, q = c/b and D = c a^k, mu_(j) = j! b g((j+1)k + j) / D^(j+1)
+    (f(n) = g(n) / b^n), so N_j = mu_(j) D^(j+1) is an integer; a remainder
+    raises ConsistencyError.  Then E[N^m] = R_m / D^(m+1) with
+    R_m = sum_j S(m, j) N_j D^(m-j), and the m-th central moment is
+    sum_i C(m, i) U_i (-N_1)^(m-i) / D^(2m) with U_0 = 1 and
+    U_i = R_i D^(i-1).  Both sums run by Horner's rule, in D and in -N_1,
+    and each value is reduced by one gcd.  (Dividing out the factors of D
+    one gcd at a time, as pmf._over_power does for powers of b, is slower
+    here: the shared power of D runs to hundreds of steps at large r_max.)
+    """
+    a, c, _ = _scaled_pq(params)
+    d = c * a ** params.k
+    powers = [1]                              # D^0 .. D^(2 r_max)
+    for _ in range(2 * len(factorial)):
+        powers.append(powers[-1] * d)
+    scaled = []
+    for j, value in enumerate(factorial, start=1):
+        shared, rest = divmod(powers[j + 1], value.denominator)
+        if rest:
+            raise ConsistencyError(
+                f"factorial moment r={j} of {params} is not an integer over "
+                f"(c a^k)^{j + 1}")
+        scaled.append(value.numerator * shared)
+
+    raw, spread = [], [1]                     # spread: U_0, U_1, ...
+    for m in range(1, len(factorial) + 1):
+        total = 0
+        for j in range(1, m + 1):
+            total = total * d + stirling2(m, j) * scaled[j - 1]
+        raw.append(Fraction(total, powers[m + 1]))
+        spread.append(total * powers[m - 1])
+    shift = -scaled[0]
+    central = []
+    for m in range(2, len(factorial) + 1):
+        total = 0
+        for i in range(m + 1):
+            total = total * shift + math.comb(m, i) * spread[i]
+        central.append(Fraction(total, powers[2 * m]))
+    return raw, central
 
 
 def _check_r(r: int):

@@ -403,22 +403,32 @@ def pgf_eval(params: Params, s: Scalar) -> Scalar:
 
     Defined for |s| <= 1; equals 1 exactly at s = 1.  The denominator cannot
     vanish there for valid params (it is at least 1 - |s| + 0 on [0, 1) and
-    q p^k at s = 1), but is checked defensively.
+    q p^k at s = 1), but is checked defensively.  In exact mode, with
+    p = a/b, q = c/b and s = u/v, it is the one ratio of integers
+    a^k u^k (b v - a u) / (b^(k+1) v^k (v - u) + c a^k u^(k+1)), reduced once.
     """
+    exact = params.mode is Mode.EXACT
     if isinstance(s, int):
-        s = Fraction(s) if params.mode is Mode.EXACT else float(s)
-    if params.mode is Mode.EXACT and isinstance(s, float):
+        s = Fraction(s) if exact else float(s)
+    if exact and isinstance(s, float):
         raise ModeError("exact-mode pgf_eval needs a rational s")
-    if params.mode is Mode.FLOAT:
+    if not exact:
         s = float(s)
     if abs(s) > 1:
         raise DomainError(f"pgf argument must satisfy |s| <= 1, got {s}")
-    p, q, k = params.p, params.q, params.k
-    num = p ** k * s ** k * (1 - p * s)
-    den = 1 - s + q * p ** k * s ** (k + 1)
+    k = params.k
+    if exact:
+        (a, c, b), (u, v) = _scaled_pq(params), s.as_integer_ratio()
+        a_u = (a * u) ** k
+        num = a_u * (b * v - a * u)
+        den = b ** (k + 1) * v ** k * (v - u) + c * a_u * u
+    else:
+        p, q = params.p, params.q
+        num = p ** k * s ** k * (1 - p * s)
+        den = 1 - s + q * p ** k * s ** (k + 1)
     if den == 0:
         raise DomainError(f"pgf denominator vanished at s={s} for {params}")
-    return num / den
+    return Fraction(num, den) if exact else num / den
 
 
 def pmf(params: Params, n: int, engine: Engine = Engine.RECURRENCE,

@@ -465,6 +465,47 @@ def test_json_writer_streams_rows():
     assert max(stdout.sizes) < 400
 
 
+def csv_written(rows):
+    """What `_write` puts on stdout for `rows` in CSV format."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._write(types.SimpleNamespace(out="-", format="csv"),
+                   None, iter(rows), ())
+    return stdout.getvalue()
+
+
+def csv_module_written(rows):
+    stream = io.StringIO()
+    csv.writer(stream, lineterminator="\n").writerows(rows)
+    return stream.getvalue()
+
+
+# No "\r": whether csv quotes it with an LF line terminator differs across
+# Python versions.
+CSV_TEXT = st.text(alphabet='0123456789abcXYZ/-., "\n', max_size=12)
+CSV_FIELDS = st.one_of(st.none(), st.integers(),
+                       st.floats(allow_nan=True, allow_infinity=True),
+                       CSV_TEXT)
+CSV_ROWS = st.lists(st.one_of(st.lists(CSV_FIELDS, max_size=6),
+                              st.lists(CSV_FIELDS, max_size=6).map(tuple)),
+                    max_size=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(rows=CSV_ROWS)
+def test_csv_writer_matches_csv_module(rows):
+    assert csv_written(rows) == csv_module_written(rows)
+
+
+@pytest.mark.parametrize("row,expected", [
+    ([""], '""\n'), ([None], '""\n'), ((), "\n"), (["", ""], ",\n"),
+    (['a"b', "c,d", "e\nf", ""], '"a""b","c,d","e\nf",\n'),
+    ([float("nan"), float("-inf"), 1e300, -0.0], "nan,-inf,1e+300,-0.0\n"),
+])
+def test_csv_writer_pins(row, expected):
+    assert csv_written([row]) == csv_module_written([row]) == expected
+
+
 def _roots_payload(params):
     root_set = roots_mod.find_roots(params)
     cert = roots_mod.certify_roots(root_set, params)

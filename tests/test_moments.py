@@ -3,12 +3,15 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomk import moments as moments_mod
 from geomk.moments import (factorial_moment, factorial_moment_closed,
                            factorial_moment_muselli, factorial_moment_series,
                            mean, moment_report, stirling2, variance)
-from geomk.numerics import DomainError, PrecisionWarning, SolverError
+from geomk.numerics import (ConsistencyError, DomainError, PrecisionWarning,
+                            SolverError)
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine
 
@@ -193,6 +196,49 @@ class TestMomentReport:
         payload = moment_report(HALF2, 2).to_dict()
         assert payload["factorial"] == ["6", "52"]
         assert payload["mean"] == "6"
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(2, 50).flatmap(
+               lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+           st.integers(1, 8), st.integers(1, 12),
+           st.sampled_from([Engine.RECURRENCE, Engine.MUSELLI,
+                            Engine.CLOSED_FORM]))
+    def test_exact_conversions_are_the_fraction_sums(self, ab, k, r_max, engine):
+        report = moment_report(make_params(Fraction(*ab), k), r_max, engine)
+        raw, central = _fraction_conversions(report.factorial)
+        assert all(type(v) is Fraction for v in report.raw + report.central)
+        assert report.raw == raw
+        assert report.central == central
+
+    def test_exact_conversions_at_r_max_40(self):
+        params = make_params(Fraction(37, 100), 8)
+        report = moment_report(params, 40)
+        assert (report.raw, report.central) == _fraction_conversions(report.factorial)
+        assert report.raw[0] == report.mean == mean(params)
+        assert report.central[0] == report.variance == variance(params)
+
+    def test_factorial_moment_off_the_common_denominator_raises(self, monkeypatch):
+        # mu_(r) D^(r+1) is an integer for D = c a^k (here 1 * 1^2 = 1 over
+        # b = 2); a value with a factor 3 in its denominator is not.
+        true = moments_mod.factorial_moment
+        monkeypatch.setattr(moments_mod, "factorial_moment",
+                            lambda *args: true(*args) + Fraction(1, 3))
+        with pytest.raises(ConsistencyError, match="r=1"):
+            moment_report(HALF2, 3)
+
+
+def _fraction_conversions(factorial):
+    """(raw, central) from factorial moments by Fraction-by-Fraction
+    Stirling and binomial sums."""
+    r_max = len(factorial)
+    raw = [sum(stirling2(m, j) * factorial[j - 1] for j in range(1, m + 1))
+           for m in range(1, r_max + 1)]
+    moments = [Fraction(1)] + raw
+    mu = factorial[0]
+    central = [sum(math.comb(m, i) * moments[i] * (-mu) ** (m - i)
+                   for i in range(m + 1))
+               for m in range(2, r_max + 1)]
+    return tuple(raw), tuple(central)
 
 
 class TestSeriesOracle:

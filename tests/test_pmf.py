@@ -280,6 +280,20 @@ class TestPgf:
         with pytest.raises(ModeError):
             pgf_eval(HALF2, 0.5)
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(2, 50).flatmap(
+               lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+           st.integers(1, 40),
+           st.integers(1, 20).flatmap(
+               lambda v: st.tuples(st.integers(-v, v), st.just(v))))
+    def test_exact_value_is_the_fraction_formula(self, ab, k, uv):
+        params = make_params(Fraction(*ab), k)
+        p, q, s = params.p, params.q, Fraction(*uv)
+        expected = p ** k * s ** k * (1 - p * s) / (1 - s + q * p ** k * s ** (k + 1))
+        value = pgf_eval(params, s)
+        assert type(value) is Fraction
+        assert value == expected
+
 
 class TestBuildTable:
     def test_golden_exact_table(self):
