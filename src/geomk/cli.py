@@ -262,7 +262,13 @@ def cmd_pmf(args):
 def cmd_table(args):
     params = _params_from(args)
     engine = _engine_from(args, params.mode)
-    table = build_table(params, engine, args.n_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PrecisionWarning)
+        table = build_table(params, engine, args.n_max)
+    # an alternating sum warns at most once per entry
+    degraded = sum(issubclass(w.category, PrecisionWarning) for w in caught)
+    note = (f"note: precision degraded at {degraded} of {table.n_max + 1} "
+            f"entries (heavy cancellation in this formula at these arguments)")
 
     def rows():
         yield "n", "f", "cumulative"
@@ -275,8 +281,12 @@ def cmd_table(args):
             yield f"  n={n:<5d} f={f:<24} cumulative={c}"
         if table.tail_bound is not None:
             yield f"  tail bound beyond n_max: {table.tail_bound!r}"
+        if degraded:
+            yield note
 
     _write(args, table.to_dict, rows(), lines())
+    if degraded and args.format != "text":
+        print(note, file=sys.stderr)
     return 0
 
 

@@ -6,7 +6,10 @@ The central identity: the r-th factorial moment of the waiting time equals
 
 a single pmf evaluation.  Two further routes expand that pmf value as finite
 binomial sums (one needing the extended binomial conventions, one
-vanishing-free); all three must agree bit-exactly on rationals.
+vanishing-free); all three must agree bit-exactly on rationals.  Since the
+n_r = (r+1)k + r ascend with r, every route draws all the r it needs from
+one pass of its engine (_factorial_moments over pmf._engine_values): one
+kernel walk for the pmf route, one term-generator run for each sum.
 
 An independent truncated-series oracle sums n(n-1)...(n-r+1) f(n) directly
 from the recurrence, with the truncation point chosen from the spectral
@@ -33,21 +36,42 @@ from . import roots as roots_mod
 from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
                        Scalar, SolverError, falling_factorial)
 from .params import Params, as_float_params, qpk
-from .pmf import (Engine, _closedform_values, _float_pmf, _json_scalar,
-                  _muselli_values, _over_power, _scaled_pmf, _scaled_pq)
-from .pmf import pmf as pmf_eval
+from .pmf import (Engine, _engine_values, _float_pmf, _json_scalar,
+                  _over_power, _scaled_pmf, _scaled_pq)
 
 logger = logging.getLogger(__name__)
 
 
+def _factorial_moments(params: Params, rs, engine: Engine,
+                       label: Optional[str] = None):
+    """mu_(r) for each r of the ascending rs, from one _engine_values pass
+    over the ascending n_r = (r+1)k + r.
+
+    label names the route in a PrecisionWarning, as label(r=..., params);
+    None keeps the engine's own pmf label.  The result is a map over the
+    engine's generator, so no frame of this module sits between the term
+    generator and the function that draws from the map, and a warning
+    points at that function's caller.
+    """
+    k, base = params.k, qpk(params)
+
+    def moment(r, f):
+        power = base ** (r + 1)
+        if power == 0:
+            raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
+                              f"underflows the float range; use exact mode")
+        return math.factorial(r) * f / power
+
+    named = label and (lambda n: f"{label}(r={(n - k) // (k + 1)}, {params})")
+    return map(moment, rs,
+               _engine_values(params, engine, [(r + 1) * k + r for r in rs], named))
+
+
 def factorial_moment(params: Params, r: int,
-                     engine: Engine = Engine.RECURRENCE,
-                     root_set=None) -> Scalar:
+                     engine: Engine = Engine.RECURRENCE) -> Scalar:
     """mu_(r) = r! f((r+1)k + r) / (q p^k)^{r+1} via the chosen pmf engine."""
     _check_r(r)
-    n = (r + 1) * params.k + r
-    f = pmf_eval(params, n, engine, root_set)
-    return math.factorial(r) * f / _qpk_power(params, r)
+    return next(_factorial_moments(params, (r,), engine))
 
 
 def factorial_moment_muselli(params: Params, r: int) -> Scalar:
@@ -58,28 +82,15 @@ def factorial_moment_muselli(params: Params, r: int) -> Scalar:
     Terms are evaluated exactly in both modes (see pmf._finish_sum).
     """
     _check_r(r)
-    total = next(_muselli_values(
-        params, ((r + 1) * params.k + r,),
-        lambda n: f"factorial_moment_muselli(r={r}, {params})"))
-    return math.factorial(r) * total / _qpk_power(params, r)
+    return next(_factorial_moments(params, (r,), Engine.MUSELLI,
+                                   "factorial_moment_muselli"))
 
 
 def factorial_moment_closed(params: Params, r: int) -> Scalar:
     """mu_(r) from the vanishing-free pmf form, upper limits r+1 and r."""
     _check_r(r)
-    total = next(_closedform_values(
-        params, ((r + 1) * params.k + r,),
-        lambda n: f"factorial_moment_closed(r={r}, {params})"))
-    return math.factorial(r) * total / _qpk_power(params, r)
-
-
-def _qpk_power(params: Params, r: int) -> Scalar:
-    """(q p^k)^{r+1}, the divisor of every factorial-moment route."""
-    power = qpk(params) ** (r + 1)
-    if power == 0:
-        raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
-                          f"underflows the float range; use exact mode")
-    return power
+    return next(_factorial_moments(params, (r,), Engine.CLOSED_FORM,
+                                   "factorial_moment_closed"))
 
 
 def mean(params: Params) -> Scalar:
@@ -160,20 +171,20 @@ def moment_report(params: Params, r_max: int,
                   engine: Engine = Engine.RECURRENCE) -> MomentReport:
     """Factorial moments for r = 1..r_max plus raw/central conversions.
 
-    Raw moments use E[N^m] = sum_j S(m, j) mu_(j) with exact integer
-    Stirling numbers; central moments expand binomially around the mean.
-    Exact mode evaluates both sums on integers (_exact_conversions).
+    All r come from one pass of the engine, drawn one r at a time so that
+    each precision flag records the warnings of its own r.  Raw moments use
+    E[N^m] = sum_j S(m, j) mu_(j) with exact integer Stirling numbers;
+    central moments expand binomially around the mean.  Exact mode
+    evaluates both sums on integers (_exact_conversions).
     """
     _check_r(r_max)
-    root_set = None
-    if engine is Engine.ROOT_SUM:
-        root_set = roots_mod.find_roots(params)
+    values = _factorial_moments(params, range(1, r_max + 1), engine)
     factorial = []
     flags = []
-    for r in range(1, r_max + 1):
+    for _ in range(r_max):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", PrecisionWarning)
-            value = factorial_moment(params, r, engine, root_set)
+            value = next(values)
         factorial.append(value)
         flags.append(any(issubclass(w.category, PrecisionWarning) for w in caught))
     for r, value in enumerate(factorial, start=1):

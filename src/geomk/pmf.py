@@ -14,6 +14,9 @@ Four independent engines share the contract (params, n) -> probability:
 * rootsum     -- spectral form over the characteristic roots (float only).
 
 Every engine returns 0 for n = 0 so tables can be built over n = 0..n_max.
+_engine_values is the one map from an Engine to its evaluation: f(n) for
+every n of an ascending list in one pass of the engine.  pmf, the tables
+and the factorial moments (one pmf value each) all draw from it.
 
 Exact arithmetic runs on scaled integers.  Writing p = a/b and q = c/b over
 one denominator, f(n) = g(n) / b^n where g obeys an integer recurrence
@@ -190,16 +193,34 @@ def _finish_sum(params: Params, plus: int, minus: int, scale: int, label,
     return result
 
 
+def _recurrence_values(params: Params, ns):
+    """Yield the recurrence's f(n) for each n of the ascending ns, from one
+    walk of the kernel (_scaled_pmf exact, _float_pmf float).
+
+    A sparse ns pays for each b^n it reduces by; a dense one is
+    recurrence_series, which builds the powers of b incrementally.
+    """
+    k = params.k
+    exact = params.mode is Mode.EXACT
+    if exact:
+        a, c, b = _scaled_pq(params)
+        walk = _scaled_pmf(a, c, k)
+    else:
+        walk = _float_pmf(params)
+    reached, value = k - 1, None        # the last n drawn from walk
+    for n in ns:
+        if n < k:
+            yield _zero(params)
+            continue
+        if n > reached:
+            value, reached = _nth(walk, n - reached - 1), n
+        yield _over_power(value, b ** n, b) if exact else value
+
+
 def pmf_recurrence(params: Params, n: int) -> Scalar:
     """Reference engine: forward iteration with a k-value sliding window."""
     _check_n(n)
-    k = params.k
-    if n < k:
-        return _zero(params)
-    if params.mode is Mode.EXACT:
-        a, c, b = _scaled_pq(params)
-        return _over_power(_nth(_scaled_pmf(a, c, k), n - k), b ** n, b)
-    return _nth(_float_pmf(params), n - k)
+    return next(_recurrence_values(params, (n,)))
 
 
 def recurrence_series(params: Params, n_max: int) -> list:
@@ -325,11 +346,6 @@ def _closedform_values(params: Params, ns, label=None):
         yield _finish_sum(params, plus, minus, b ** n, label, n)
 
 
-# The term generator of each alternating formula, by engine.
-_ALTERNATING_SUMS = {Engine.MUSELLI: _muselli_values,
-                     Engine.CLOSED_FORM: _closedform_values}
-
-
 def pmf_muselli(params: Params, n: int) -> Scalar:
     """Muselli's alternating sum over m = 1..floor((n+1)/(k+1)).
 
@@ -349,8 +365,6 @@ def pmf_closedform(params: Params, n: int) -> Scalar:
     binomial arguments all satisfy 0 <= j <= i (checked).
     """
     _check_n(n)
-    if n <= 2 * params.k:
-        return _closedform_head(params, n)
     return next(_closedform_values(params, (n,)))
 
 
@@ -431,23 +445,34 @@ def pgf_eval(params: Params, s: Scalar) -> Scalar:
     return Fraction(num, den) if exact else num / den
 
 
-def pmf(params: Params, n: int, engine: Engine = Engine.RECURRENCE,
-        root_set: Optional[RootSet] = None) -> Scalar:
-    """Evaluate f(n) with the chosen engine (root set built on demand)."""
+def _engine_values(params: Params, engine: Engine, ns, label=None):
+    """f(n) for each n of the ascending ns, from one pass of the engine: the
+    one place that maps an Engine to its evaluation.
+
+    The recurrence is one kernel walk, each alternating formula one run of
+    its term generator (label as there), and rootsum one root solve and one
+    _rootsum_values loop.  The iterator is the engine's own generator, with
+    no frame of this function between it and the caller, so a cancellation
+    warning still points past the function that draws from it.
+    """
     if engine is Engine.RECURRENCE:
-        return pmf_recurrence(params, n)
+        return _recurrence_values(params, ns)
     if engine is Engine.MUSELLI:
-        return pmf_muselli(params, n)
+        return _muselli_values(params, ns, label)
     if engine is Engine.CLOSED_FORM:
-        return pmf_closedform(params, n)
+        return _closedform_values(params, ns, label)
     if engine is Engine.ROOT_SUM:
         if params.mode is not Mode.FLOAT:
             raise ModeError("the rootsum engine is float-only; "
                             "use recurrence, muselli or closedform in exact mode")
-        if root_set is None:
-            root_set = roots_mod.find_roots(params)
-        return pmf_rootsum(params, root_set, n)
+        return _rootsum_values(params, roots_mod.find_roots(params), ns)
     raise DomainError(f"unknown engine {engine!r}")
+
+
+def pmf(params: Params, n: int, engine: Engine = Engine.RECURRENCE) -> Scalar:
+    """Evaluate f(n) with the chosen engine (rootsum solves its roots)."""
+    _check_n(n)
+    return next(_engine_values(params, engine, (n,)))
 
 
 @dataclass(frozen=True)
@@ -598,14 +623,13 @@ def _tail_mass(params: Params, f_far: Scalar) -> Scalar:
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
-    The rootsum engine solves the roots once and evaluates every entry in
-    one pass of _rootsum_values (one root-set check, one set of weights),
-    and each alternating sum in one pass of its term generator; the entries
-    are the values the single-point engines give.  In float mode the table
-    also carries the mass beyond n_max, P(N > n_max) = f(n_max + k + 1) /
-    (q p^k) (_tail_mass): a recurrence table walks k + 1 values further,
-    and every other engine takes f(n_max + k + 1) from one float
-    recurrence walk.
+    Every engine but the recurrence fills the entries in one pass of
+    _engine_values, so they are the values pmf gives; the recurrence table
+    is recurrence_series, plus a second kernel run for the exact cumulative
+    column.  In float mode the table also carries the mass beyond n_max,
+    P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a recurrence
+    table walks k + 1 values further, and every other engine takes
+    f(n_max + k + 1) from one float recurrence walk.
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
@@ -614,15 +638,8 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
         # a float table walks on to f(n_max + k + 1), for its tail mass
         walk = recurrence_series(params, n_max + (params.k + 1 if floating else 0))
         entries, far = walk[:n_max + 1], walk[-1]
-    elif engine is Engine.ROOT_SUM:
-        if not floating:
-            raise ModeError("the rootsum engine is float-only")
-        root_set = roots_mod.find_roots(params)
-        entries = list(_rootsum_values(params, root_set, range(n_max + 1)))
-    elif engine in _ALTERNATING_SUMS:
-        entries = list(_ALTERNATING_SUMS[engine](params, range(n_max + 1)))
     else:
-        raise DomainError(f"unknown engine {engine!r}")
+        entries = list(_engine_values(params, engine, range(n_max + 1)))
 
     if engine is Engine.RECURRENCE and not floating:
         # The cumulative C(n) = F(n) b^n is an integer too, with

@@ -3,6 +3,12 @@
 These are the checks behind the `verify` CLI subcommand.  Each returns a
 CheckResult with the worst deviation seen, so a failure pinpoints the
 (p, k, n or r) cell that broke.
+
+The routes under test are tables of one-pass functions: _ENGINES maps an
+alternating-sum engine to its pmf values over all n of a cell, and
+_MOMENT_ROUTES a moment route to its mu_(r) over all r of a cell, each
+through the library's one engine dispatch (pmf._engine_values).  A new
+route is one more entry.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from . import roots as roots_mod
 from .numerics import DomainError, Mode, PrecisionWarning, Scalar
 from .params import Params, make_params
 # pmf_muselli stays importable from here: perfbench's tracer rebinds it.
-from .pmf import (_ALTERNATING_SUMS, _float_pmf, _over_power,  # noqa: F401
+from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
                   _rootsum_values, _scaled_pmf, _scaled_pq, _tail_mass,
                   pgf_eval, pmf_muselli, recurrence_series)
 
@@ -68,8 +74,24 @@ def _grid_params(p_values, k_max, mode: Mode):
             yield make_params(p if mode is Mode.EXACT else float(p), k)
 
 
-# name -> term generator of each alternating-sum engine
-_ENGINES = {engine.value: values for engine, values in _ALTERNATING_SUMS.items()}
+def _pmf_route(engine):
+    return lambda params, ns: _engine_values(params, engine, ns)
+
+
+def _moment_route(engine, label=None):
+    return lambda params, rs: moments_mod._factorial_moments(params, rs, engine,
+                                                             label)
+
+
+# name -> (params, ns) -> f(n) for n in ns, one pass of each alternating sum
+_ENGINES = {engine.value: _pmf_route(engine)
+            for engine in (Engine.MUSELLI, Engine.CLOSED_FORM)}
+# name -> (params, rs) -> mu_(r) for r in rs, one pass of each moment route
+_MOMENT_ROUTES = {
+    "muselli_sum": _moment_route(Engine.MUSELLI, "factorial_moment_muselli"),
+    "closed_sum": _moment_route(Engine.CLOSED_FORM, "factorial_moment_closed"),
+}
+_via_pmf = _moment_route(Engine.RECURRENCE)
 
 
 def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
@@ -127,17 +149,17 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int,
 
 def check_moment_routes(p_values, k_max: int, r_max: int,
                         mode: Mode) -> CheckResult:
-    """Three-route factorial-moment agreement on the (p, k, r) grid."""
+    """Three-route factorial-moment agreement on the (p, k, r) grid: per
+    cell, one pass of the pmf route and one of each _MOMENT_ROUTES sum."""
     result = CheckResult("moment_routes", True, 0)
+    rs = range(1, r_max + 1)
     for params in _grid_params(p_values, k_max, mode):
-        for r in range(1, r_max + 1):
-            via_pmf = moments_mod.factorial_moment(params, r)
-            routes = {
-                "muselli_sum": moments_mod.factorial_moment_muselli(params, r),
-                "closed_sum": moments_mod.factorial_moment_closed(params, r),
-            }
-            for name, value in routes.items():
-                equal, dev = _compare(value, via_pmf, mode is Mode.EXACT)
+        reference = list(_via_pmf(params, rs))
+        routes = [(name, list(route(params, rs)))
+                  for name, route in _MOMENT_ROUTES.items()]
+        for r, via_pmf in zip(rs, reference):
+            for name, values in routes:
+                equal, dev = _compare(values[r - 1], via_pmf, mode is Mode.EXACT)
                 rel = dev / float(abs(via_pmf))
                 result.cases += 1
                 ok = equal if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
@@ -152,8 +174,7 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
     """Closed-form mean/variance against the factorial-moment chain."""
     result = CheckResult("mean_variance", True, 0)
     for params in _grid_params(p_values, k_max, mode):
-        mu1 = moments_mod.factorial_moment(params, 1)
-        mu2 = moments_mod.factorial_moment(params, 2)
+        mu1, mu2 = _via_pmf(params, (1, 2))
         mu = moments_mod.mean(params)
         var = moments_mod.variance(params)
         chain = mu2 - mu1 * mu1 + mu1
@@ -201,6 +222,7 @@ def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
         s = Fraction(s)
         (u, v), (a, c, b) = s.as_integer_ratio(), _scaled_pq(params)
         walk = _scaled_pmf(a, c, k)     # g(i) = f(i) b^i for i = k, k+1, ...
+        qpk_den = c * a ** k            # q p^k = c a^k / b^(k+1)
     else:
         walk = _float_pmf(params)
     values = []                         # f(k), f(k+1), ... as walk yields them
@@ -209,8 +231,8 @@ def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
         values.extend(islice(walk, n + 2 - len(values)))   # to f(n+k+1)
         if not exact:
             return abs(s) ** (n + 1) * _tail_mass(params, values[n + 1])
-        tail = _tail_mass(params, _over_power(values[n + 1], b ** (n + k + 1), b))
-        return abs(u) ** (n + 1) * tail.numerator / (v ** (n + 1) * tail.denominator)
+        # |s|^(n+1) f(n+k+1) / (q p^k) over the kernel's integers
+        return abs(u) ** (n + 1) * values[n + 1] / (v ** (n + 1) * b ** n * qpk_den)
 
     n = max(k + 1, 8)
     while (bound := bound_at(n)) > bound_tol:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import warnings
 from fractions import Fraction
 from importlib import resources
 from unittest import mock
@@ -22,7 +23,7 @@ from geomk import roots as roots_mod
 from geomk import simulate as sim_mod
 from geomk import verify as verify_mod
 from geomk.cli import build_parser, main
-from geomk.numerics import Mode
+from geomk.numerics import Mode, PrecisionWarning
 from geomk.params import make_params
 from geomk.pmf import Engine, build_table
 from geomk.schema import SCHEMA_NAMES, load_schema
@@ -128,6 +129,45 @@ class TestTableCommand:
                                capsys=capsys)
         assert code == 2
         assert "n_max" in err
+
+    # the vanishing-free sum cancels heavily at p = 0.75, k = 2 from n = 25 on
+    DEGRADED = ("table", "--p", "0.75", "--k", "2", "--n-max", "400",
+                "--mode", "float", "--engine", "closedform")
+    NOTE = ("note: precision degraded at 376 of 401 entries (heavy "
+            "cancellation in this formula at these arguments)\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_degraded_entries_are_one_stderr_note(self, fmt, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)   # none may leak
+            code, out, err = run_cli(*self.DEGRADED, "--format", fmt,
+                                     capsys=capsys)
+        assert (code, err) == (0, self.NOTE)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", PrecisionWarning)
+            table = build_table(make_params(0.75, 2), Engine.CLOSED_FORM, 400)
+        if fmt == "json":
+            assert out == json.dumps(table.to_dict(), indent=2) + "\n"
+        else:
+            assert out == "".join(f"{n},{f},{c}\n" for n, f, c in
+                                  [("n", "f", "cumulative"), *table.text_rows()])
+
+    def test_degraded_entries_end_the_text(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", PrecisionWarning)
+            code, out, err = run_cli(*self.DEGRADED, capsys=capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert lines[-1] == self.NOTE
+        assert lines[-2].startswith("  tail bound beyond n_max: ")
+        assert "note:" not in "".join(lines[:-1])
+
+    def test_clean_table_has_no_note(self, capsys):
+        code, out, err = run_cli("table", "--p", "0.5", "--k", "2", "--n-max",
+                                 "20", "--mode", "float", "--engine", "muselli",
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        assert "note:" not in out
 
 
 class TestMomentsCommand:

@@ -1,19 +1,25 @@
+import importlib
 import math
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomk import moments as moments_mod
 from geomk.moments import (factorial_moment, factorial_moment_closed,
                            factorial_moment_muselli, factorial_moment_series,
                            mean, moment_report, stirling2, variance)
-from geomk.numerics import (ConsistencyError, DomainError, PrecisionWarning,
-                            SolverError)
+from geomk.numerics import (ConsistencyError, DomainError, GeomkError,
+                            PrecisionWarning, SolverError)
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine
+from geomk.roots import find_roots
+
+# the module, not the package's pmf function of the same name
+pmf_mod = importlib.import_module("geomk.pmf")
 
 HALF2 = make_params(Fraction(1, 2), 2)
 HALF1 = make_params(Fraction(1, 2), 1)
@@ -220,11 +226,60 @@ class TestMomentReport:
     def test_factorial_moment_off_the_common_denominator_raises(self, monkeypatch):
         # mu_(r) D^(r+1) is an integer for D = c a^k (here 1 * 1^2 = 1 over
         # b = 2); a value with a factor 3 in its denominator is not.
-        true = moments_mod.factorial_moment
-        monkeypatch.setattr(moments_mod, "factorial_moment",
-                            lambda *args: true(*args) + Fraction(1, 3))
+        true = moments_mod._factorial_moments
+        monkeypatch.setattr(moments_mod, "_factorial_moments",
+                            lambda *args: map(Fraction(1, 3).__add__, true(*args)))
         with pytest.raises(ConsistencyError, match="r=1"):
             moment_report(HALF2, 3)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(2, 50).flatmap(
+               lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+           st.integers(1, 8), st.integers(1, 12), st.booleans(),
+           st.sampled_from(list(Engine)))
+    @example((3, 4), 2, 12, False, Engine.MUSELLI)    # degraded from r = 8 on
+    def test_report_is_the_per_r_loop(self, ab, k, r_max, exact, engine):
+        # one pass over every r gives each r's value and warning flag
+        params = make_params(Fraction(*ab) if exact else ab[0] / ab[1], k)
+        if engine is Engine.ROOT_SUM:
+            assume(not exact)
+            try:
+                find_roots(params)
+            except SolverError:
+                assume(False)
+        expected, flags = [], []
+        try:
+            for r in range(1, r_max + 1):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", PrecisionWarning)
+                    expected.append(factorial_moment(params, r, engine))
+                flags.append(any(issubclass(w.category, PrecisionWarning)
+                                 for w in caught))
+        except GeomkError as exc:
+            with pytest.raises(type(exc)):
+                moment_report(params, r_max, engine)
+            return
+        if not all(value > 0 for value in expected):
+            with pytest.raises(ConsistencyError):
+                moment_report(params, r_max, engine)
+            return
+        report = moment_report(params, r_max, engine)
+        assert [repr(v) for v in report.factorial] == [repr(v) for v in expected]
+        assert report.precision_flags == tuple(flags)
+
+    def test_exact_report_walks_the_kernel_once(self, monkeypatch):
+        walks = []
+        kernel = pmf_mod._scaled_pmf
+
+        def counting(*args):
+            walks.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(pmf_mod, "_scaled_pmf", counting)
+        params = make_params(Fraction(37, 100), 8)
+        report = moment_report(params, 40)
+        assert len(walks) == 1
+        assert report.factorial[-1] == factorial_moment(params, 40)
 
 
 def _fraction_conversions(factorial):

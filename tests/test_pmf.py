@@ -388,6 +388,20 @@ def test_engine_dispatch_covers_all_variants():
         assert value == pytest.approx(0.09375, abs=1e-10)
 
 
+@pytest.mark.filterwarnings("ignore::geomk.numerics.PrecisionWarning")
+@pytest.mark.parametrize("p", [Fraction(2, 7), Fraction(3, 4), 2 / 7, 0.75])
+@pytest.mark.parametrize("k", [1, 3])
+def test_pmf_is_the_table_entry_for_every_engine(p, k):
+    # a lone value and a table both come from one engine pass
+    params = make_params(p, k)
+    for engine in Engine:
+        if engine is Engine.ROOT_SUM and params.mode is Mode.EXACT:
+            continue
+        table = build_table(params, engine, 40)
+        assert ([repr(pmf(params, n, engine)) for n in range(41)]
+                == [repr(f) for f in table.entries]), engine
+
+
 def test_normalization_series_sums_to_one():
     # total mass over a long horizon approaches 1 from below
     params = make_params(Fraction(1, 2), 2)

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomk import moments as moments_mod
 from geomk import roots as roots_mod
 from geomk.numerics import DomainError, Mode
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine, build_table, pgf_eval, recurrence_series
-from geomk.verify import (check_mean_variance, check_pgf_identity,
-                          check_rootsum_pmf, pgf_series_gap, run_verify)
+from geomk.verify import (check_mean_variance, check_moment_routes,
+                          check_pgf_identity, check_rootsum_pmf,
+                          pgf_series_gap, run_verify)
 
 
 def test_small_exact_sweep_passes():
@@ -142,6 +144,34 @@ def test_pgf_gap_past_the_double_range():
     gap, bound, n = pgf_series_gap(params, Fraction(9, 10))
     assert n == 1101
     assert 0 <= gap <= bound <= 1e-12
+
+
+@pytest.mark.parametrize("p,k,s", [(Fraction(1, 3), 1, Fraction(1, 10)),
+                                   (Fraction(2, 5), 3, Fraction(-1, 2)),
+                                   (Fraction(37, 100), 4, Fraction(9, 10)),
+                                   (Fraction(7, 8), 2, Fraction(1, 2))])
+def test_exact_pgf_bound_is_the_rounded_tail_bound(p, k, s):
+    # |s|^(n+1) f(n+k+1) / (q p^k), rounded once from the kernel's integers
+    params = make_params(p, k)
+    _, bound, n = pgf_series_gap(params, s)
+    f_far = recurrence_series(params, n + k + 1)[-1]
+    assert bound == float(abs(s) ** (n + 1) * f_far / qpk(params))
+
+
+def test_moment_routes_make_one_pass_per_route_per_cell(monkeypatch):
+    passes = Counter()
+    route = moments_mod._factorial_moments
+
+    def counting(params, rs, engine, label=None):
+        passes[engine] += 1
+        return route(params, rs, engine, label)
+
+    monkeypatch.setattr(moments_mod, "_factorial_moments", counting)
+    result = check_moment_routes([Fraction(1, 3), Fraction(3, 4)], 3, 6,
+                                 Mode.EXACT)
+    assert result.passed and result.cases == 2 * 3 * 6 * 2
+    assert passes == {Engine.RECURRENCE: 6, Engine.MUSELLI: 6,
+                      Engine.CLOSED_FORM: 6}
 
 
 def test_pgf_check_and_tables_solve_no_roots(monkeypatch):
