@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from typing import Optional
 
 from . import roots as roots_mod
@@ -380,13 +380,14 @@ def _rootsum_values(params: Params, root_set: RootSet, ns):
     if roots_mod._identity_residual(principal, params) > 1e-10:
         raise ConsistencyError(
             f"root set does not belong to {params} (principal residual too large)")
-    pairs = list(zip(roots_mod.spectral_coefficients(params, root_set),
-                     root_set.roots))
+    weights = roots_mod.spectral_coefficients(params, root_set)
     for n in ns:
         if n < k:
             yield 0.0
             continue
-        acc = sum([c * z ** (n - k) for c, z in pairs])
+        # sum of c_j * lambda_j ** (n - k), in root order
+        acc = sum(map(operator.mul, weights,
+                      map(pow, root_set.roots, repeat(n - k))))
         if abs(acc.imag) > IMAG_RESIDUE_TOL:
             raise ConsistencyError(
                 f"imaginary residue {acc.imag:.3e} exceeds {IMAG_RESIDUE_TOL} "
@@ -475,13 +476,19 @@ def pmf(params: Params, n: int, engine: Engine = Engine.RECURRENCE) -> Scalar:
     return next(_engine_values(params, engine, (n,)))
 
 
+ENTRY_KEYS = ("n", "f", "cumulative")     # the fields of one table row
+
+
 @dataclass(frozen=True)
 class PmfTable:
     """f(0..n_max) with running cumulative sums, and their text.
 
     entries and cumulative are reduced Fractions in exact mode and floats in
-    float mode.  text_rows is the one text form of the table: to_dict (in
-    exact mode), the CLI's CSV rows and its text lines all read it.
+    float mode.  text_rows is the one text form of an exact table: to_dict,
+    the CLI's CSV rows and its text lines all read it.  A float table is
+    its two columns: to_dict builds its rows from them, and the CLI writes
+    every format from them directly (one template per row, no dict or text
+    per row), which is why they are kept as columns.
     """
     params: Params
     engine: Engine
@@ -494,8 +501,7 @@ class PmfTable:
         return len(self.entries) - 1
 
     def rows(self):
-        for n, (f, c) in enumerate(zip(self.entries, self.cumulative)):
-            yield n, f, c
+        return zip(range(len(self.entries)), self.entries, self.cumulative)
 
     def text_rows(self):
         """Yield (n, f_text, cumulative_text), each text as _render writes
@@ -510,11 +516,8 @@ class PmfTable:
             for n, f, c in self.rows():
                 yield n, _render(f), _render(c)
 
-    def to_dict(self):
-        if self.params.mode is Mode.EXACT:
-            rows = self.text_rows()
-        else:
-            rows = ((n, float(f), float(c)) for n, f, c in self.rows())
+    def summary(self):
+        """The fields of to_dict other than its entries, in its order."""
         return {
             "p": str(self.params.p),
             "k": self.params.k,
@@ -522,8 +525,15 @@ class PmfTable:
             "engine": self.engine.value,
             "n_max": self.n_max,
             "tail_bound": self.tail_bound,
-            "entries": [{"n": n, "f": f, "cumulative": c} for n, f, c in rows],
         }
+
+    def to_dict(self):
+        exact = self.params.mode is Mode.EXACT
+        rows = self.text_rows() if exact else self.rows()
+        # a literal per row (ENTRY_KEYS, in order) costs less than dict(zip())
+        return {**self.summary(),
+                "entries": [{"n": n, "f": f, "cumulative": c}
+                            for n, f, c in rows]}
 
 
 # Integer arithmetic on decimal.Decimal that can only be exact: any rounding
@@ -626,10 +636,12 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     Every engine but the recurrence fills the entries in one pass of
     _engine_values, so they are the values pmf gives; the recurrence table
     is recurrence_series, plus a second kernel run for the exact cumulative
-    column.  In float mode the table also carries the mass beyond n_max,
-    P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a recurrence
-    table walks k + 1 values further, and every other engine takes
-    f(n_max + k + 1) from one float recurrence walk.
+    column.  Every other cumulative column is one accumulate pass over the
+    entries.  A table that fails _validate_table (a nan entry included)
+    raises ConsistencyError.  In float mode the table also carries the mass
+    beyond n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a
+    recurrence table walks k + 1 values further, and every other engine
+    takes f(n_max + k + 1) from one float recurrence walk.
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
@@ -648,11 +660,8 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
         b, scaled = _scaled_series(params, n_max)
         cumulative = _unscaled(accumulate(scaled, lambda acc, g: acc * b + g), b)
     else:
-        cumulative = []
-        running = _zero(params)
-        for f in entries:
-            running = running + f
-            cumulative.append(running)
+        # 0 + f(0), then + f(1), ...: the additions of a running sum
+        cumulative = list(accumulate(entries, initial=_zero(params)))[1:]
     _validate_table(params, entries, cumulative)
 
     bound = None
@@ -665,14 +674,30 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
 
 
 def _validate_table(params, entries, cumulative):
-    slack = 0 if params.mode is Mode.EXACT else 1e-10
+    """Raise ConsistencyError unless every entry is a probability, those
+    below the support are 0, the total mass is at most 1 and f(k) = p^k
+    (within 1e-10 in float mode).
+
+    A float table is checked a column at a time: the entries by min, max
+    and the zeros below the support, and their finiteness by the last
+    running sum, which a nan or an infinity among them makes non-finite
+    (so no cumulative value is then finite either).  The values are walked
+    one by one only in exact mode, where min and max would compare
+    Fractions with each other, and when a column check fails, so that the
+    message names the first bad n.
+    """
+    exact = params.mode is Mode.EXACT
+    slack = 0 if exact else 1e-10
     k = params.k
-    for n, f in enumerate(entries):
-        if f < -slack or f > 1 + slack:
-            raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
-        if 1 <= n <= k - 1 and f != 0:
-            raise ConsistencyError(f"nonzero pmf below the support at n={n}: {f}")
-    if cumulative[-1] > 1 + slack:
+    if (exact or min(entries) < -slack or max(entries) > 1 + slack
+            or any(entries[1:k]) or not math.isfinite(cumulative[-1])):
+        for n, f in enumerate(entries):
+            if not -slack <= f <= 1 + slack:
+                raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
+            if 1 <= n <= k - 1 and f != 0:
+                raise ConsistencyError(
+                    f"nonzero pmf below the support at n={n}: {f}")
+    if not cumulative[-1] <= 1 + slack:
         raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
     expected_at_k = params.p ** k
     if len(entries) > k and abs(entries[k] - expected_at_k) > slack:

@@ -217,37 +217,50 @@ def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
     the gap and the bound are exact rationals, each rounded once by one
     int / int division, so an exact gap <= bound holds in floats too.
     """
+    return next(_pgf_series_gaps(params, (s,), bound_tol))
+
+
+def _pgf_series_gaps(params: Params, s_values, bound_tol: float = 1e-12):
+    """Yield pgf_series_gap(params, s, bound_tol) for each s of s_values,
+    all from one recurrence walk: each s reads the values the walk has
+    made and extends it only past them."""
     k, exact = params.k, params.mode is Mode.EXACT
     if exact:
-        s = Fraction(s)
-        (u, v), (a, c, b) = s.as_integer_ratio(), _scaled_pq(params)
+        a, c, b = _scaled_pq(params)
         walk = _scaled_pmf(a, c, k)     # g(i) = f(i) b^i for i = k, k+1, ...
         qpk_den = c * a ** k            # q p^k = c a^k / b^(k+1)
     else:
         walk = _float_pmf(params)
     values = []                         # f(k), f(k+1), ... as walk yields them
+    for s in s_values:
+        if exact:
+            s = Fraction(s)
+            u, v = s.as_integer_ratio()
 
-    def bound_at(n):
-        values.extend(islice(walk, n + 2 - len(values)))   # to f(n+k+1)
+        def bound_at(n):
+            if len(values) < n + 2:                     # to f(n+k+1)
+                values.extend(islice(walk, n + 2 - len(values)))
+            if not exact:
+                return abs(s) ** (n + 1) * _tail_mass(params, values[n + 1])
+            # |s|^(n+1) f(n+k+1) / (q p^k) over the kernel's integers
+            return (abs(u) ** (n + 1) * values[n + 1]
+                    / (v ** (n + 1) * b ** n * qpk_den))
+
+        n = max(k + 1, 8)
+        while (bound := bound_at(n)) > bound_tol:
+            n += max(8, n // 4)
+        head = values[:n - k + 1]       # f(k..n)
         if not exact:
-            return abs(s) ** (n + 1) * _tail_mass(params, values[n + 1])
-        # |s|^(n+1) f(n+k+1) / (q p^k) over the kernel's integers
-        return abs(u) ** (n + 1) * values[n + 1] / (v ** (n + 1) * b ** n * qpk_den)
-
-    n = max(k + 1, 8)
-    while (bound := bound_at(n)) > bound_tol:
-        n += max(8, n // 4)
-    head = values[:n - k + 1]           # f(k..n)
-    if not exact:
-        partial = sum(f * s ** i for i, f in enumerate(head, start=k))
-        return abs(pgf_eval(params, s) - partial), bound, n
-    # w^n sum_{i<=n} f(i) s^i for w = b v: Horner's rule over the terms
-    # g(i) u^i keeps it an integer
-    w, acc, u_power = b * v, 0, u ** k
-    for g in head:
-        acc, u_power = acc * w + g * u_power, u_power * u
-    num, den = pgf_eval(params, s).as_integer_ratio()
-    return abs(num * w ** n - acc * den) / (den * w ** n), bound, n
+            partial = sum(f * s ** i for i, f in enumerate(head, start=k))
+            yield abs(pgf_eval(params, s) - partial), bound, n
+            continue
+        # w^n sum_{i<=n} f(i) s^i for w = b v: Horner's rule over the terms
+        # g(i) u^i keeps it an integer
+        w, acc, u_power = b * v, 0, u ** k
+        for g in head:
+            acc, u_power = acc * w + g * u_power, u_power * u
+        num, den = pgf_eval(params, s).as_integer_ratio()
+        yield abs(num * w ** n - acc * den) / (den * w ** n), bound, n
 
 
 def check_pgf_identity(p_values, k_max: int, s_values,
@@ -255,10 +268,11 @@ def check_pgf_identity(p_values, k_max: int, s_values,
     """Truncated pmf series against the closed-form generating function."""
     result = CheckResult("pgf_identity", True, 0)
     slack = 0.0 if mode is Mode.EXACT else 1e-12
+    typed = [Fraction(s) if mode is Mode.EXACT else float(s) for s in s_values]
     for params in _grid_params(p_values, k_max, mode):
-        for s in s_values:
-            s_typed = Fraction(s) if mode is Mode.EXACT else float(s)
-            gap, bound, _ = pgf_series_gap(params, s_typed)
+        # one recurrence walk per cell serves every s
+        gaps = _pgf_series_gaps(params, typed)
+        for s, (gap, bound, _) in zip(s_values, gaps):
             result.cases += 1
             _track(result, gap <= bound + slack, gap,
                    lambda: {"p": str(params.p), "k": params.k, "s": str(s),

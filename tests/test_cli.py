@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import io
@@ -14,7 +15,7 @@ from unittest import mock
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomk import cli
@@ -23,7 +24,7 @@ from geomk import roots as roots_mod
 from geomk import simulate as sim_mod
 from geomk import verify as verify_mod
 from geomk.cli import build_parser, main
-from geomk.numerics import Mode, PrecisionWarning
+from geomk.numerics import Mode, PrecisionWarning, SolverError
 from geomk.params import make_params
 from geomk.pmf import Engine, build_table
 from geomk.schema import SCHEMA_NAMES, load_schema
@@ -544,6 +545,146 @@ def test_csv_writer_matches_csv_module(rows):
 ])
 def test_csv_writer_pins(row, expected):
     assert csv_written([row]) == csv_module_written([row]) == expected
+
+
+class FloatSub(float):
+    """A float whose repr is not float.__repr__, as numpy 2's float64 is."""
+
+    def __repr__(self):
+        return f"FloatSub({float.__repr__(self)})"
+
+
+# name -> (payload list, whether the template path may write it)
+NUMBER_ROWS = {
+    "ints and floats": ([{"n": 0, "f": 0.5}, {"n": 1, "f": 1e-300}], True),
+    "negative zero": ([{"n": 0, "f": -0.0}, {"n": 1, "f": 0.25}], True),
+    "int above 2^1024": ([{"n": 2 ** 1100, "f": 0.5}, {"n": -1, "f": 2.5}],
+                         True),
+    "one row": ([{"re": 0.5, "im": -0.0}], True),
+    "keys to escape": ([{'%r "é\n': 1.5, "a%%b": 2}], True),
+    "nan": ([{"n": 0, "f": 0.5}, {"n": 1, "f": math.nan}], False),
+    "inf": ([{"n": 0, "f": -math.inf}, {"n": 1, "f": 0.5}], False),
+    "bool": ([{"n": 0, "f": 0.5}, {"n": True, "f": 0.5}], False),
+    "int in a float column": ([{"f": 0.5}, {"f": 2 ** 1100}], False),
+    "str value": ([{"n": 0, "f": "1/2"}, {"n": 1, "f": 0.5}], False),
+    "None value": ([{"n": 0, "f": None}, {"n": 1, "f": 0.5}], False),
+    "float subclass": ([{"n": 0, "f": 0.5}, {"n": 1, "f": FloatSub(0.5)}],
+                       False),
+    "non-str keys": ([{1: 0.5, 2: 0.25}, {1: 0.5, 2: 0.25}], False),
+    "a non-str key later": ([{"1": 0.5}, {1: 0.5}], False),
+    "keys in another order": ([{"a": 0.5, "b": 0.25},
+                               {"b": 0.125, "a": 1.0}], False),
+    "other keys": ([{"n": 0, "f": 0.5}, {"n": 1, "g": 0.5}], False),
+    "missing key": ([{"n": 0, "f": 0.5}, {"n": 1}], False),
+    "empty list": ([], False),
+    "empty rows": ([{}, {}], False),
+    "nested row": ([{"n": 0, "f": [0.5]}, {"n": 1, "f": [0.25]}], False),
+    "non-dict item": ([{"n": 0, "f": 0.5}, [1, 0.5]], False),
+    "dict subclass": ([{"n": 0, "f": 0.5},
+                       collections.OrderedDict(n=1, f=0.5)], False),
+}
+
+
+@pytest.mark.parametrize("name", NUMBER_ROWS)
+def test_number_rows_fall_back_exactly_where_they_must(name):
+    rows, templated = NUMBER_ROWS[name]
+    assert (cli._number_rows(rows) is not None) is templated
+    for payload in (rows, {"entries": rows, "tail": None}):
+        assert json_written(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def write_rows(rows, fmt):
+    """What `_write` puts on stdout for the `_Rows` `rows` in `fmt`."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        cli._write(types.SimpleNamespace(out="-", format=fmt),
+                   lambda: {"entries": rows}, rows, ())
+    return stdout.getvalue()
+
+
+@pytest.mark.parametrize("columns", [
+    (range(3), (0.5, -0.0, 1e-300)),
+    (range(2), (math.nan, -math.inf)),
+    (range(2), (0.5, FloatSub(0.25))),
+    ((True, False), (0.5, 0.25)),
+    ((), ()),
+    (range(3), ("a,b", 'c"', None)),
+], ids=["floats", "non-finite", "float subclass", "bool", "no rows", "text"])
+def test_column_rows_write_as_their_dict_rows(columns):
+    rows = cli._Rows(("n", "f"), columns)
+    dicts = [dict(zip(rows.keys, row)) for row in zip(*columns)]
+    assert (write_rows(rows, "json")
+            == json.dumps({"entries": dicts}, indent=2) + "\n")
+    assert (write_rows(rows, "csv")
+            == csv_module_written([rows.keys, *zip(*columns)]))
+
+
+def test_templated_rows_are_streamed_in_blocks():
+    count = 5 * cli._BLOCK + 7
+    values = [1 / (n + 3) for n in range(count)]
+    rows = [{"n": n, "f": f} for n, f in enumerate(values)]
+    columns = cli._Rows(("n", "f"), (range(count), values))
+    expected = json.dumps({"entries": rows}, indent=2) + "\n"
+
+    class Writes(io.StringIO):
+        def write(self, text):
+            sizes.append(len(text))
+            return super().write(text)
+
+    for payload in ({"entries": rows}, {"entries": columns}):
+        sizes = []
+        assert json_written(payload, Writes()) == expected
+        assert max(sizes) < len(expected) / 4
+
+
+def cli_output(argv):
+    """(exit status, stdout, stderr) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        code = main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+# p as a user types it: dyadic (i/64 as a decimal) or three decimals
+FLOAT_TABLE_P = st.one_of(
+    st.integers(1, 63).map(lambda i: repr(i / 64)),
+    st.integers(1, 999).map(lambda i: f"{i / 1000:.3f}"))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(p=FLOAT_TABLE_P, k=st.integers(1, 12), n_max=st.integers(0, 300),
+       engine=st.sampled_from(Engine))
+def test_float_table_output_is_the_library_table(p, k, n_max, engine):
+    n_max = max(n_max, k)
+    params = make_params(float(p), k)
+    if engine is Engine.ROOT_SUM:
+        try:
+            roots_mod.find_roots(params)
+        except SolverError:
+            assume(False)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", PrecisionWarning)
+        table = build_table(params, engine, n_max)
+    note = ([f"note: precision degraded at {len(caught)} of {n_max + 1} "
+             f"entries (heavy cancellation in this formula at these "
+             f"arguments)"] if caught else [])
+    argv = ("table", "--p", p, "--k", str(k), "--n-max", str(n_max),
+            "--mode", "float", "--engine", engine.value, "--format")
+    stderr = "".join(f"{line}\n" for line in note)
+
+    assert cli_output(argv + ("json",)) == (
+        0, json.dumps(table.to_dict(), indent=2) + "\n", stderr)
+    assert cli_output(argv + ("csv",)) == (
+        0, csv_module_written([("n", "f", "cumulative"), *table.rows()]),
+        stderr)
+    lines = [f"pmf table for p={params.p}, k={k} "
+             f"(engine={engine.value}, mode=float)"]
+    lines += [f"  n={n:<5d} f={f!r:<24} cumulative={c!r}"
+              for n, f, c in table.rows()]
+    lines += [f"  tail bound beyond n_max: {table.tail_bound!r}", *note]
+    assert cli_output(argv + ("text",)) == (
+        0, "".join(f"{line}\n" for line in lines), "")
 
 
 def _roots_payload(params):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from geomk.pmf import (Engine, _closedform_values, _muselli_values,
                        pmf_rootsum, recurrence_series)
 from geomk.roots import RootSet, find_roots, spectral_coefficients
 
+pmf_mod = sys.modules["geomk.pmf"]    # the package's `pmf` is the function
 HALF2 = make_params(Fraction(1, 2), 2)
 ALL_SUM_ENGINES = [pmf_recurrence, pmf_muselli, pmf_closedform]
 
@@ -379,6 +381,72 @@ class TestBuildTable:
     def test_rootsum_table_needs_float(self):
         with pytest.raises(ModeError):
             build_table(HALF2, Engine.ROOT_SUM, 10)
+
+
+def _patched_muselli(monkeypatch, changes):
+    """Make the muselli engine yield changes[n] in place of f(n)."""
+    original = pmf_mod._muselli_values
+
+    def patched(params, ns, label=None):
+        for n, value in zip(ns, original(params, ns, label)):
+            yield changes.get(n, value)
+
+    monkeypatch.setattr(pmf_mod, "_muselli_values", patched)
+
+
+class TestTableValidation:
+    """A table whose engine went wrong raises ConsistencyError naming the
+    first bad n, whichever column check caught it."""
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan])
+    def test_nan_entry_raises(self, monkeypatch, bad):
+        _patched_muselli(monkeypatch, {4: bad})
+        with pytest.raises(ConsistencyError,
+                           match=r"^pmf value out of \[0,1\] at n=4: nan$"):
+            build_table(make_params(0.5, 2), Engine.MUSELLI, 30)
+
+    def test_nan_entry_exits_2_with_one_error_line(self, monkeypatch, capsys):
+        _patched_muselli(monkeypatch, {3: math.nan})
+        for fmt in ("json", "csv", "text"):
+            code = main(["table", "--p", "0.5", "--k", "2", "--n-max", "30",
+                         "--mode", "float", "--engine", "muselli",
+                         "--format", fmt])
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert err == "error: pmf value out of [0,1] at n=3: nan\n"
+
+    # (changes, message); the non-finite values exist in float mode only
+    FINITE = [
+        ({7: 1.5}, r"pmf value out of \[0,1\] at n=7: "),
+        ({7: -0.25}, r"pmf value out of \[0,1\] at n=7: "),
+        ({1: 0.125}, r"nonzero pmf below the support at n=1: "),
+        ({9: 0.75, 12: 0.75}, r"cumulative mass exceeds 1: "),
+        ({3: 0.0625}, r"pmf at n=k is (0.0625|1/16), expected p\^k = "),
+    ]
+    NON_FINITE = [
+        ({7: math.inf}, r"pmf value out of \[0,1\] at n=7: inf"),
+        ({7: -math.inf}, r"pmf value out of \[0,1\] at n=7: -inf"),
+        # the first bad n wins, whichever check it fails
+        ({1: 0.125, 5: math.nan}, r"nonzero pmf below the support at n=1"),
+        ({1: math.nan, 5: 2.0}, r"pmf value out of \[0,1\] at n=1: nan"),
+    ]
+
+    @pytest.mark.parametrize("p,changes,message",
+                             [(0.5, *case) for case in FINITE + NON_FINITE]
+                             + [(Fraction(1, 2), *case) for case in FINITE])
+    def test_messages_name_the_first_bad_n(self, monkeypatch, p, changes,
+                                           message):
+        params = make_params(p, 3)
+        if params.mode is Mode.EXACT:
+            changes = {n: Fraction(v) for n, v in changes.items()}
+        _patched_muselli(monkeypatch, changes)
+        with pytest.raises(ConsistencyError, match=message):
+            build_table(params, Engine.MUSELLI, 30)
+
+    def test_float_tiny_negative_entry_within_slack_passes(self, monkeypatch):
+        _patched_muselli(monkeypatch, {20: -1e-11})
+        table = build_table(make_params(0.5, 2), Engine.MUSELLI, 30)
+        assert table.entries[20] == -1e-11
 
 
 def test_engine_dispatch_covers_all_variants():

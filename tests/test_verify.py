@@ -11,8 +11,8 @@ from geomk.numerics import DomainError, Mode
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine, build_table, pgf_eval, recurrence_series
 from geomk.verify import (check_mean_variance, check_moment_routes,
-                          check_pgf_identity, check_rootsum_pmf,
-                          pgf_series_gap, run_verify)
+                          _pgf_series_gaps, check_pgf_identity,
+                          check_rootsum_pmf, pgf_series_gap, run_verify)
 
 
 def test_small_exact_sweep_passes():
@@ -93,6 +93,19 @@ def test_pgf_gap_within_bound():
     gap, bound, n_used = pgf_series_gap(params, Fraction(9, 10))
     assert 0 <= gap <= bound <= 1e-12
     assert n_used > 2
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 3), Fraction(9, 10), 0.37, 0.9])
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_one_walk_serves_every_s(p, k):
+    # s in any order, so a later s can need fewer values than an earlier one
+    params = make_params(p, k)
+    s_values = [Fraction(9, 10), Fraction(1, 10), Fraction(-7, 8),
+                Fraction(1, 2), Fraction(9, 10)]
+    if params.mode is Mode.FLOAT:
+        s_values = [float(s) for s in s_values]
+    assert list(_pgf_series_gaps(params, s_values)) == [
+        pgf_series_gap(params, s) for s in s_values]
 
 
 def _remainder(params, s, n):
