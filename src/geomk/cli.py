@@ -5,19 +5,17 @@ Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
 text; indented JSON is streamed in pieces with the bytes of
-`json.dumps(report, indent=2)`, and CSV has the bytes `csv.writer` writes
-in its default QUOTE_MINIMAL dialect with LF line ends, each record one
-`str.join` of its fields unless it is a row of plain numbers.
+`json.dumps(report, indent=2)`, and each CSV record is one `str.join` of
+its fields, with the bytes `csv.writer` writes in its default QUOTE_MINIMAL
+dialect with LF line ends.
 
-Rows of plain numbers skip the per-row machinery.  In JSON, a list of
-dicts that all have the same str keys in the same order, with every column
-all `int` or all finite `float` (exact types: no bool, no float subclass
-such as numpy's), and a `_Rows` of such columns (rows held as columns,
-which a float table passes so that no dict is built per row) are written
-through one %-template per row, in blocks of `_BLOCK` rows, `%r` giving
-each number the text json gives it.  In CSV a `_Rows` of `int` and `float`
-columns is written the same way.  Anything else, and every JSON list when
-the C encoder is missing, takes the general path.
+A float table's JSON rows skip the per-row machinery.  The table passes its
+columns as a `_Rows` (rows held as columns), so no dict is built per row,
+and when every column is all `int` or all finite `float` (exact types: no
+bool, no float subclass such as numpy's) they are written through one
+%-template per row, in blocks of `_BLOCK` rows, `%r` giving each number the
+text json gives it.  Any other `_Rows`, and every `_Rows` when the C encoder
+is missing, is written as its list of dicts on the general path.
 
 `main` builds the argparse parser once per process and reuses it, so
 in-process callers pay for it once.  Exit codes: 0 success, 1 a
@@ -53,23 +51,17 @@ from .pmf import pmf as pmf_eval
 
 ENGINE_CHOICES = [e.value for e in Engine]
 EXIT_BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports a killed writer
-# Rows per piece of templated output: large enough that the template and the
+# Rows per piece of templated JSON: large enough that the template and the
 # write calls cost little per row, small enough that no table is one string.
 _BLOCK = 256
-# One text line of a table, exact (texts) and float (floats, str = repr).
-_TABLE_LINE = "  n=%-5d f=%-24s cumulative=%s"
 
 
 @dataclass(frozen=True)
 class _Rows:
     """A list of flat rows held as columns: row i maps keys[j] to
-    columns[j][i].  JSON writes it as that list of dicts, and CSV as the
-    keys and then one record per row."""
+    columns[j][i], and JSON writes it as that list of dicts."""
     keys: tuple
     columns: tuple
-
-    def tuples(self):
-        return zip(*self.columns)
 
 
 @contextlib.contextmanager
@@ -89,30 +81,20 @@ def _write(args, payload, rows, lines):
     """Write one report to `args.out` in `args.format`.
 
     JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
-    `_json_chunks`; CSV is `rows`, header first, or a `_Rows`, whose
-    records are one %-template each when every column is all `int` or all
-    `float` (exact types); text is `lines`.  Every line ends in LF, and
-    only the requested form is built.
+    `_json_chunks`, where `payload()` may hold a `_Rows` in place of a list
+    of flat dicts (one %-template per row when its columns are exact
+    `int`s and finite `float`s); CSV is `rows`, header first; text is
+    `lines`.  Every line ends in LF, and only the requested form is built.
     """
     with _out_stream(args.out) as out:
         if args.format == "json":
             out.writelines(_json_chunks(payload()))
             out.write("\n")
         elif args.format == "csv":
-            out.writelines(_csv_chunks(rows))
+            out.writelines(map(_csv_line, rows))
         else:
             for line in lines:
                 out.write(f"{line}\n")
-
-
-def _csv_chunks(rows):
-    """The CSV text of `rows` (see `_write`) in pieces."""
-    if not isinstance(rows, _Rows):
-        return map(_csv_line, rows)
-    if not _plain_columns(rows.columns, finite=False):
-        return map(_csv_line, chain([rows.keys], rows.tuples()))
-    template = ",".join(["%r"] * len(rows.keys)) + "\n"
-    return chain([_csv_line(rows.keys)], _blocks(template, "", rows.columns))
 
 
 def _csv_line(row):
@@ -147,20 +129,18 @@ def _json_chunks(value, nl="\n"):
     """The text of `json.dumps(value, indent=2)` in pieces; `nl` is the
     newline and indent that the line holding `value` starts with.
 
-    Dicts and lists are walked here.  A list of number rows, or a `_Rows`,
-    that `_number_rows` accepts is written by `_json_rows`, one %-template
-    per row; any other flat row inside a list is one piece from the C
-    encoder (`_flat_row`), and a `_Rows` that does not qualify is written
-    as its list of dicts.  The report is never one string: an exact table
-    holds megabytes of digits.
+    Dicts and lists are walked here, and a flat row inside a list is one
+    piece from the C encoder (`_flat_row`).  A `_Rows` that `_templated`
+    accepts is written by `_json_rows`, one %-template per row, and any
+    other `_Rows` as its list of dicts.  The report is never one string:
+    an exact table holds megabytes of digits.
     """
-    if isinstance(value, (list, tuple, _Rows)):
-        rows = _number_rows(value)
-        if rows is not None:
-            yield from _json_rows(rows, nl)
+    if isinstance(value, _Rows):
+        if _templated(value):
+            yield from _json_rows(value, nl)
             return
-        if isinstance(value, _Rows):
-            value = [dict(zip(value.keys, row)) for row in value.tuples()]
+        value = [dict(zip(value.keys, row)) for row in zip(*value.columns)]
+    if isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
             return
@@ -190,52 +170,21 @@ def _json_chunks(value, nl="\n"):
         yield _encode_scalar(value)
 
 
-def _number_rows(value):
-    """`value`, a list or `_Rows`, as a `_Rows` that `_json_rows` writes
-    exactly as json does, or None.
+def _templated(rows):
+    """True when `_json_rows` writes the `_Rows` `rows` as json does.
 
-    It must hold at least one row of at least one key; a list must hold
-    only dicts (exact type) with the same str keys in the same order; and
-    every column must pass `_plain_columns` with finite floats.  Without
-    the C encoder every list takes the general path.
+    The C encoder must exist (without it json's own pure-Python path is
+    kept), there must be at least one key, and every column must be all
+    `int` or all finite `float`, exact types, so that an empty column is
+    neither.  A column's floats are finite when their sum is; a sum past
+    the double range only sends the rows the general way.
     """
-    if c_make_encoder is None:
-        return None
-    if not isinstance(value, _Rows):
-        value = _dict_rows(value)
-    if (value is None or not value.keys or not len(value.columns[0])
-            or not _plain_columns(value.columns, finite=True)):
-        return None
-    return value
-
-
-def _dict_rows(items):
-    """The dicts `items` as a `_Rows`, or None unless the first is a
-    non-empty dict of ints and floats and every item is a dict (exact type)
-    with its str keys in its order."""
-    first = items[0] if items else None
-    if (type(first) is not dict or not first
-            or not set(map(type, first.values())) <= {int, float}):
-        return None
-    keys = tuple(first)
-    if (any(type(item) is not dict or tuple(item) != keys for item in items)
-            or set(map(type, chain.from_iterable(items))) != {str}):
-        return None
-    return _Rows(keys, tuple(zip(*map(dict.values, items))))
-
-
-def _plain_columns(columns, finite):
-    """True when every column is all `int` or all `float`, exact types, and
-    with `finite` every float is finite: then `%r` writes each value as
-    json and `str` do.
-
-    A column's floats are finite when their sum is; a sum past the double
-    range only sends the rows the general way.
-    """
-    for column in columns:
+    if c_make_encoder is None or not rows.keys:
+        return False
+    for column in rows.columns:
         kinds = set(map(type, column))
         if kinds == {float}:
-            if finite and not math.isfinite(sum(column)):
+            if not math.isfinite(sum(column)):
                 return False
         elif kinds != {int}:
             return False
@@ -243,32 +192,24 @@ def _plain_columns(columns, finite):
 
 
 def _json_rows(rows, nl):
-    """The `_Rows` `rows`, which `_number_rows` accepted, as the indented
-    JSON list whose line starts with `nl`."""
+    """The `_Rows` `rows`, which `_templated` accepted, as the indented JSON
+    list whose line starts with `nl`, in pieces of `_BLOCK` rows."""
     inner = nl + "  "
+    row_sep, field_sep = "," + inner, "," + inner + "  "
     fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %r"
               for key in rows.keys]
-    field_sep = "," + inner + "  "
     template = "{" + inner + "  " + field_sep.join(fields) + inner + "}"
+    width = len(fields)
+    values = chain.from_iterable(zip(*rows.columns))
+    pattern = row_sep.join([template] * _BLOCK)
     lead = "[" + inner
-    for block in _blocks(template, "," + inner, rows.columns):
-        yield lead
-        yield block
-        lead = "," + inner
-    yield nl + "]"
-
-
-def _blocks(template, sep, columns):
-    """Yield the rows of `columns` (row i is columns[0][i], columns[1][i],
-    ...), each formatted by the %-template `template` and joined by `sep`,
-    in pieces of `_BLOCK` rows."""
-    width = len(columns)
-    values = chain.from_iterable(zip(*columns))
-    pattern = sep.join([template] * _BLOCK)
     while block := tuple(islice(values, width * _BLOCK)):
         if len(block) < width * _BLOCK:
-            pattern = sep.join([template] * (len(block) // width))
+            pattern = row_sep.join([template] * (len(block) // width))
+        yield lead
         yield pattern % block
+        lead = row_sep
+    yield nl + "]"
 
 
 def _flat_row(row, nl):
@@ -404,30 +345,28 @@ def cmd_table(args):
     note = (f"note: precision degraded at {degraded} of {table.n_max + 1} "
             f"entries (heavy cancellation in this formula at these arguments)")
 
-    if params.mode is Mode.FLOAT:
-        # written from the columns: no dict or text per row
-        rows = _Rows(ENTRY_KEYS, (range(table.n_max + 1), table.entries,
-                                  table.cumulative))
-        body = _blocks(_TABLE_LINE, "\n", rows.columns)
-    else:
-        rows = chain([ENTRY_KEYS], table.text_rows())
-        body = map(_TABLE_LINE.__mod__, table.text_rows())
+    def rows():
+        yield "n", "f", "cumulative"
+        yield from table.text_rows()
 
     def payload():
-        if isinstance(rows, _Rows):
-            return {**table.summary(), "entries": rows}
-        return table.to_dict()
+        if params.mode is Mode.EXACT:
+            return table.to_dict()
+        # a float table's rows from its columns, with no dict per row
+        return {**table.summary(), "entries": _Rows(ENTRY_KEYS, (
+            range(table.n_max + 1), table.entries, table.cumulative))}
 
     def lines():
         yield (f"pmf table for p={params.p}, k={params.k} "
                f"(engine={engine.value}, mode={params.mode.value})")
-        yield from body
+        for n, f, c in table.text_rows():
+            yield f"  n={n:<5d} f={f:<24} cumulative={c}"
         if table.tail_bound is not None:
             yield f"  tail bound beyond n_max: {table.tail_bound!r}"
         if degraded:
             yield note
 
-    _write(args, payload, rows, lines())
+    _write(args, payload, rows(), lines())
     if degraded and args.format != "text":
         print(note, file=sys.stderr)
     return 0

@@ -39,7 +39,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from typing import Optional
 
 from . import roots as roots_mod
@@ -380,14 +380,13 @@ def _rootsum_values(params: Params, root_set: RootSet, ns):
     if roots_mod._identity_residual(principal, params) > 1e-10:
         raise ConsistencyError(
             f"root set does not belong to {params} (principal residual too large)")
-    weights = roots_mod.spectral_coefficients(params, root_set)
+    pairs = list(zip(roots_mod.spectral_coefficients(params, root_set),
+                     root_set.roots))
     for n in ns:
         if n < k:
             yield 0.0
             continue
-        # sum of c_j * lambda_j ** (n - k), in root order
-        acc = sum(map(operator.mul, weights,
-                      map(pow, root_set.roots, repeat(n - k))))
+        acc = sum([c * z ** (n - k) for c, z in pairs])
         if abs(acc.imag) > IMAG_RESIDUE_TOL:
             raise ConsistencyError(
                 f"imaginary residue {acc.imag:.3e} exceeds {IMAG_RESIDUE_TOL} "
@@ -484,11 +483,11 @@ class PmfTable:
     """f(0..n_max) with running cumulative sums, and their text.
 
     entries and cumulative are reduced Fractions in exact mode and floats in
-    float mode.  text_rows is the one text form of an exact table: to_dict,
-    the CLI's CSV rows and its text lines all read it.  A float table is
-    its two columns: to_dict builds its rows from them, and the CLI writes
-    every format from them directly (one template per row, no dict or text
-    per row), which is why they are kept as columns.
+    float mode.  text_rows is the one text form of the table: to_dict (in
+    exact mode), the CLI's CSV rows and its text lines all read it.  The
+    CLI writes a float table's JSON from the two columns directly, with
+    summary() for the fields before the entries, so no dict is built per
+    row there; to_dict builds the same rows as dicts.
     """
     params: Params
     engine: Engine
@@ -501,7 +500,8 @@ class PmfTable:
         return len(self.entries) - 1
 
     def rows(self):
-        return zip(range(len(self.entries)), self.entries, self.cumulative)
+        for n, (f, c) in enumerate(zip(self.entries, self.cumulative)):
+            yield n, f, c
 
     def text_rows(self):
         """Yield (n, f_text, cumulative_text), each text as _render writes
@@ -528,12 +528,12 @@ class PmfTable:
         }
 
     def to_dict(self):
-        exact = self.params.mode is Mode.EXACT
-        rows = self.text_rows() if exact else self.rows()
-        # a literal per row (ENTRY_KEYS, in order) costs less than dict(zip())
-        return {**self.summary(),
-                "entries": [{"n": n, "f": f, "cumulative": c}
-                            for n, f, c in rows]}
+        if self.params.mode is Mode.EXACT:
+            rows = self.text_rows()
+        else:
+            rows = ((n, float(f), float(c)) for n, f, c in self.rows())
+        return {**self.summary(), "entries": [
+            {"n": n, "f": f, "cumulative": c} for n, f, c in rows]}
 
 
 # Integer arithmetic on decimal.Decimal that can only be exact: any rounding
@@ -676,27 +676,15 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
 def _validate_table(params, entries, cumulative):
     """Raise ConsistencyError unless every entry is a probability, those
     below the support are 0, the total mass is at most 1 and f(k) = p^k
-    (within 1e-10 in float mode).
-
-    A float table is checked a column at a time: the entries by min, max
-    and the zeros below the support, and their finiteness by the last
-    running sum, which a nan or an infinity among them makes non-finite
-    (so no cumulative value is then finite either).  The values are walked
-    one by one only in exact mode, where min and max would compare
-    Fractions with each other, and when a column check fails, so that the
-    message names the first bad n.
-    """
-    exact = params.mode is Mode.EXACT
-    slack = 0 if exact else 1e-10
+    (within 1e-10 in float mode).  The comparisons are written so that a
+    nan fails them, as an infinity does."""
+    slack = 0 if params.mode is Mode.EXACT else 1e-10
     k = params.k
-    if (exact or min(entries) < -slack or max(entries) > 1 + slack
-            or any(entries[1:k]) or not math.isfinite(cumulative[-1])):
-        for n, f in enumerate(entries):
-            if not -slack <= f <= 1 + slack:
-                raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
-            if 1 <= n <= k - 1 and f != 0:
-                raise ConsistencyError(
-                    f"nonzero pmf below the support at n={n}: {f}")
+    for n, f in enumerate(entries):
+        if not -slack <= f <= 1 + slack:
+            raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
+        if 1 <= n <= k - 1 and f != 0:
+            raise ConsistencyError(f"nonzero pmf below the support at n={n}: {f}")
     if not cumulative[-1] <= 1 + slack:
         raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
     expected_at_k = params.p ** k

@@ -16,8 +16,6 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass
-from itertools import repeat
-from operator import sub, truediv
 
 from .numerics import ConsistencyError, Mode, ModeError, SolverError
 from .params import DegeneracyFlag, Params
@@ -90,14 +88,6 @@ def _horner_pair(coeffs, z):
     return val, der
 
 
-def _horner(coeffs, z):
-    """The value _horner_pair gives, bit for bit, without the derivative."""
-    val = 0.0
-    for c in coeffs:
-        val = val * z + c
-    return val
-
-
 def _principal_root(coeffs) -> float:
     """Unique positive real root, by bisection on (0, 1) then Newton.
 
@@ -106,7 +96,7 @@ def _principal_root(coeffs) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _horner(coeffs, mid) < 0.0:
+        if _horner_pair(coeffs, mid)[0] < 0.0:
             lo = mid
         else:
             hi = mid
@@ -171,14 +161,11 @@ def find_roots(params: Params) -> RootSet:
         for _ in range(MAX_ITER):
             moved = 0.0
             for i in range(1, k):
-                zi = z[i]
-                val, der = _horner_pair(coeffs, zi)
+                val, der = _horner_pair(coeffs, z[i])
                 if val == 0:
                     continue
                 w = val / der if der != 0 else val
-                # sum of 1 / (z_i - z_j) over j != i, in ascending j
-                s = sum(map(truediv, repeat(1.0),
-                            map(sub, repeat(zi), z[:i] + z[i + 1:])))
+                s = sum(1.0 / (z[i] - z[j]) for j in range(k) if j != i)
                 denom = 1.0 - w * s
                 delta = w / denom if denom != 0 else w
                 z[i] -= delta
@@ -190,7 +177,7 @@ def find_roots(params: Params) -> RootSet:
             raise SolverError(
                 f"Aberth iteration did not converge within {MAX_ITER} "
                 f"iterations for {params}",
-                residuals=[abs(_horner(coeffs, zi)) for zi in z])
+                residuals=[abs(_horner_pair(coeffs, zi)[0]) for zi in z])
 
         for i in range(1, k):
             for _ in range(3):
@@ -260,7 +247,7 @@ def _identity_residual(z: complex, params: Params) -> float:
 def _validate(roots, residuals, params):
     coeffs = aux_poly_coeffs(params)
     scale = max(1.0, max(abs(c) for c in coeffs))
-    poly_worst = max(abs(_horner(coeffs, z)) for z in roots) / scale
+    poly_worst = max(abs(_horner_pair(coeffs, z)[0]) for z in roots) / scale
     if poly_worst > POLISH_TOL:
         raise SolverError(
             f"scaled polynomial residual {poly_worst:.3e} exceeds "
@@ -299,7 +286,7 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     roots = root_set.roots
     identity = tuple(_identity_residual(r, params) for r in roots)
     coeffs = aux_poly_coeffs(params)
-    poly = tuple(abs(_horner(coeffs, r)) for r in roots)
+    poly = tuple(abs(_horner_pair(coeffs, r)[0]) for r in roots)
     k = len(roots)
     if k > 1:
         min_sep = min(abs(roots[i] - roots[j])

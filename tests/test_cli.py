@@ -1,4 +1,3 @@
-import collections
 import contextlib
 import csv
 import io
@@ -554,87 +553,59 @@ class FloatSub(float):
         return f"FloatSub({float.__repr__(self)})"
 
 
-# name -> (payload list, whether the template path may write it)
-NUMBER_ROWS = {
-    "ints and floats": ([{"n": 0, "f": 0.5}, {"n": 1, "f": 1e-300}], True),
-    "negative zero": ([{"n": 0, "f": -0.0}, {"n": 1, "f": 0.25}], True),
-    "int above 2^1024": ([{"n": 2 ** 1100, "f": 0.5}, {"n": -1, "f": 2.5}],
-                         True),
-    "one row": ([{"re": 0.5, "im": -0.0}], True),
-    "keys to escape": ([{'%r "é\n': 1.5, "a%%b": 2}], True),
-    "nan": ([{"n": 0, "f": 0.5}, {"n": 1, "f": math.nan}], False),
-    "inf": ([{"n": 0, "f": -math.inf}, {"n": 1, "f": 0.5}], False),
-    "bool": ([{"n": 0, "f": 0.5}, {"n": True, "f": 0.5}], False),
-    "int in a float column": ([{"f": 0.5}, {"f": 2 ** 1100}], False),
-    "str value": ([{"n": 0, "f": "1/2"}, {"n": 1, "f": 0.5}], False),
-    "None value": ([{"n": 0, "f": None}, {"n": 1, "f": 0.5}], False),
-    "float subclass": ([{"n": 0, "f": 0.5}, {"n": 1, "f": FloatSub(0.5)}],
-                       False),
-    "non-str keys": ([{1: 0.5, 2: 0.25}, {1: 0.5, 2: 0.25}], False),
-    "a non-str key later": ([{"1": 0.5}, {1: 0.5}], False),
-    "keys in another order": ([{"a": 0.5, "b": 0.25},
-                               {"b": 0.125, "a": 1.0}], False),
-    "other keys": ([{"n": 0, "f": 0.5}, {"n": 1, "g": 0.5}], False),
-    "missing key": ([{"n": 0, "f": 0.5}, {"n": 1}], False),
-    "empty list": ([], False),
-    "empty rows": ([{}, {}], False),
-    "nested row": ([{"n": 0, "f": [0.5]}, {"n": 1, "f": [0.25]}], False),
-    "non-dict item": ([{"n": 0, "f": 0.5}, [1, 0.5]], False),
-    "dict subclass": ([{"n": 0, "f": 0.5},
-                       collections.OrderedDict(n=1, f=0.5)], False),
+# name -> (keys, columns, whether the template path writes the `_Rows`)
+COLUMN_ROWS = {
+    "ints and floats": (("n", "f"), (range(3), (0.5, 1e-300, 0.25)), True),
+    "negative zero": (("n", "f"), (range(2), (-0.0, 0.25)), True),
+    "int above 2^1024": (("n", "f"), ((2 ** 1100, -1), (0.5, 2.5)), True),
+    "one row": (("re", "im"), ((0.5,), (-0.0,)), True),
+    "keys to escape": (('%r "\u00e9\n', "a%%b"), ((1.5,), (2,)), True),
+    "nan": (("n", "f"), (range(2), (0.5, math.nan)), False),
+    "inf": (("n", "f"), (range(2), (-math.inf, 0.5)), False),
+    "bool": (("n", "f"), ((0, True), (0.5, 0.5)), False),
+    "int in a float column": (("n", "f"), (range(2), (0.5, 2 ** 1100)),
+                              False),
+    "str value": (("n", "f"), (range(2), ("1/2", 0.5)), False),
+    "None value": (("n", "f"), (range(2), (None, 0.5)), False),
+    "float subclass": (("n", "f"), (range(2), (0.5, FloatSub(0.5))), False),
+    "nested row": (("n", "f"), (range(2), ([0.5], [0.25])), False),
+    "no rows": (("n", "f"), ((), ()), False),
+    "no keys": ((), (), False),
 }
 
 
-@pytest.mark.parametrize("name", NUMBER_ROWS)
-def test_number_rows_fall_back_exactly_where_they_must(name):
-    rows, templated = NUMBER_ROWS[name]
-    assert (cli._number_rows(rows) is not None) is templated
-    for payload in (rows, {"entries": rows, "tail": None}):
-        assert json_written(payload) == json.dumps(payload, indent=2) + "\n"
-
-
-def write_rows(rows, fmt):
-    """What `_write` puts on stdout for the `_Rows` `rows` in `fmt`."""
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        cli._write(types.SimpleNamespace(out="-", format=fmt),
-                   lambda: {"entries": rows}, rows, ())
-    return stdout.getvalue()
-
-
-@pytest.mark.parametrize("columns", [
-    (range(3), (0.5, -0.0, 1e-300)),
-    (range(2), (math.nan, -math.inf)),
-    (range(2), (0.5, FloatSub(0.25))),
-    ((True, False), (0.5, 0.25)),
-    ((), ()),
-    (range(3), ("a,b", 'c"', None)),
-], ids=["floats", "non-finite", "float subclass", "bool", "no rows", "text"])
-def test_column_rows_write_as_their_dict_rows(columns):
-    rows = cli._Rows(("n", "f"), columns)
-    dicts = [dict(zip(rows.keys, row)) for row in zip(*columns)]
-    assert (write_rows(rows, "json")
-            == json.dumps({"entries": dicts}, indent=2) + "\n")
-    assert (write_rows(rows, "csv")
-            == csv_module_written([rows.keys, *zip(*columns)]))
+@pytest.mark.parametrize("name", COLUMN_ROWS)
+@pytest.mark.parametrize("encoder", ["c", "none"])
+def test_column_rows_write_as_their_dict_rows(name, encoder):
+    keys, columns, templated = COLUMN_ROWS[name]
+    rows = cli._Rows(keys, columns)
+    dicts = [dict(zip(keys, row)) for row in zip(*columns)]
+    with contextlib.ExitStack() as stack:
+        if encoder == "none":
+            stack.enter_context(mock.patch.object(cli, "c_make_encoder", None))
+            templated = False
+        assert cli._templated(rows) is templated
+        assert json_written(rows) == json.dumps(dicts, indent=2) + "\n"
+        assert (json_written({"entries": rows, "tail": None})
+                == json.dumps({"entries": dicts, "tail": None}, indent=2)
+                + "\n")
 
 
 def test_templated_rows_are_streamed_in_blocks():
     count = 5 * cli._BLOCK + 7
     values = [1 / (n + 3) for n in range(count)]
-    rows = [{"n": n, "f": f} for n, f in enumerate(values)]
-    columns = cli._Rows(("n", "f"), (range(count), values))
-    expected = json.dumps({"entries": rows}, indent=2) + "\n"
+    rows = cli._Rows(("n", "f"), (range(count), values))
+    expected = json.dumps({"entries": [{"n": n, "f": f} for n, f
+                                       in enumerate(values)]}, indent=2) + "\n"
+    sizes = []
 
     class Writes(io.StringIO):
         def write(self, text):
             sizes.append(len(text))
             return super().write(text)
 
-    for payload in ({"entries": rows}, {"entries": columns}):
-        sizes = []
-        assert json_written(payload, Writes()) == expected
-        assert max(sizes) < len(expected) / 4
+    assert json_written({"entries": rows}, Writes()) == expected
+    assert max(sizes) < len(expected) / 4
 
 
 def cli_output(argv):

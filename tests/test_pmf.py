@@ -396,7 +396,7 @@ def _patched_muselli(monkeypatch, changes):
 
 class TestTableValidation:
     """A table whose engine went wrong raises ConsistencyError naming the
-    first bad n, whichever column check caught it."""
+    first bad n, whichever check caught it."""
 
     @pytest.mark.parametrize("bad", [math.nan, -math.nan])
     def test_nan_entry_raises(self, monkeypatch, bad):

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 
 from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
-from geomk.roots import (RootSet, _branch_starts, _canonicalize,
-                         _principal_root, aux_poly_coeffs, aux_poly_eval,
-                         certify_roots, find_roots, pmf_envelope,
-                         spectral_coefficients)
+from geomk.roots import (RootSet, _branch_starts, _principal_root,
+                         aux_poly_coeffs, aux_poly_eval, certify_roots,
+                         find_roots, pmf_envelope, spectral_coefficients)
 
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
@@ -244,83 +243,3 @@ class TestSpectralHelpers:
 def test_solver_error_carries_residuals():
     err = SolverError("boom", residuals=[1.0, 2.0])
     assert err.residuals == [1.0, 2.0]
-
-
-class TestSweepBits:
-    """find_roots gives the bits of the plain solver it was written from:
-    this in-test copy evaluates the principal bracket with the derivative
-    it discards and the reciprocal sums term by term in a generator."""
-
-    @staticmethod
-    def _reference_roots(params):
-        k, p, q = params.k, params.p, params.q
-        coeffs = aux_poly_coeffs(params)
-
-        def horner_pair(z):
-            val = der = 0.0
-            for c in coeffs:
-                der = der * z + val
-                val = val * z + c
-            return val, der
-
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if horner_pair(mid)[0] < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        principal = 0.5 * (lo + hi)
-        for _ in range(8):
-            val, der = horner_pair(principal)
-            if der == 0:
-                break
-            step = val / der
-            principal -= step
-            if abs(step) <= 1e-17 * (1.0 + abs(principal)):
-                break
-        if k == 1:
-            return (complex(q, 0.0),)
-        z = [complex(principal, 0.0)] + _branch_starts(p, q, k)
-        for _ in range(500):
-            moved = 0.0
-            for i in range(1, k):
-                val, der = horner_pair(z[i])
-                if val == 0:
-                    continue
-                w = val / der if der != 0 else val
-                s = sum(1.0 / (z[i] - z[j]) for j in range(k) if j != i)
-                denom = 1.0 - w * s
-                delta = w / denom if denom != 0 else w
-                z[i] -= delta
-                moved = max(moved, abs(delta) / (1.0 + abs(z[i])))
-            if moved <= 1e-15:
-                break
-        for i in range(1, k):
-            for _ in range(3):
-                val, der = horner_pair(z[i])
-                if der == 0 or val == 0:
-                    break
-                z[i] -= val / der
-        roots = _canonicalize(coeffs, z)
-        order = sorted(range(1, k),
-                       key=lambda i: (-roots[i].real, -roots[i].imag))
-        return (roots[0],) + tuple(roots[i] for i in order)
-
-    @staticmethod
-    def _bits(roots):
-        return [(z.real.hex(), z.imag.hex()) for z in roots]
-
-    @pytest.mark.parametrize("p", [0.05, 0.2, 0.37, 0.5, 0.75, 0.9])
-    def test_same_bits_as_the_plain_sweep(self, p):
-        solved = 0
-        for k in range(1, 41):
-            params = make_params(p, k)
-            try:
-                roots = find_roots(params).roots
-            except SolverError:
-                continue
-            solved += 1
-            reference = self._reference_roots(params)
-            assert self._bits(roots) == self._bits(reference), k
-        assert solved >= 10
