@@ -9,13 +9,14 @@ text; indented JSON is streamed in pieces with the bytes of
 its fields, with the bytes `csv.writer` writes in its default QUOTE_MINIMAL
 dialect with LF line ends.
 
-A float table's JSON rows skip the per-row machinery.  The table passes its
-columns as a `_Rows` (rows held as columns), so no dict is built per row,
-and when every column is all `int` or all finite `float` (exact types: no
-bool, no float subclass such as numpy's) they are written through one
-%-template per row, in blocks of `_BLOCK` rows, `%r` giving each number the
-text json gives it.  Any other `_Rows`, and every `_Rows` when the C encoder
-is missing, is written as its list of dicts on the general path.
+JSON has two paths.  The general one walks dicts, lists and scalars.  A
+table-shaped list (a float table's entries, the roots, the goodness-of-fit
+bins) is passed as a `_Rows`, rows held as columns, so no dict is built
+per row; when every column is all `str`, all `int` or all finite `float`
+(exact types: no bool, no subclass such as numpy's float64) it is written
+through one %-template per row, in blocks of `_BLOCK` rows, and otherwise
+as its list of dicts.  Exact tables stay on the general path: a block of
+their multi-kB rows would be one large string.
 
 `main` builds the argparse parser once per process and reuses it, so
 in-process callers pay for it once.  Exit codes: 0 success, 1 a
@@ -36,7 +37,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from . import moments as moments_mod
 from . import roots as roots_mod
@@ -82,9 +83,9 @@ def _write(args, payload, rows, lines):
 
     JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
     `_json_chunks`, where `payload()` may hold a `_Rows` in place of a list
-    of flat dicts (one %-template per row when its columns are exact
-    `int`s and finite `float`s); CSV is `rows`, header first; text is
-    `lines`.  Every line ends in LF, and only the requested form is built.
+    of flat dicts (one %-template per row when `_templated` accepts it);
+    CSV is `rows`, header first; text is `lines`.  Every line ends in LF,
+    and only the requested form is built.
     """
     with _out_stream(args.out) as out:
         if args.format == "json":
@@ -129,11 +130,11 @@ def _json_chunks(value, nl="\n"):
     """The text of `json.dumps(value, indent=2)` in pieces; `nl` is the
     newline and indent that the line holding `value` starts with.
 
-    Dicts and lists are walked here, and a flat row inside a list is one
-    piece from the C encoder (`_flat_row`).  A `_Rows` that `_templated`
-    accepts is written by `_json_rows`, one %-template per row, and any
-    other `_Rows` as its list of dicts.  The report is never one string:
-    an exact table holds megabytes of digits.
+    Dicts, lists and scalars are walked here, one piece per key or scalar.
+    A `_Rows` that `_templated` accepts is written by `_json_rows`, one
+    %-template per row, and any other `_Rows` is walked as its list of
+    dicts.  The report is never one string: an exact table holds megabytes
+    of digits.
     """
     if isinstance(value, _Rows):
         if _templated(value):
@@ -147,12 +148,8 @@ def _json_chunks(value, nl="\n"):
         inner = nl + "  "
         sep = "[" + inner
         for item in value:
-            row = _flat_row(item, inner) if isinstance(item, dict) else None
-            if row is None:
-                yield sep
-                yield from _json_chunks(item, inner)
-            else:
-                yield sep + row
+            yield sep
+            yield from _json_chunks(item, inner)
             sep = "," + inner
         yield nl + "]"
     elif isinstance(value, dict):
@@ -173,34 +170,38 @@ def _json_chunks(value, nl="\n"):
 def _templated(rows):
     """True when `_json_rows` writes the `_Rows` `rows` as json does.
 
-    The C encoder must exist (without it json's own pure-Python path is
-    kept), there must be at least one key, and every column must be all
+    There must be at least one key, and every column must be all `str`, all
     `int` or all finite `float`, exact types, so that an empty column is
-    neither.  A column's floats are finite when their sum is; a sum past
-    the double range only sends the rows the general way.
+    none of them.  A column's floats are finite when their sum is; a sum
+    past the double range only sends the rows the general way.
     """
-    if c_make_encoder is None or not rows.keys:
+    if not rows.keys:
         return False
     for column in rows.columns:
         kinds = set(map(type, column))
         if kinds == {float}:
             if not math.isfinite(sum(column)):
                 return False
-        elif kinds != {int}:
+        elif kinds not in ({int}, {str}):
             return False
     return True
 
 
 def _json_rows(rows, nl):
     """The `_Rows` `rows`, which `_templated` accepted, as the indented JSON
-    list whose line starts with `nl`, in pieces of `_BLOCK` rows."""
+    list whose line starts with `nl`, in pieces of `_BLOCK` rows: `%r` of
+    each number, `%s` of each string's `encode_basestring_ascii` text."""
     inner = nl + "  "
     row_sep, field_sep = "," + inner, "," + inner + "  "
-    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %r"
-              for key in rows.keys]
+    texts = [type(column[0]) is str for column in rows.columns]
+    fields = [encode_basestring_ascii(key).replace("%", "%%")
+              + (": %s" if text else ": %r")
+              for key, text in zip(rows.keys, texts)]
     template = "{" + inner + "  " + field_sep.join(fields) + inner + "}"
     width = len(fields)
-    values = chain.from_iterable(zip(*rows.columns))
+    columns = [map(encode_basestring_ascii, column) if text else column
+               for column, text in zip(rows.columns, texts)]
+    values = chain.from_iterable(zip(*columns))
     pattern = row_sep.join([template] * _BLOCK)
     lead = "[" + inner
     while block := tuple(islice(values, width * _BLOCK)):
@@ -210,33 +211,6 @@ def _json_rows(rows, nl):
         yield pattern % block
         lead = row_sep
     yield nl + "]"
-
-
-def _flat_row(row, nl):
-    """`row` indented at `nl`, or None unless it is a non-empty dict of
-    scalars and the C encoder exists.
-
-    With item separator "," + the inner indent, the C encoder writes such a
-    row as the indented encoder does, less the line breaks after "{" and
-    before "}".  A row is flat exactly when its text holds one "{" and no
-    "["; a string holding a bracket only sends its row the slow way.
-    """
-    if c_make_encoder is None or not row:
-        return None
-    inner = nl + "  "
-    text = "".join(_row_encoder(inner)(row, 0))
-    if text.count("{") != 1 or "[" in text:
-        return None
-    return "{" + inner + text[1:-1] + nl + "}"
-
-
-@functools.cache
-def _row_encoder(inner):
-    # The positional signature json.JSONEncoder.iterencode uses: markers,
-    # default, encoder, indent, key_separator, item_separator, sort_keys,
-    # skipkeys, allow_nan.  No markers: reports are trees.
-    return c_make_encoder(None, _unserializable, encode_basestring_ascii,
-                          None, ": ", "," + inner, False, False, True)
 
 
 def _encode_scalar(value):
@@ -257,7 +231,8 @@ def _encode_scalar(value):
         if math.isinf(value):
             return "Infinity" if value > 0 else "-Infinity"
         return float.__repr__(value)
-    return _unserializable(value)
+    raise TypeError(f"Object of type {value.__class__.__name__} "
+                    f"is not JSON serializable")
 
 
 def _json_key(key):
@@ -268,11 +243,6 @@ def _json_key(key):
         return _encode_scalar(key)
     raise TypeError(f"keys must be str, int, float, bool or None, "
                     f"not {key.__class__.__name__}")
-
-
-def _unserializable(value):
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    f"is not JSON serializable")
 
 
 def _add_common(parser, default_mode="exact", default_format="text"):
@@ -419,7 +389,9 @@ def cmd_roots(args):
 
     _write(args,
            lambda: {"p": str(params.p), "k": params.k,
-                    "roots": [{"re": z.real, "im": z.imag} for z in root_set.roots],
+                    "roots": _Rows(("re", "im"), (
+                        tuple(z.real for z in root_set.roots),
+                        tuple(z.imag for z in root_set.roots))),
                     "principal_index": root_set.principal_index,
                     **cert.to_dict()},
            rows(), lines())
@@ -443,7 +415,8 @@ def cmd_verify(args):
     def lines():
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
-            yield f"{status} {check.name} ({check.cases} cases)"
+            skipped = f", {len(check.skips)} skipped" if check.skips else ""
+            yield f"{status} {check.name} ({check.cases} cases{skipped})"
             for failure in check.failures[:3]:
                 yield f"     failed at {failure}"
         yield f"{'PASS' if report.passed else 'FAIL'} overall"
@@ -486,7 +459,9 @@ def cmd_sample(args):
         yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
                f"{_or_na(gof.variance_z, '.3f')}")
 
-    _write(args, lambda: {"summary": summary.to_dict(), "gof": gof.to_dict()},
+    _write(args, lambda: {"summary": summary.to_dict(), "gof": {
+               **gof.to_dict(), "bins": _Rows(("bin", "observed", "expected"),
+                                              tuple(zip(*gof.bins)))}},
            rows(), lines())
     return 1 if gof.hard_fail else 0
 

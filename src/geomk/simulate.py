@@ -20,9 +20,10 @@ without the ones before it.  The one-trial loop behind
 string search: it first tests the last draw of the earliest window of k
 draws that could complete a run.  A failure there rules out every window
 containing it, so the k - 1 draws before it are never computed; a success
-is followed by a backward scan over the draws not yet decided.  The step at which the first run completes, and the
-stream's state after it, are the same as the draw-by-draw loop's, bit for
-bit; only the number of draws evaluated falls.
+is followed by a backward scan over the draws not yet decided.  The step
+at which the first run completes, and the stream's state after it, are the
+same as the draw-by-draw loop's, bit for bit; only the number of draws
+evaluated falls.
 
 `run_simulation` does not call that loop per trial.  It runs the trials of
 a block of 1024 in lockstep, one draw per live trial per round, as 128-bit

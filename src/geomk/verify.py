@@ -22,7 +22,7 @@ from typing import Optional
 
 from . import moments as moments_mod
 from . import roots as roots_mod
-from .numerics import DomainError, Mode, PrecisionWarning, Scalar
+from .numerics import DomainError, Mode, PrecisionWarning, Scalar, SolverError
 from .params import Params, make_params
 # pmf_muselli stays importable from here: perfbench's tracer rebinds it.
 from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
@@ -47,10 +47,12 @@ class CheckResult:
     worst: Optional[dict] = None
     worst_magnitude: float = -1.0
     failures: list = field(default_factory=list)
+    skips: list = field(default_factory=list)   # cells the solver failed on
 
     def to_dict(self):
         return {"name": self.name, "passed": self.passed, "cases": self.cases,
-                "worst": self.worst, "failures": self.failures[:10]}
+                "skipped": len(self.skips), "worst": self.worst,
+                "failures": self.failures[:10]}
 
 
 @dataclass
@@ -127,15 +129,14 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int,
     Pairs within ROOTSUM_DEGENERACY_SKIP of p = k/(k+1) but not flagged
     degenerate are skipped: there the generic weights are ill-conditioned
     and only the exactly-degenerate branch is well-posed.  find_roots
-    solves a cell's float params (default roots.find_roots).
+    solves each cell (default roots.find_roots); see _solved_cells.
     """
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("rootsum_pmf", True, 0)
-    for params in _grid_params(p_values, k_max, Mode.FLOAT):
+    for params, root_set in _solved_cells(result, p_values, k_max, find_roots):
         near = abs(params.p - params.k / (params.k + 1))
         if not params.degenerate.is_degenerate and near < ROOTSUM_DEGENERACY_SKIP:
             continue
-        root_set = find_roots(params)
         reference = recurrence_series(params, n_max)
         values = _rootsum_values(params, root_set, range(n_max + 1))
         for n, value in enumerate(values):
@@ -192,11 +193,11 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
 def check_root_certification(p_values, k_max: int,
                              find_roots=None) -> CheckResult:
     """find_roots + certify_roots must pass on every float (p, k) pair
-    (find_roots as in check_rootsum_pmf)."""
+    that find_roots solves (find_roots as in check_rootsum_pmf)."""
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("root_certification", True, 0)
-    for params in _grid_params(p_values, k_max, Mode.FLOAT):
-        cert = roots_mod.certify_roots(find_roots(params), params)
+    for params, root_set in _solved_cells(result, p_values, k_max, find_roots):
+        cert = roots_mod.certify_roots(root_set, params)
         worst = max(cert.identity_residuals)
         result.cases += 1
         _track(result, cert.passed, worst,
@@ -292,6 +293,19 @@ def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
     (False in float mode), and equal exact values skip the subtraction."""
     equal = exact and value == reference
     return equal, 0.0 if equal else float(abs(value - reference))
+
+
+def _solved_cells(result: CheckResult, p_values, k_max: int, find_roots):
+    """Yield (params, find_roots(params)) for each float (p, k) cell.  A cell
+    where find_roots raises SolverError is skipped: it goes into
+    result.skips with its reason, adds no case and never counts as a pass."""
+    for params in _grid_params(p_values, k_max, Mode.FLOAT):
+        try:
+            root_set = find_roots(params)
+        except SolverError as exc:
+            result.skips.append({"p": str(params.p), "k": params.k, "reason": str(exc)})
+            continue
+        yield params, root_set
 
 
 def _track(result: CheckResult, ok: bool, magnitude: float, info):

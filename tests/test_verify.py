@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from geomk import moments as moments_mod
 from geomk import roots as roots_mod
-from geomk.numerics import DomainError, Mode
+from geomk.numerics import ConsistencyError, DomainError, Mode, SolverError
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine, build_table, pgf_eval, recurrence_series
 from geomk.verify import (check_mean_variance, check_moment_routes,
                           _pgf_series_gaps, check_pgf_identity,
-                          check_rootsum_pmf, pgf_series_gap, run_verify)
+                          check_root_certification, check_rootsum_pmf,
+                          pgf_series_gap, run_verify)
 
 
 def test_small_exact_sweep_passes():
@@ -81,6 +82,34 @@ def test_rootsum_check_skips_near_degenerate():
     # within 1e-6 of k/(k+1) but outside the degeneracy tolerance: skipped
     result = check_rootsum_pmf([2 / 3 + 1e-8], 2, 30)
     assert result.cases == 30 + 1  # only k=1 ran (k=2 is the near-degenerate)
+
+
+@pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
+def test_a_cell_the_solver_fails_is_skipped_with_its_reason(check):
+    def find_roots(params):
+        if params.k == 2:
+            raise SolverError(f"no roots for {params}")
+        return roots_mod.find_roots(params)
+
+    args = (10,) if check is check_rootsum_pmf else ()
+    result = check([0.5], 3, *args, find_roots=find_roots)
+    solved = check([0.5], 3, *args)
+    assert result.passed and solved.passed and not solved.skips
+    # the skipped cell adds no case
+    assert result.cases == solved.cases * 2 // 3
+    assert result.skips == [{"p": "0.5", "k": 2,
+                             "reason": f"no roots for {make_params(0.5, 2)}"}]
+    assert result.to_dict()["skipped"] == 1
+
+
+@pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
+def test_a_consistency_error_is_not_skipped(check):
+    def find_roots(params):
+        raise ConsistencyError("broken root set")
+
+    args = (10,) if check is check_rootsum_pmf else ()
+    with pytest.raises(ConsistencyError, match="broken root set"):
+        check([0.5], 1, *args, find_roots=find_roots)
 
 
 def test_mean_variance_float():
