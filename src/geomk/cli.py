@@ -460,7 +460,7 @@ def cmd_sample(args):
                f"{_or_na(gof.variance_z, '.3f')}")
 
     _write(args, lambda: {"summary": summary.to_dict(), "gof": {
-               **gof.to_dict(), "bins": _Rows(("bin", "observed", "expected"),
+               **gof.scalars(), "bins": _Rows(("bin", "observed", "expected"),
                                               tuple(zip(*gof.bins)))}},
            rows(), lines())
     return 1 if gof.hard_fail else 0

@@ -635,9 +635,9 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
 
     Every engine but the recurrence fills the entries in one pass of
     _engine_values, so they are the values pmf gives; the recurrence table
-    is recurrence_series, and an exact one takes both columns from one
-    kernel walk.  Every other cumulative column is one accumulate pass over
-    the entries.  A table that fails _validate_table (a nan entry included)
+    is recurrence_series, plus a second kernel run for the exact cumulative
+    column.  Every other cumulative column is one accumulate pass over the
+    entries.  A table that fails _validate_table (a nan entry included)
     raises ConsistencyError.  In float mode the table also carries the mass
     beyond n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a
     recurrence table walks k + 1 values further, and every other engine
@@ -646,20 +646,20 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
     floating = params.mode is Mode.FLOAT
+    if engine is Engine.RECURRENCE:
+        # a float table walks on to f(n_max + k + 1), for its tail mass
+        walk = recurrence_series(params, n_max + (params.k + 1 if floating else 0))
+        entries, far = walk[:n_max + 1], walk[-1]
+    else:
+        entries = list(_engine_values(params, engine, range(n_max + 1)))
+
     if engine is Engine.RECURRENCE and not floating:
         # The cumulative C(n) = F(n) b^n is an integer too, with
-        # C(n) = C(n-1) b + g(n): the kernel's integers give both columns,
-        # for far less than adding the reduced entries.
+        # C(n) = C(n-1) b + g(n); rerunning the kernel costs far less than
+        # adding the reduced entries.
         b, scaled = _scaled_series(params, n_max)
-        entries = _unscaled(scaled, b)
         cumulative = _unscaled(accumulate(scaled, lambda acc, g: acc * b + g), b)
     else:
-        if engine is Engine.RECURRENCE:
-            # a float table walks on to f(n_max + k + 1), for its tail mass
-            walk = recurrence_series(params, n_max + params.k + 1)
-            entries, far = walk[:n_max + 1], walk[-1]
-        else:
-            entries = list(_engine_values(params, engine, range(n_max + 1)))
         # 0 + f(0), then + f(1), ...: the additions of a running sum
         cumulative = list(accumulate(entries, initial=_zero(params)))[1:]
     _validate_table(params, entries, cumulative)

@@ -127,16 +127,18 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int,
     """Spectral engine against the recurrence (always float).
 
     Pairs within ROOTSUM_DEGENERACY_SKIP of p = k/(k+1) but not flagged
-    degenerate are skipped: there the generic weights are ill-conditioned
-    and only the exactly-degenerate branch is well-posed.  find_roots
-    solves each cell (default roots.find_roots); see _solved_cells.
+    degenerate are left out, neither solved nor counted in skips: there the
+    generic weights are ill-conditioned and only the exactly-degenerate
+    branch is well-posed.  find_roots solves every other cell (default
+    roots.find_roots); see _solved_cells.
     """
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("rootsum_pmf", True, 0)
-    for params, root_set in _solved_cells(result, p_values, k_max, find_roots):
-        near = abs(params.p - params.k / (params.k + 1))
-        if not params.degenerate.is_degenerate and near < ROOTSUM_DEGENERACY_SKIP:
-            continue
+    cells = (params for params in _grid_params(p_values, k_max, Mode.FLOAT)
+             if params.degenerate.is_degenerate
+             or abs(params.p - params.k / (params.k + 1))
+             >= ROOTSUM_DEGENERACY_SKIP)
+    for params, root_set in _solved_cells(result, cells, find_roots):
         reference = recurrence_series(params, n_max)
         values = _rootsum_values(params, root_set, range(n_max + 1))
         for n, value in enumerate(values):
@@ -196,7 +198,8 @@ def check_root_certification(p_values, k_max: int,
     that find_roots solves (find_roots as in check_rootsum_pmf)."""
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("root_certification", True, 0)
-    for params, root_set in _solved_cells(result, p_values, k_max, find_roots):
+    cells = _grid_params(p_values, k_max, Mode.FLOAT)
+    for params, root_set in _solved_cells(result, cells, find_roots):
         cert = roots_mod.certify_roots(root_set, params)
         worst = max(cert.identity_residuals)
         result.cases += 1
@@ -295,11 +298,11 @@ def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
     return equal, 0.0 if equal else float(abs(value - reference))
 
 
-def _solved_cells(result: CheckResult, p_values, k_max: int, find_roots):
-    """Yield (params, find_roots(params)) for each float (p, k) cell.  A cell
-    where find_roots raises SolverError is skipped: it goes into
+def _solved_cells(result: CheckResult, cells, find_roots):
+    """Yield (params, find_roots(params)) for each float params in cells.  A
+    cell where find_roots raises SolverError is skipped: it goes into
     result.skips with its reason, adds no case and never counts as a pass."""
-    for params in _grid_params(p_values, k_max, Mode.FLOAT):
+    for params in cells:
         try:
             root_set = find_roots(params)
         except SolverError as exc:

@@ -496,8 +496,7 @@ JSON_PAYLOADS = st.recursive(
     max_leaves=40)
 
 
-# The "c" ids name the one writer; they date from a second, pure-Python
-# parametrization, and are kept so that the suite's test names stay put.
+# "c" is unused; it only keeps the test ids ("[c]", "[c-<case>]" below).
 @pytest.mark.parametrize("writer", ["c"])
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(payload=JSON_PAYLOADS)
@@ -601,7 +600,7 @@ COLUMN_ROWS = {
 
 
 @pytest.mark.parametrize("name", COLUMN_ROWS)
-@pytest.mark.parametrize("writer", ["c"])   # the one writer, as above
+@pytest.mark.parametrize("writer", ["c"])   # unused, as above
 def test_column_rows_write_as_their_dict_rows(name, writer):
     keys, columns, templated = COLUMN_ROWS[name]
     rows = cli._Rows(keys, columns)
@@ -680,7 +679,7 @@ def test_float_table_output_is_the_library_table(p, k, n_max, engine, mode):
              f"(engine={engine.value}, mode={mode.value})"]
     lines += [f"  n={n:<5d} f={f!s:<24} cumulative={c!s}"
               for n, f, c in table.rows()]
-    if table.tail_bound is not None:
+    if mode is Mode.FLOAT:
         lines.append(f"  tail bound beyond n_max: {table.tail_bound!r}")
     lines += note
     assert cli_output(argv + ("text",)) == (

@@ -84,6 +84,20 @@ def test_rootsum_check_skips_near_degenerate():
     assert result.cases == 30 + 1  # only k=1 ran (k=2 is the near-degenerate)
 
 
+def test_a_near_degenerate_cell_is_neither_solved_nor_skipped():
+    solved = []
+
+    def find_roots(params):
+        solved.append(params.k)
+        if params.k == 2:
+            raise SolverError(f"no roots for {params}")
+        return roots_mod.find_roots(params)
+
+    result = check_rootsum_pmf([2 / 3 + 1e-8], 2, 30, find_roots=find_roots)
+    assert solved == [1]
+    assert result.passed and result.cases == 30 + 1 and not result.skips
+
+
 @pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
 def test_a_cell_the_solver_fails_is_skipped_with_its_reason(check):
     def find_roots(params):
