@@ -4,19 +4,15 @@ Subcommands: pmf, table, moments, roots, verify, sample.
 Probabilities are accepted as decimal or fraction strings everywhere; exact
 mode (the default for analytic subcommands) keeps every value a reduced
 rational.  `_write` is the one place that turns a report into JSON, CSV or
-text; indented JSON is streamed in pieces with the bytes of
-`json.dumps(report, indent=2)`, and each CSV record is one `str.join` of
-its fields, with the bytes `csv.writer` writes in its default QUOTE_MINIMAL
-dialect with LF line ends.
+text; each CSV record is one `str.join` of its fields, with the bytes
+`csv.writer` writes in its default QUOTE_MINIMAL dialect with LF line ends.
 
-JSON has two paths.  The general one walks dicts, lists and scalars.  A
-table-shaped list (a float table's entries, the roots, the goodness-of-fit
-bins) is passed as a `_Rows`, rows held as columns, so no dict is built
-per row; when every column is all `str`, all `int` or all finite `float`
-(exact types: no bool, no subclass such as numpy's float64) it is written
-through one %-template per row, in blocks of `_BLOCK` rows, and otherwise
-as its list of dicts.  Exact tables stay on the general path: a block of
-their multi-kB rows would be one large string.
+One stdlib encoder, `json.JSONEncoder(indent=2)`, writes every JSON report
+in pieces, with the bytes of `json.dumps(report, indent=2)`.  One list
+takes another way: a float table's entries, held as columns (`_Rows`) so
+that no dict is built per row, are written through one %-template per row
+in blocks of `_BLOCK` rows, after the encoder's text of the table's other
+fields.
 
 `main` builds the argparse parser once per process and reuses it, so
 in-process callers pay for it once.  Exit codes: 0 success, 1 a
@@ -30,7 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import math
+import json
 import os
 import sys
 import warnings
@@ -52,6 +48,8 @@ from .pmf import pmf as pmf_eval
 
 ENGINE_CHOICES = [e.value for e in Engine]
 EXIT_BROKEN_PIPE = 141     # 128 + SIGPIPE, as a shell reports a killed writer
+# the encoder json.dumps(report, indent=2) makes for each call
+_ENCODER = json.JSONEncoder(indent=2)
 # Rows per piece of templated JSON: large enough that the template and the
 # write calls cost little per row, small enough that no table is one string.
 _BLOCK = 256
@@ -59,8 +57,10 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class _Rows:
-    """A list of flat rows held as columns: row i maps keys[j] to
-    columns[j][i], and JSON writes it as that list of dicts."""
+    """A float table's entries held as columns: row i maps keys[j] to
+    columns[j][i], and JSON writes it as that list of dicts.  There is at
+    least one row, and each column is a range or a tuple of finite floats,
+    so `%r` of each value is its JSON text."""
     keys: tuple
     columns: tuple
 
@@ -82,10 +82,10 @@ def _write(args, payload, rows, lines):
     """Write one report to `args.out` in `args.format`.
 
     JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
-    `_json_chunks`, where `payload()` may hold a `_Rows` in place of a list
-    of flat dicts (one %-template per row when `_templated` accepts it);
-    CSV is `rows`, header first; text is `lines`.  Every line ends in LF,
-    and only the requested form is built.
+    `_json_chunks`: the stdlib encoder writes the report, except that a
+    `_Rows` as its last value (a float table's entries) is written by the
+    row template.  CSV is `rows`, header first; text is `lines`.  Every line
+    ends in LF, and only the requested form is built.
     """
     with _out_stream(args.out) as out:
         if args.format == "json":
@@ -126,123 +126,40 @@ def _csv_field(field):
     return field
 
 
-def _json_chunks(value, nl="\n"):
-    """The text of `json.dumps(value, indent=2)` in pieces; `nl` is the
-    newline and indent that the line holding `value` starts with.
+def _json_chunks(report):
+    """The text of `json.dumps(report, indent=2)` in pieces.
 
-    Dicts, lists and scalars are walked here, one piece per key or scalar.
-    A `_Rows` that `_templated` accepts is written by `_json_rows`, one
-    %-template per row, and any other `_Rows` is walked as its list of
-    dicts.  The report is never one string: an exact table holds megabytes
-    of digits.
+    A dict whose last value is a `_Rows` is written as the encoder's text
+    of the dict up to that value, then `_json_rows`, then its closing brace;
+    any other report is `_ENCODER.iterencode(report)`.
     """
-    if isinstance(value, _Rows):
-        if _templated(value):
-            yield from _json_rows(value, nl)
-            return
-        value = [dict(zip(value.keys, row)) for row in zip(*value.columns)]
-    if isinstance(value, (list, tuple)):
-        if not value:
-            yield "[]"
-            return
-        inner = nl + "  "
-        sep = "[" + inner
-        for item in value:
-            yield sep
-            yield from _json_chunks(item, inner)
-            sep = "," + inner
-        yield nl + "]"
-    elif isinstance(value, dict):
-        if not value:
-            yield "{}"
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            yield f"{sep}{encode_basestring_ascii(_json_key(key))}: "
-            yield from _json_chunks(item, inner)
-            sep = "," + inner
-        yield nl + "}"
-    else:
-        yield _encode_scalar(value)
+    if isinstance(report, dict) and report:
+        key, rows = next(reversed(report.items()))
+        if isinstance(rows, _Rows):
+            # the encoder's text with the rows as null, cut before the null
+            head = _ENCODER.encode({**report, key: None})[:-len("null\n}")]
+            return chain((head,), _json_rows(rows), ("\n}",))
+    return _ENCODER.iterencode(report)
 
 
-def _templated(rows):
-    """True when `_json_rows` writes the `_Rows` `rows` as json does.
-
-    There must be at least one key, and every column must be all `str`, all
-    `int` or all finite `float`, exact types, so that an empty column is
-    none of them.  A column's floats are finite when their sum is; a sum
-    past the double range only sends the rows the general way.
-    """
-    if not rows.keys:
-        return False
-    for column in rows.columns:
-        kinds = set(map(type, column))
-        if kinds == {float}:
-            if not math.isfinite(sum(column)):
-                return False
-        elif kinds not in ({int}, {str}):
-            return False
-    return True
-
-
-def _json_rows(rows, nl):
-    """The `_Rows` `rows`, which `_templated` accepted, as the indented JSON
-    list whose line starts with `nl`, in pieces of `_BLOCK` rows: `%r` of
-    each number, `%s` of each string's `encode_basestring_ascii` text."""
-    inner = nl + "  "
-    row_sep, field_sep = "," + inner, "," + inner + "  "
-    texts = [type(column[0]) is str for column in rows.columns]
-    fields = [encode_basestring_ascii(key).replace("%", "%%")
-              + (": %s" if text else ": %r")
-              for key, text in zip(rows.keys, texts)]
-    template = "{" + inner + "  " + field_sep.join(fields) + inner + "}"
+def _json_rows(rows):
+    """The `_Rows` `rows` as the indented JSON list of a top-level key, in
+    pieces of `_BLOCK` rows, each row one %-template of its values' `%r`."""
+    row_sep = ",\n    "
+    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %r"
+              for key in rows.keys]
+    template = "{\n      " + ",\n      ".join(fields) + "\n    }"
     width = len(fields)
-    columns = [map(encode_basestring_ascii, column) if text else column
-               for column, text in zip(rows.columns, texts)]
-    values = chain.from_iterable(zip(*columns))
+    values = chain.from_iterable(zip(*rows.columns))
     pattern = row_sep.join([template] * _BLOCK)
-    lead = "[" + inner
+    lead = "[\n    "
     while block := tuple(islice(values, width * _BLOCK)):
         if len(block) < width * _BLOCK:
             pattern = row_sep.join([template] * (len(block) // width))
         yield lead
         yield pattern % block
         lead = row_sep
-    yield nl + "]"
-
-
-def _encode_scalar(value):
-    """A scalar as json encodes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {value.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
-def _json_key(key):
-    """A dict key as json turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _encode_scalar(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
+    yield "\n  ]"
 
 
 def _add_common(parser, default_mode="exact", default_format="text"):
@@ -389,9 +306,8 @@ def cmd_roots(args):
 
     _write(args,
            lambda: {"p": str(params.p), "k": params.k,
-                    "roots": _Rows(("re", "im"), (
-                        tuple(z.real for z in root_set.roots),
-                        tuple(z.imag for z in root_set.roots))),
+                    "roots": [{"re": z.real, "im": z.imag}
+                              for z in root_set.roots],
                     "principal_index": root_set.principal_index,
                     **cert.to_dict()},
            rows(), lines())
@@ -459,9 +375,7 @@ def cmd_sample(args):
         yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
                f"{_or_na(gof.variance_z, '.3f')}")
 
-    _write(args, lambda: {"summary": summary.to_dict(), "gof": {
-               **gof.scalars(), "bins": _Rows(("bin", "observed", "expected"),
-                                              tuple(zip(*gof.bins)))}},
+    _write(args, lambda: {"summary": summary.to_dict(), "gof": gof.to_dict()},
            rows(), lines())
     return 1 if gof.hard_fail else 0
 

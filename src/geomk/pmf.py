@@ -485,9 +485,10 @@ class PmfTable:
     entries and cumulative are reduced Fractions in exact mode and floats in
     float mode.  text_rows is the one text form of the table: to_dict (in
     exact mode), the CLI's CSV rows and its text lines all read it.  The
-    CLI's JSON walks an exact table's to_dict, and writes a float table as
-    summary() and the two columns through its row template, with no dict
-    built per row; both have the bytes of json.dumps(to_dict()).
+    CLI's stdlib JSON encoder writes an exact table's to_dict, and the
+    fields of summary() for a float table, whose entries follow from the
+    columns through the CLI's row template with no dict built per row; both
+    have the bytes of json.dumps(to_dict(), indent=2).
     """
     params: Params
     engine: Engine

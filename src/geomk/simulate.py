@@ -355,8 +355,7 @@ class GofReport:
     bins: tuple              # (label, observed, expected)
     threshold: float
 
-    def scalars(self):
-        """Every to_dict field but the bins, in to_dict's order."""
+    def to_dict(self):
         return {
             "chi_square": self.chi_square,
             "dof": self.dof,
@@ -366,12 +365,9 @@ class GofReport:
             "mean_z": self.mean_z,
             "variance_z": self.variance_z,
             "threshold": self.threshold,
+            "bins": [{"bin": label, "observed": obs, "expected": exp}
+                     for label, obs, exp in self.bins],
         }
-
-    def to_dict(self):
-        return {**self.scalars(),
-                "bins": [{"bin": label, "observed": obs, "expected": exp}
-                         for label, obs, exp in self.bins]}
 
 
 def gof_report(summary: SimSummary, params: Params,

@@ -13,7 +13,6 @@ route is one more entry.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -311,6 +310,25 @@ def _solved_cells(result: CheckResult, cells, find_roots):
         yield params, root_set
 
 
+def _solved_once(find_roots):
+    """find_roots keeping each params' outcome, a raised SolverError
+    included (functools.cache keeps no exception), for checks that share
+    cells: each later call returns or raises it again."""
+    outcomes = {}
+
+    def solve(params):
+        if params not in outcomes:
+            try:
+                outcomes[params] = find_roots(params)
+            except SolverError as exc:
+                outcomes[params] = exc
+        if isinstance(outcomes[params], SolverError):
+            raise outcomes[params]
+        return outcomes[params]
+
+    return solve
+
+
 def _track(result: CheckResult, ok: bool, magnitude: float, info):
     """Count one case against result; info() builds the case's record, and
     runs only when the case fails or sets a new worst."""
@@ -359,8 +377,7 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
         engines[corrupt_engine] = corrupted
 
     s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-    # one root set per float (p, k) cell, shared by the root checks
-    find_roots = functools.cache(roots_mod.find_roots)
+    find_roots = _solved_once(roots_mod.find_roots)
     # The checks quantify deviations themselves; per-cell cancellation
     # warnings would only repeat what the report already says.
     with warnings.catch_warnings():

@@ -10,7 +10,6 @@ import types
 import warnings
 from fractions import Fraction
 from importlib import resources
-from unittest import mock
 
 import jsonschema
 import pytest
@@ -570,10 +569,11 @@ class FloatSub(float):
 
 
 class StrSub(str):
-    """A str of another type: not templated, as any subclass is not."""
+    """A str of another type, which json writes as a str."""
 
 
-# name -> (keys, columns, whether the template path writes the `_Rows`)
+# name -> (keys, columns, whether the columns have a float table's shape:
+# ints and finite floats of exact types, at least one row)
 COLUMN_ROWS = {
     "ints and floats": (("n", "f"), (range(3), (0.5, 1e-300, 0.25)), True),
     "negative zero": (("n", "f"), (range(2), (-0.0, 0.25)), True),
@@ -587,7 +587,7 @@ COLUMN_ROWS = {
                               False),
     "str column": (("bin", "f"), (('a"b\\c', "100%s %r", "x\ny",
                                      "\u00e9\u2603\U0001f600", ""),
-                                    (0.5, 0.25, 1.0, -0.0, 2.0)), True),
+                                    (0.5, 0.25, 1.0, -0.0, 2.0)), False),
     "str value": (("n", "f"), (range(2), ("1/2", 0.5)), False),
     "str and int": (("bin", "f"), (("1", 2), (0.5, 0.5)), False),
     "str subclass": (("bin", "f"), (("1", StrSub("2")), (0.5, 0.5)), False),
@@ -599,16 +599,27 @@ COLUMN_ROWS = {
 }
 
 
+# A report key that json escapes, with a "%" the row template must not read.
+ESCAPED_KEY = 'entries "\u00e9%r\n'
+
+
 @pytest.mark.parametrize("name", COLUMN_ROWS)
 @pytest.mark.parametrize("writer", ["c"])   # unused, as above
 def test_column_rows_write_as_their_dict_rows(name, writer):
-    keys, columns, templated = COLUMN_ROWS[name]
-    rows = cli._Rows(keys, columns)
+    # Any table-shaped list of dicts is written by the stdlib encoder, and
+    # columns of a float table's shape also through the row template, as
+    # the report's last value: both with the bytes of json.dumps.
+    keys, columns, table_shaped = COLUMN_ROWS[name]
     dicts = [dict(zip(keys, row)) for row in zip(*columns)]
-    assert cli._templated(rows) is templated
-    assert json_written(rows) == json.dumps(dicts, indent=2) + "\n"
-    assert (json_written({"entries": rows, "tail": None})
-            == json.dumps({"entries": dicts, "tail": None}, indent=2) + "\n")
+    reports = [{"entries": dicts}, {"tail": None, ESCAPED_KEY: dicts}]
+    for report in reports:
+        assert json_written(report) == json.dumps(report, indent=2) + "\n"
+    if table_shaped:
+        rows = cli._Rows(keys, columns)
+        for report in reports:
+            key = next(reversed(report))
+            assert (json_written({**report, key: rows})
+                    == json.dumps(report, indent=2) + "\n")
 
 
 def test_templated_rows_are_streamed_in_blocks():
@@ -743,21 +754,19 @@ def test_json_output_is_json_dumps_of_the_library_report(name, capsys):
 @given(i=st.integers(20, 60), k=st.integers(1, 6),
        seed=st.integers(0, 2 ** 32))
 def test_roots_and_sample_json_are_the_library_dicts(i, k, seed):
-    # The roots and the goodness-of-fit bins go through the row template,
-    # with the bytes of json.dumps of cert.to_dict() and gof.to_dict().
+    # The roots and the goodness-of-fit bins have the bytes of json.dumps
+    # of cert.to_dict() and gof.to_dict().
     p = repr(i / 64)
     params = make_params(float(p), k)
     roots = _roots_payload(params)
     sample = _sample_payload(params, 300, seed)
-    with mock.patch.object(cli, "_json_rows", wraps=cli._json_rows) as spy:
-        assert cli_output(("roots", "--p", p, "--k", str(k))) == (
-            0 if roots["passed"] else 1,
-            json.dumps(roots, indent=2) + "\n", "")
-        assert cli_output(("sample", "--p", p, "--k", str(k), "--trials",
-                           "300", "--seed", str(seed))) == (
-            1 if sample["gof"]["hard_fail"] else 0,
-            json.dumps(sample, indent=2) + "\n", "")
-    assert spy.call_count == 2
+    assert cli_output(("roots", "--p", p, "--k", str(k))) == (
+        0 if roots["passed"] else 1,
+        json.dumps(roots, indent=2) + "\n", "")
+    assert cli_output(("sample", "--p", p, "--k", str(k), "--trials",
+                       "300", "--seed", str(seed))) == (
+        1 if sample["gof"]["hard_fail"] else 0,
+        json.dumps(sample, indent=2) + "\n", "")
 
 
 def test_parser_is_built_once_per_process():

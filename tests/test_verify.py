@@ -72,6 +72,29 @@ def test_roots_solved_once_per_cell(monkeypatch, mode):
     assert solved == {(p, k): 1 for p in (0.5, 2 / 3) for k in range(1, 4)}
 
 
+def test_a_failed_cell_is_solved_once(monkeypatch):
+    # float roots are lost at p = 1/2 from k = 53: both root checks skip
+    # those cells, each with its reason, from one solve per cell
+    solved = Counter()
+    find_roots = roots_mod.find_roots
+
+    def counting(params):
+        solved[params.k] += 1
+        return find_roots(params)
+
+    monkeypatch.setattr(roots_mod, "find_roots", counting)
+    report = run_verify(p_values=[Fraction(1, 2)], k_max=60, n_max=70,
+                        r_max=1)
+    assert report.passed
+    assert solved == {k: 1 for k in range(1, 61)}
+    skips = [{"p": "0.5", "k": k,
+              "reason": f"root magnitude >= 1 for (p=0.5, k={k}, float)"}
+             for k in range(53, 61)]
+    checks = {check.name: check for check in report.checks}
+    assert checks["rootsum_pmf"].skips == skips
+    assert checks["root_certification"].skips == skips
+
+
 def test_empty_p_grid_rejected():
     # the CLI cannot send an empty grid; the other bounds are tested there
     with pytest.raises(DomainError, match="no probabilities"):
