@@ -60,7 +60,8 @@ def _factorial_moments(params: Params, rs, engine: Engine,
         if power == 0:
             raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
                               f"underflows the float range; use exact mode")
-        return math.factorial(r) * f / power
+        return _finite(lambda: math.factorial(r) * f / power,
+                       f"factorial moment r={r}", params)
 
     named = label and (lambda n: f"{label}(r={(n - k) // (k + 1)}, {params})")
     return map(moment, rs,
@@ -96,37 +97,43 @@ def factorial_moment_closed(params: Params, r: int) -> Scalar:
 def mean(params: Params) -> Scalar:
     """E[N] = (1 - p^k) / (q p^k).
 
-    In float mode both closed forms are evaluated exactly from the binary
-    rationals of the stored p and q (see pmf._scaled_pq) and rounded once:
-    in floats, 1 - p^k and the terms of the variance cancel near p = 1.
+    Both closed forms are one ratio of integers from p = a/b and q = c/b
+    (pmf._scaled_pq), reduced or rounded once (_ratio): in floats,
+    1 - p^k and the terms of the variance cancel near p = 1.
     """
-    if params.mode is Mode.FLOAT:
-        a, c, b = _scaled_pq(params)
-        k = params.k
-        return _rounded((b ** k - a ** k) * b, c * a ** k, "mean", params)
-    return (1 - params.p ** params.k) / qpk(params)
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    return _ratio((b ** k - a ** k) * b, c * a ** k, "mean", params)
 
 
 def variance(params: Params) -> Scalar:
     """Var[N] = 1/(q p^k)^2 - (2k+1)/(q p^k) - p/q^2."""
-    if params.mode is Mode.FLOAT:
-        a, c, b = _scaled_pq(params)
-        k = params.k
-        a_k, b_k1 = a ** k, b ** (k + 1)
-        # Over the common denominator c^2 a^2k, with p = a/b and q = c/b.
-        num = b_k1 * (b_k1 - (2 * k + 1) * c * a_k) - a * a_k * a_k * b
-        return _rounded(num, c * c * a_k * a_k, "variance", params)
-    c = qpk(params)
-    return 1 / c ** 2 - (2 * params.k + 1) / c - params.p / params.q ** 2
+    a, c, b = _scaled_pq(params)
+    k = params.k
+    a_k, b_k1 = a ** k, b ** (k + 1)
+    # Over the common denominator c^2 a^2k, with p = a/b and q = c/b.
+    num = b_k1 * (b_k1 - (2 * k + 1) * c * a_k) - a * a_k * a_k * b
+    return _ratio(num, c * c * a_k * a_k, "variance", params)
 
 
-def _rounded(num: int, den: int, what: str, params: Params) -> float:
-    """num/den correctly rounded to a float (int true division rounds once)."""
+def _ratio(num: int, den: int, what: str, params: Params) -> Scalar:
+    """num/den reduced once, or in float mode rounded once (_finite)."""
+    if params.mode is Mode.EXACT:
+        return Fraction(num, den)
+    return _finite(lambda: num / den, what, params)
+
+
+def _finite(compute, what: str, params: Params) -> Scalar:
+    """compute(), or DomainError naming what if it overflows (an int too
+    large for a double meets a float) or a float result is not finite."""
     try:
-        return num / den
+        value = compute()
     except OverflowError:
+        value = math.inf
+    if not abs(value) < math.inf:
         raise DomainError(f"{what} of {params} exceeds the float range; "
-                          f"use exact mode") from None
+                          f"use exact mode")
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +182,8 @@ def moment_report(params: Params, r_max: int,
     each precision flag records the warnings of its own r.  Raw moments use
     E[N^m] = sum_j S(m, j) mu_(j) with exact integer Stirling numbers;
     central moments expand binomially around the mean.  Exact mode
-    evaluates both sums on integers (_exact_conversions).
+    evaluates both sums on integers (_exact_conversions); in float mode the
+    first moment past the double range raises DomainError (_finite).
     """
     _check_r(r_max)
     values = _factorial_moments(params, range(1, r_max + 1), engine)
@@ -196,14 +204,18 @@ def moment_report(params: Params, r_max: int,
     if params.mode is Mode.EXACT:
         raw, central = _exact_conversions(params, factorial)
     else:
-        raw = [sum(stirling2(m, j) * factorial[j - 1] for j in range(1, m + 1))
+        raw = [_finite(lambda: sum(stirling2(m, j) * factorial[j - 1]
+                                   for j in range(1, m + 1)),
+                       f"raw moment r={m}", params)
                for m in range(1, r_max + 1)]
         mu = factorial[0]
         raw0 = [1] + raw
         central = []
         for m in range(2, r_max + 1):
-            central.append(sum(math.comb(m, i) * raw0[i] * (-mu) ** (m - i)
-                               for i in range(m + 1)))
+            central.append(_finite(
+                lambda: sum(math.comb(m, i) * raw0[i] * (-mu) ** (m - i)
+                            for i in range(m + 1)),
+                f"central moment r={m}", params))
     return MomentReport(params=params, r_max=r_max, factorial=tuple(factorial),
                         raw=tuple(raw), central=tuple(central),
                         mean=mean(params), variance=variance(params),
@@ -287,9 +299,10 @@ def factorial_moment_series(params: Params, r_max: int,
     is f(n) = g(n) / b^n for the integers g of pmf._scaled_pmf, so each
     partial sum is an integer over b^n, extended by S <- S b + n^(r) g(n)
     and reduced once at the end.  Float mode sums the float recurrence with
-    Neumaier compensation.  An oracle that cannot stop within
-    _MAX_ORACLE_TERMS terms raises SolverError before it sums
-    (_check_reach), and one whose float terms or tail bounds pass the
+    Neumaier compensation.  The stop test reads these partial sums (exact
+    ones rounded once, float ones with their carries).  An oracle that
+    cannot stop within _MAX_ORACLE_TERMS terms raises SolverError before it
+    sums (_check_reach), and one whose float terms or tail bounds pass the
     double range raises SolverError when they do.
     """
     _check_r(r_max)
@@ -308,11 +321,9 @@ def factorial_moment_series(params: Params, r_max: int,
         values = _float_pmf(params)
         sums = [0.0] * r_max
         carries = [0.0] * r_max
-    float_sums = [0.0] * r_max
 
     try:
-        for n, (value, f_float) in enumerate(zip(values, _float_pmf(fparams)),
-                                             start=k):
+        for n, value in enumerate(values, start=k):
             for ri in range(r_max):
                 ff = falling_factorial(n, ri + 1)
                 if exact:
@@ -325,21 +336,25 @@ def factorial_moment_series(params: Params, r_max: int,
                     else:
                         carries[ri] += (term - t) + sums[ri]
                     sums[ri] = t
-                float_sums[ri] += ff * f_float
 
             if n % _CHECK_EVERY == 0 or n - k < 8:
                 bounds = [_series_tail_bound(env_a, env_m, n, ri + 1)
                           for ri in range(r_max)]
+                if exact:
+                    scale = b ** n
+                    partial = [s / scale for s in sums]
+                else:
+                    partial = [s + c for s, c in zip(sums, carries)]
                 if all(bd is not None and bd <= rel_tol * s
-                       for bd, s in zip(bounds, float_sums)):
+                       for bd, s in zip(bounds, partial)):
                     break
             if n - k >= _MAX_ORACLE_TERMS:
                 raise SolverError(
                     f"series oracle did not reach rel_tol={rel_tol} within "
                     f"{_MAX_ORACLE_TERMS} terms for {params}")
     except OverflowError:
-        # n^(r) in a float term, or (n+1)^r in the tail bound, is an int
-        # too large for a double.
+        # n^(r) in a float term, (n+1)^r in the tail bound or an exact
+        # partial sum is too large for a double.
         raise SolverError(
             f"series oracle left the double range (about 1.8e308) at "
             f"n={n} with r_max={r_max} for {params}") from None

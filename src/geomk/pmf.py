@@ -119,13 +119,6 @@ def _nth(values, index: int):
     return next(islice(values, index, None))
 
 
-def _scaled_series(params: Params, n_max: int):
-    """(b, [g(0), ..., g(n_max)]) for exact params and n_max >= k."""
-    a, c, b = _scaled_pq(params)
-    k = params.k
-    return b, [0] * k + list(islice(_scaled_pmf(a, c, k), n_max - k + 1))
-
-
 # A Fraction from a numerator and denominator already in lowest terms,
 # without the gcd the public constructor spends: CPython 3.12 added the
 # private _from_coprime_ints, and 3.10 and 3.11 take _normalize=False.
@@ -156,16 +149,6 @@ def _over_power(s: int, power: int, b: int) -> Fraction:
         s //= t
         power //= t
     return _coprime_fraction(s, power)
-
-
-def _unscaled(scaled, b: int) -> list:
-    """[s(n) / b^n for n = 0, 1, ...], each reduced once by _over_power
-    (the factors of b only), never by a full gcd."""
-    values, power = [], 1
-    for s in scaled:
-        values.append(_over_power(s, power, b))
-        power *= b
-    return values
 
 
 def _finish_sum(params: Params, plus: int, minus: int, scale: int, label,
@@ -230,8 +213,13 @@ def recurrence_series(params: Params, n_max: int) -> list:
     if n_max < k:
         return [_zero(params)] * (n_max + 1)
     if params.mode is Mode.EXACT:
-        b, scaled = _scaled_series(params, n_max)
-        return _unscaled(scaled, b)
+        # g(n) / b^n, reduced once by the factors of b only (_over_power)
+        a, c, b = _scaled_pq(params)
+        values, power = [Fraction(0)] * k, b ** k
+        for g in islice(_scaled_pmf(a, c, k), n_max - k + 1):
+            values.append(_over_power(g, power, b))
+            power *= b
+        return values
     return [0.0] * k + list(islice(_float_pmf(params), n_max - k + 1))
 
 
@@ -636,13 +624,12 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
 
     Every engine but the recurrence fills the entries in one pass of
     _engine_values, so they are the values pmf gives; the recurrence table
-    is recurrence_series, plus a second kernel run for the exact cumulative
-    column.  Every other cumulative column is one accumulate pass over the
-    entries.  A table that fails _validate_table (a nan entry included)
-    raises ConsistencyError.  In float mode the table also carries the mass
-    beyond n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a
-    recurrence table walks k + 1 values further, and every other engine
-    takes f(n_max + k + 1) from one float recurrence walk.
+    is recurrence_series.  The cumulative column comes from the entries
+    alone (_checked_cumulative), and a table that fails its checks (a nan
+    entry included) raises ConsistencyError.  In float mode the table also
+    carries the mass beyond n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k)
+    (_tail_mass): a recurrence table walks k + 1 values further, and every
+    other engine takes f(n_max + k + 1) from one float recurrence walk.
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
@@ -654,16 +641,7 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     else:
         entries = list(_engine_values(params, engine, range(n_max + 1)))
 
-    if engine is Engine.RECURRENCE and not floating:
-        # The cumulative C(n) = F(n) b^n is an integer too, with
-        # C(n) = C(n-1) b + g(n); rerunning the kernel costs far less than
-        # adding the reduced entries.
-        b, scaled = _scaled_series(params, n_max)
-        cumulative = _unscaled(accumulate(scaled, lambda acc, g: acc * b + g), b)
-    else:
-        # 0 + f(0), then + f(1), ...: the additions of a running sum
-        cumulative = list(accumulate(entries, initial=_zero(params)))[1:]
-    _validate_table(params, entries, cumulative)
+    cumulative = _checked_cumulative(params, entries)
 
     bound = None
     if floating:
@@ -674,21 +652,39 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
                     cumulative=tuple(cumulative), tail_bound=bound)
 
 
-def _validate_table(params, entries, cumulative):
-    """Raise ConsistencyError unless every entry is a probability, those
-    below the support are 0, the total mass is at most 1 and f(k) = p^k
-    (within 1e-10 in float mode).  The comparisons are written so that a
-    nan fails them, as an infinity does."""
-    slack = 0 if params.mode is Mode.EXACT else 1e-10
+def _checked_cumulative(params: Params, entries) -> list:
+    """The cumulative column of a table's entries, each exact value reduced
+    once.  Raise ConsistencyError unless every entry is a probability,
+    those below the support are 0, f(k) = p^k (within 1e-10 in float mode),
+    every exact f(n) is an integer over b^n (p = a/b) and the total mass is
+    at most 1.  The comparisons are written so that a nan fails them, as an
+    infinity does."""
+    exact = params.mode is Mode.EXACT
+    slack = 0 if exact else 1e-10
     k = params.k
     for n, f in enumerate(entries):
         if not -slack <= f <= 1 + slack:
             raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
         if 1 <= n <= k - 1 and f != 0:
             raise ConsistencyError(f"nonzero pmf below the support at n={n}: {f}")
-    if not cumulative[-1] <= 1 + slack:
-        raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
     expected_at_k = params.p ** k
     if len(entries) > k and abs(entries[k] - expected_at_k) > slack:
         raise ConsistencyError(
             f"pmf at n=k is {entries[k]}, expected p^k = {expected_at_k}")
+    if not exact:
+        cumulative = list(accumulate(entries, initial=0.0))[1:]
+    else:
+        # C(n) = F(n) b^n is the integer C(n-1) b + num (b^n // den)
+        b = _scaled_pq(params)[2]
+        cumulative, total, power = [], 0, 1
+        for n, f in enumerate(entries):
+            shared, rest = divmod(power, f.denominator)
+            if rest:
+                raise ConsistencyError(f"pmf value at n={n} of {params} is "
+                                       f"not an integer over b^n: {f}")
+            total = total * b + f.numerator * shared
+            cumulative.append(_over_power(total, power, b))
+            power *= b
+    if not cumulative[-1] <= 1 + slack:
+        raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
+    return cumulative

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .numerics import ConsistencyError, Mode, ModeError, SolverError
 from .params import DegeneracyFlag, Params
 
-POLISH_TOL = 1e-14        # on |A(z)| / max(1, max|coeff|)
+POLISH_TOL = 1e-14        # on |A(z)|; no coefficient of A exceeds 1 in magnitude
 IDENTITY_TOL = 1e-12      # on |z^k (1-z) - p^k q|
 SEPARATION_TOL = 1e-9     # minimum pairwise root distance
 MAGNITUDE_WARN_BAND = 1e-9  # |z| in [1 - band, 1) passes with a warning
@@ -138,9 +138,9 @@ def find_roots(params: Params) -> RootSet:
     z^k (1 - z) = q p^k, near |z| = p (see _branch_starts), so Aberth's
     simultaneous iteration, with the principal root pinned, begins close to
     the roots and stops after a few sweeps; the start never forms q p^k,
-    which underflows at large k.  Raises SolverError (carrying the best
-    residuals) instead of returning an uncertified set, and raises it at
-    once when p^k is below the normal double range (see _underflow).
+    which underflows at large k.  Returns only a set that certify_roots
+    passes, or raises SolverError (see _failures), at once when p^k is
+    below the normal double range (see _underflow).
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("find_roots requires float-mode params")
@@ -187,13 +187,15 @@ def find_roots(params: Params) -> RootSet:
                 z[i] -= val / der
         roots = _canonicalize(coeffs, z)
 
-    residuals = [_identity_residual(r, params) for r in roots]
-    _validate(roots, residuals, params)
-    order = sorted(range(1, k), key=lambda i: (-roots[i].real, -roots[i].imag))
-    roots = [roots[0]] + [roots[i] for i in order]
-    residuals = [residuals[0]] + [residuals[i] for i in order]
-    return RootSet(roots=tuple(roots), principal_index=0,
-                   residuals=tuple(residuals), degenerate=params.degenerate)
+    roots = (roots[0], *sorted(roots[1:], key=lambda z: (-z.real, -z.imag)))
+    root_set = RootSet(roots=roots, principal_index=0,
+                       residuals=tuple(_identity_residual(r, params) for r in roots),
+                       degenerate=params.degenerate)
+    cert = certify_roots(root_set, params)
+    if not cert.passed:
+        raise SolverError(next(_failures(cert, params)),
+                          residuals=list(cert.identity_residuals))
+    return root_set
 
 
 def _underflow(p: float, k: int) -> str:
@@ -229,7 +231,7 @@ def _canonicalize(coeffs, z):
     while cplx:
         zi = cplx.pop(0)
         if not cplx:
-            paired.append(zi)  # unmatched; validation will flag it
+            paired.append(zi)  # unmatched; certify_roots will flag it
             break
         mate = min(range(len(cplx)), key=lambda j: abs(cplx[j] - zi.conjugate()))
         zj = cplx.pop(mate)
@@ -244,55 +246,22 @@ def _identity_residual(z: complex, params: Params) -> float:
     return abs(z ** params.k * (1.0 - z) - p ** params.k * q)
 
 
-def _validate(roots, residuals, params):
-    coeffs = aux_poly_coeffs(params)
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    poly_worst = max(abs(_horner_pair(coeffs, z)[0]) for z in roots) / scale
-    if poly_worst > POLISH_TOL:
-        raise SolverError(
-            f"scaled polynomial residual {poly_worst:.3e} exceeds "
-            f"{POLISH_TOL} for {params}", residuals=residuals)
-    worst = max(residuals)
-    if worst > IDENTITY_TOL:
-        raise SolverError(
-            f"root identity residual {worst:.3e} exceeds {IDENTITY_TOL} for {params}",
-            residuals=residuals)
-    if max(abs(r) for r in roots) >= 1.0:
-        raise SolverError(f"root magnitude >= 1 for {params}", residuals=residuals)
-    positives = [r for r in roots if r.imag == 0.0 and r.real > 0.0]
-    if len(positives) != 1:
-        raise SolverError(
-            f"expected exactly one positive real root, found {len(positives)} for {params}",
-            residuals=residuals)
-    k = len(roots)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(roots[i] - roots[j]) <= SEPARATION_TOL:
-                raise SolverError(
-                    f"roots {i} and {j} closer than {SEPARATION_TOL} for {params}",
-                    residuals=residuals)
-
-
 def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     """Re-check every RootSet invariant and report, never raise.
 
-    Passes iff: exactly one positive real root, all magnitudes < 1, pairwise
-    separation above threshold, and every identity residual within
-    tolerance.  Magnitudes inside [1 - 1e-9, 1) pass with a warning since
-    no sharper literature bound is available.  When p^k underflows the
-    normal double range the identity check is vacuous, so the set fails
-    with a warning that says so.
+    Passes iff every gate of _failures holds: polynomial and identity
+    residuals within tolerance, all magnitudes < 1, exactly one positive
+    real root and pairwise separation above threshold.  Magnitudes inside
+    [1 - 1e-9, 1) pass with a warning since no sharper literature bound is
+    available.  When p^k underflows the normal double range the identity
+    check is vacuous, so the set fails with a warning that says so.
     """
     roots = root_set.roots
     identity = tuple(_identity_residual(r, params) for r in roots)
     coeffs = aux_poly_coeffs(params)
     poly = tuple(abs(_horner_pair(coeffs, r)[0]) for r in roots)
-    k = len(roots)
-    if k > 1:
-        min_sep = min(abs(roots[i] - roots[j])
-                      for i in range(k) for j in range(i + 1, k))
-    else:
-        min_sep = float("inf")
+    min_sep = min((abs(z - w) for i, z in enumerate(roots) for w in roots[i + 1:]),
+                  default=float("inf"))
     positive_real = sum(1 for r in roots
                         if abs(r.imag) <= _REAL_SNAP * (1.0 + abs(r)) and r.real > 0.0)
     max_mag = max(abs(r) for r in roots)
@@ -305,21 +274,37 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
         warnings.append(
             f"max root magnitude {max_mag:.15f} is within {MAGNITUDE_WARN_BAND} of 1")
 
-    passed = (not underflow
-              and positive_real == 1
-              and max_mag < 1.0
-              and min_sep > SEPARATION_TOL
-              and max(identity) <= IDENTITY_TOL)
-    return RootCertification(
+    cert = RootCertification(
         identity_residuals=identity,
         poly_residuals=poly,
         min_separation=min_sep,
         positive_real_count=positive_real,
         max_magnitude=max_mag,
         degenerate=root_set.degenerate.is_degenerate,
-        passed=passed,
+        passed=False,
         warnings=tuple(warnings),
     )
+    if underflow or next(_failures(cert, params), None):
+        return cert
+    return replace(cert, passed=True)
+
+
+def _failures(cert: RootCertification, params: Params):
+    """Yield the message of each gate cert fails, in order; find_roots
+    raises the first.  Each gate is the condition that passes, so a nan
+    fails it."""
+    poly, identity = max(cert.poly_residuals), max(cert.identity_residuals)
+    if not poly <= POLISH_TOL:
+        yield f"scaled polynomial residual {poly:.3e} exceeds {POLISH_TOL} for {params}"
+    if not identity <= IDENTITY_TOL:
+        yield f"root identity residual {identity:.3e} exceeds {IDENTITY_TOL} for {params}"
+    if not cert.max_magnitude < 1.0:
+        yield f"root magnitude >= 1 for {params}"
+    if cert.positive_real_count != 1:
+        yield (f"expected exactly one positive real root, found "
+               f"{cert.positive_real_count} for {params}")
+    if not cert.min_separation > SEPARATION_TOL:
+        yield f"two roots closer than {SEPARATION_TOL} for {params}"
 
 
 def spectral_coefficients(params: Params, root_set: RootSet) -> list:

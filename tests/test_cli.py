@@ -199,6 +199,20 @@ class TestMomentsCommand:
                        "(q p^k)^2 underflows the float range; use exact mode\n")
 
 
+    @pytest.mark.parametrize("k,r_max,what", [(1, 200, "factorial moment r=171"),
+                                              (2, 140, "factorial moment r=133")])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_float_moments_past_the_double_range_exit_2(self, k, r_max, what,
+                                                        fmt, capsys):
+        # neither a traceback nor Infinity/NaN tokens in the JSON
+        code, out, err = run_cli("moments", "--p", "0.5", "--k", str(k),
+                                 "--r-max", str(r_max), "--mode", "float",
+                                 "--format", fmt, capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {what} of (p=0.5, k={k}, float) exceeds the "
+                       f"float range; use exact mode\n")
+
+
 class TestRootsCommand:
     def test_json_schema_and_golden(self, capsys):
         code, out, _ = run_cli("roots", "--p", "0.5", "--k", "2", capsys=capsys)

@@ -156,6 +156,49 @@ class TestMeanVariance:
             variance(make_params(0.5, 600))
 
 
+    @pytest.mark.parametrize("ab", [(1, 2), (1, 3), (2, 3), (37, 100)])
+    @pytest.mark.parametrize("k", [1, 2, 7, 40])
+    def test_exact_values_are_the_fraction_forms(self, ab, k):
+        params = make_params(Fraction(*ab), k)
+        p, q, c = params.p, params.q, qpk(params)
+        for got, want in ((mean(params), (1 - p ** k) / c),
+                          (variance(params),
+                           1 / c ** 2 - (2 * k + 1) / c - p / q ** 2)):
+            assert type(got) is Fraction
+            assert got == want
+
+
+class TestFloatRange:
+    """A float moment past the double range is a DomainError, never a raw
+    OverflowError, an infinity or a nan."""
+
+    def test_factorial_moment(self):
+        # 171! alone is past 1.8e308
+        assert math.isfinite(factorial_moment(make_params(0.5, 1), 170))
+        with pytest.raises(DomainError, match=(
+                r"^factorial moment r=171 of \(p=0\.5, k=1, float\) exceeds "
+                r"the float range; use exact mode$")):
+            factorial_moment(make_params(0.5, 1), 171)
+
+    # (k, r_max, the first moment made past 1.8e308, the last finite r_max):
+    # every factorial moment is made before any raw one
+    @pytest.mark.parametrize("k,r_max,what,finite", [
+        (2, 140, "factorial moment r=133", 130),
+        (2, 132, "raw moment r=131", 130),
+        (1, 165, "raw moment r=160", 159),
+    ])
+    def test_report_names_the_first_bad_moment(self, k, r_max, what, finite):
+        with pytest.raises(DomainError, match=(
+                rf"^{what} of \(p=0\.5, k={k}, float\) exceeds the float "
+                rf"range; use exact mode$")):
+            moment_report(make_params(0.5, k), r_max)
+        report = moment_report(make_params(0.5, k), finite)
+        assert all(map(math.isfinite, report.factorial + report.raw
+                       + report.central))
+        # exact mode has no range
+        assert moment_report(make_params(Fraction(1, 2), k), r_max).raw
+
+
 class TestStirling:
     def test_known_values(self):
         assert stirling2(4, 2) == 7
@@ -280,6 +323,22 @@ class TestMomentReport:
         report = moment_report(params, 40)
         assert len(walks) == 1
         assert report.factorial[-1] == factorial_moment(params, 40)
+
+
+@pytest.mark.parametrize("p", [0.5, Fraction(1, 2)])
+def test_series_oracle_walks_the_kernel_once(p, monkeypatch):
+    walks = {"_float_pmf": 0, "_scaled_pmf": 0}
+    for name in walks:
+        kernel = getattr(moments_mod, name)
+
+        def counting(*args, _name=name, _kernel=kernel):
+            walks[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(moments_mod, name, counting)
+    factorial_moment_series(make_params(p, 3), 4)
+    exact = isinstance(p, Fraction)
+    assert walks == {"_float_pmf": 0 if exact else 1, "_scaled_pmf": int(exact)}
 
 
 def _fraction_conversions(factorial):

@@ -314,6 +314,31 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             build_table(HALF2, Engine.RECURRENCE, 1)
 
+    @pytest.mark.parametrize("ab,k", [((1, 2), 2), ((37, 100), 3),
+                                      ((2, 3), 1), ((3, 4), 5)])
+    @pytest.mark.parametrize("engine", [Engine.RECURRENCE, Engine.MUSELLI,
+                                        Engine.CLOSED_FORM])
+    def test_exact_cumulative_is_the_fraction_running_sum(self, ab, k, engine):
+        table = build_table(make_params(Fraction(*ab), k), engine, 60)
+        total, sums = Fraction(0), []
+        for f in table.entries:
+            total += f
+            sums.append(total)
+        assert list(table.cumulative) == sums
+        assert all(type(c) is Fraction for c in table.cumulative)
+
+    def test_exact_recurrence_table_walks_the_kernel_once(self, monkeypatch):
+        walks = []
+        kernel = pmf_mod._scaled_pmf
+
+        def counting(*args):
+            walks.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(pmf_mod, "_scaled_pmf", counting)
+        build_table(make_params(Fraction(37, 100), 2), Engine.RECURRENCE, 200)
+        assert len(walks) == 1
+
     @pytest.mark.parametrize("engine", [Engine.RECURRENCE, Engine.MUSELLI,
                                         Engine.CLOSED_FORM, Engine.ROOT_SUM])
     def test_float_normalization_with_tail_bound(self, engine):
@@ -442,6 +467,15 @@ class TestTableValidation:
         _patched_muselli(monkeypatch, changes)
         with pytest.raises(ConsistencyError, match=message):
             build_table(params, Engine.MUSELLI, 30)
+
+    def test_exact_entry_off_the_powers_of_b_raises(self, monkeypatch):
+        # a probability that passes every other check, but is no integer
+        # over 2^7, so it has no place in the cumulative column's scale
+        _patched_muselli(monkeypatch, {7: Fraction(1, 3)})
+        with pytest.raises(ConsistencyError, match=(
+                r"^pmf value at n=7 of \(p=1/2, k=3, exact\) is not an "
+                r"integer over b\^n: 1/3$")):
+            build_table(make_params(Fraction(1, 2), 3), Engine.MUSELLI, 30)
 
     def test_float_tiny_negative_entry_within_slack_passes(self, monkeypatch):
         _patched_muselli(monkeypatch, {20: -1e-11})

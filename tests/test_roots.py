@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geomk import roots as roots_mod
 from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
 from geomk.roots import (RootSet, _branch_starts, _principal_root,
@@ -188,6 +190,82 @@ class TestCertify:
         cert = certify_roots(find_roots(params), params)
         assert cert.passed
         assert cert.warnings and "within" in cert.warnings[0]
+
+
+def _doctored(monkeypatch, doctor, relaxed=()):
+    """Make find_roots canonicalize to doctor(roots), with the tolerances
+    named in relaxed set to infinity so that a later gate is reached.
+    Returns the list the doctored roots are appended to."""
+    original, made = roots_mod._canonicalize, []
+
+    def canonicalize(coeffs, z):
+        made.extend(doctor(original(coeffs, z)))
+        return made
+
+    monkeypatch.setattr(roots_mod, "_canonicalize", canonicalize)
+    for name in relaxed:
+        monkeypatch.setattr(roots_mod, name, math.inf)
+    return made
+
+
+class TestOneCertificate:
+    """find_roots returns a root set exactly when certify_roots passes it,
+    and otherwise raises the message of the first gate the set fails."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(p=st.floats(min_value=0.01, max_value=0.99),
+           k=st.integers(min_value=1, max_value=80))
+    def test_returns_only_certified_sets(self, p, k):
+        params = make_params(p, k)
+        try:
+            root_set = find_roots(params)
+        except SolverError:
+            return
+        assert certify_roots(root_set, params).passed
+
+    # (relaxed tolerances, doctor, message) at p = 0.5, k = 3, whose roots
+    # are about 0.9196 and -0.2098 +- 0.3031i; gates in find_roots' order
+    GATES = [
+        ((), lambda z: [z[0] + 1e-6] + z[1:],
+         r"scaled polynomial residual \d\.\d{3}e-\d\d exceeds 1e-14"),
+        (("POLISH_TOL",), lambda z: [z[0] + 1e-6] + z[1:],
+         r"root identity residual \d\.\d{3}e-\d\d exceeds 1e-12"),
+        (("POLISH_TOL", "IDENTITY_TOL"), lambda z: [z[0], -1.5, z[2]],
+         r"root magnitude >= 1"),
+        (("POLISH_TOL", "IDENTITY_TOL"), lambda z: [z[0], 0.3 + 0j, -0.3 + 0j],
+         r"expected exactly one positive real root, found 2"),
+        (("POLISH_TOL", "IDENTITY_TOL"),
+         lambda z: [z[0], -0.3 + 0j, -0.3 + 1e-12 + 0j],
+         r"two roots closer than 1e-09"),
+    ]
+
+    @pytest.mark.parametrize("relaxed,doctor,message", GATES)
+    def test_each_gate_names_itself(self, monkeypatch, relaxed, doctor,
+                                    message):
+        params = make_params(0.5, 3)
+        roots = _doctored(monkeypatch, doctor, relaxed)
+        with pytest.raises(SolverError) as caught:
+            find_roots(params)
+        assert re.fullmatch(message + r" for \(p=0\.5, k=3, float\)",
+                            str(caught.value))
+        # the residuals carried are the certificate's, in the sorted order
+        assert caught.value.residuals == [
+            roots_mod._identity_residual(z, params)
+            for z in [roots[0]] + sorted(roots[1:],
+                                         key=lambda z: (-z.real, -z.imag))]
+
+    def test_polynomial_gate_is_part_of_the_certificate(self):
+        # 1e-13 off the principal root: |A(z)| ~ 1.1e-13 fails POLISH_TOL,
+        # while the identity residual |z - p| |A(z)| ~ 3.5e-14 passes
+        params = make_params(0.5, 2)
+        good = find_roots(params)
+        bad = RootSet(roots=(good.roots[0] + 1e-13,) + good.roots[1:],
+                      principal_index=0, residuals=good.residuals,
+                      degenerate=good.degenerate)
+        cert = certify_roots(bad, params)
+        assert max(cert.identity_residuals) <= 1e-12
+        assert max(cert.poly_residuals) > 1e-14
+        assert not cert.passed
 
 
 class TestUnderflow:
