@@ -290,7 +290,7 @@ def cmd_roots(args):
         raise ModeError("roots are solved in float mode only; use --mode float")
     params = _params_from(args)
     root_set = roots_mod.find_roots(params)
-    cert = roots_mod.certify_roots(root_set, params)
+    cert = root_set.certificate
 
     def rows():
         yield "index", "re", "im", "identity_residual"

@@ -16,6 +16,8 @@ from __future__ import annotations
 import cmath
 import sys
 from dataclasses import dataclass, replace
+from itertools import combinations, starmap
+from operator import sub
 
 from .numerics import ConsistencyError, Mode, ModeError, SolverError
 from .params import DegeneracyFlag, Params
@@ -34,6 +36,8 @@ class RootSet:
     principal_index: int
     residuals: tuple        # per-root |z^k (1-z) - p^k q|
     degenerate: DegeneracyFlag
+    certificate: RootCertification | None = None  # the one find_roots passed;
+                                                  # None for a set built by hand
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,14 @@ def aux_poly_eval(params: Params, z: complex) -> complex:
     return acc
 
 
+def _horner(coeffs, z):
+    """Value of the polynomial at z: the same bits as _horner_pair(...)[0]."""
+    val = 0.0
+    for c in coeffs:
+        val = val * z + c
+    return val
+
+
 def _horner_pair(coeffs, z):
     """(value, derivative) of the polynomial at z in one pass.
 
@@ -89,14 +101,16 @@ def _horner_pair(coeffs, z):
 
 
 def _principal_root(coeffs) -> float:
-    """Unique positive real root, by bisection on (0, 1) then Newton.
+    """Unique positive real root, by bisection on (0, 1) then Newton on A.
 
     A(0) < 0 < A(1) always holds for valid params, so the bracket is free.
+    Branch 0 of the identity (see _branch_root) also holds the extraneous
+    root z = p, so this root is not solved there.
     """
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _horner_pair(coeffs, mid)[0] < 0.0:
+        if _horner(coeffs, mid) < 0.0:
             lo = mid
         else:
             hi = mid
@@ -112,81 +126,63 @@ def _principal_root(coeffs) -> float:
     return z
 
 
-def _branch_starts(p: float, q: float, k: int) -> list:
-    """Start points for the k - 1 non-principal roots, one per branch.
+def _branch_root(w, q: float, k: int, params: Params):
+    """The root on the branch z = phi(z) = w (q / (1 - z))^(1/k) of the
+    identity z^k (1 - z) = q p^k, where w = e^(2 pi i m / k) p for branch m.
 
-    The roots solve z^k (1 - z) = q p^k, that is z = w p (q / (1 - z))^(1/k)
-    for a k-th root of unity w.  Root m (1 <= m < k) lies on the branch
-    w = e^(2 pi i m / k), near |z| = p, so it starts at w p and takes a few
-    fixed-point steps on its own branch.  q p^k itself is never formed: it
-    underflows to 0 at large k and would collapse every start onto 0.
+    Newton on z - phi(z) from z = w; phi'(z) = phi(z) / (k (1 - z)).  A
+    real w stays in real arithmetic.  q p^k itself is never formed: it
+    underflows to 0 at large k.
     """
-    starts = []
-    for m in range(1, k):
-        branch = cmath.exp(2j * cmath.pi * m / k) * p
-        z = branch
-        for _ in range(3):
-            z = branch * (q / (1.0 - z)) ** (1.0 / k)
-        starts.append(z)
-    return starts
+    z = w
+    for _ in range(MAX_ITER):
+        phi = w * (q / (1.0 - z)) ** (1.0 / k)
+        delta = (z - phi) / (1.0 - phi / (k * (1.0 - z)))
+        z -= delta
+        if abs(delta) <= 1e-15 * (1.0 + abs(z)):
+            return z
+    raise SolverError(f"branch Newton iteration did not converge within "
+                      f"{MAX_ITER} iterations for {params}")
+
+
+def _unsorted_roots(params: Params, coeffs) -> list:
+    """The k roots, principal first, then branches m and k - m in turn.
+
+    Root m (1 <= m < k) is the root on branch m (see _branch_root), near
+    |z| = p, polished by one Newton step on A.  Only m <= k/2 is solved:
+    branch k - m holds the exact conjugate, and for even k branch k/2 is
+    the negative real root, solved in real arithmetic.
+    """
+    k = params.k
+    p = float(params.p)
+    q = float(params.q)
+    if k == 1:
+        return [complex(q, 0.0)]
+    roots = [complex(_principal_root(coeffs), 0.0)]
+    for m in range(1, k // 2 + 1):
+        real = 2 * m == k
+        z = _branch_root(-p if real else cmath.exp(2j * cmath.pi * m / k) * p,
+                         q, k, params)
+        val, der = _horner_pair(coeffs, z)
+        z -= val / der
+        roots += [complex(z, 0.0)] if real else [z, z.conjugate()]
+    return roots
 
 
 def find_roots(params: Params) -> RootSet:
-    """All k roots: principal by bisection+Newton, rest by Aberth iteration.
+    """All k roots, each solved on its own branch (see _unsorted_roots),
+    sorted and certified once.
 
-    Each non-principal estimate starts on its own branch of the identity
-    z^k (1 - z) = q p^k, near |z| = p (see _branch_starts), so Aberth's
-    simultaneous iteration, with the principal root pinned, begins close to
-    the roots and stops after a few sweeps; the start never forms q p^k,
-    which underflows at large k.  Returns only a set that certify_roots
-    passes, or raises SolverError (see _failures), at once when p^k is
+    Returns only a set that certify_roots passes, with that certificate
+    attached, or raises SolverError (see _failures), at once when p^k is
     below the normal double range (see _underflow).
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("find_roots requires float-mode params")
-    k = params.k
-    p = float(params.p)
-    q = float(params.q)
-    reason = _underflow(p, k)
+    reason = _underflow(float(params.p), params.k)
     if reason:
         raise SolverError(f"{reason} for {params}")
-    coeffs = aux_poly_coeffs(params)
-
-    if k == 1:
-        roots = [complex(q, 0.0)]
-    else:
-        z = [complex(_principal_root(coeffs), 0.0)] + _branch_starts(p, q, k)
-
-        converged = False
-        for _ in range(MAX_ITER):
-            moved = 0.0
-            for i in range(1, k):
-                val, der = _horner_pair(coeffs, z[i])
-                if val == 0:
-                    continue
-                w = val / der if der != 0 else val
-                s = sum(1.0 / (z[i] - z[j]) for j in range(k) if j != i)
-                denom = 1.0 - w * s
-                delta = w / denom if denom != 0 else w
-                z[i] -= delta
-                moved = max(moved, abs(delta) / (1.0 + abs(z[i])))
-            if moved <= 1e-15:
-                converged = True
-                break
-        if not converged:
-            raise SolverError(
-                f"Aberth iteration did not converge within {MAX_ITER} "
-                f"iterations for {params}",
-                residuals=[abs(_horner_pair(coeffs, zi)[0]) for zi in z])
-
-        for i in range(1, k):
-            for _ in range(3):
-                val, der = _horner_pair(coeffs, z[i])
-                if der == 0 or val == 0:
-                    break
-                z[i] -= val / der
-        roots = _canonicalize(coeffs, z)
-
+    roots = _unsorted_roots(params, aux_poly_coeffs(params))
     roots = (roots[0], *sorted(roots[1:], key=lambda z: (-z.real, -z.imag)))
     root_set = RootSet(roots=roots, principal_index=0,
                        residuals=tuple(_identity_residual(r, params) for r in roots),
@@ -195,49 +191,20 @@ def find_roots(params: Params) -> RootSet:
     if not cert.passed:
         raise SolverError(next(_failures(cert, params)),
                           residuals=list(cert.identity_residuals))
-    return root_set
+    return replace(root_set, certificate=cert)
 
 
 def _underflow(p: float, k: int) -> str:
     """Why float roots cannot be certified at (p, k), or "" if they can.
 
     The roots lie near |z| = p, so once p^k is subnormal z^k carries almost
-    no precision there: Aberth's stop test is never met, and the identity
-    check z^k (1 - z) = q p^k compares 0 with 0 and passes any root.  k = 1
-    has the closed-form root q.
+    no precision there, and the identity check z^k (1 - z) = q p^k compares
+    0 with 0 and passes any root.  k = 1 has the closed-form root q.
     """
     if k >= 2 and p ** k < sys.float_info.min:
         return (f"p^k = {p ** k:.3g} underflows the normal double range, "
                 f"so float roots cannot be certified")
     return ""
-
-
-def _canonicalize(coeffs, z):
-    """Snap rounding-noise imaginary parts to zero and pair conjugates."""
-    real, cplx = [z[0]], []
-    for zi in z[1:]:
-        if abs(zi.imag) <= _REAL_SNAP * (1.0 + abs(zi)):
-            zi = complex(zi.real, 0.0)
-            for _ in range(2):
-                val, der = _horner_pair(coeffs, zi)
-                if der.real == 0 or val.real == 0:
-                    break
-                zi = complex(zi.real - val.real / der.real, 0.0)
-            real.append(zi)
-        else:
-            cplx.append(zi)
-    cplx.sort(key=lambda c: (c.real, abs(c.imag), c.imag))
-    paired = []
-    while cplx:
-        zi = cplx.pop(0)
-        if not cplx:
-            paired.append(zi)  # unmatched; certify_roots will flag it
-            break
-        mate = min(range(len(cplx)), key=lambda j: abs(cplx[j] - zi.conjugate()))
-        zj = cplx.pop(mate)
-        avg = (zi + zj.conjugate()) / 2.0
-        paired.extend([avg, avg.conjugate()])
-    return real + paired
 
 
 def _identity_residual(z: complex, params: Params) -> float:
@@ -255,12 +222,14 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     [1 - 1e-9, 1) pass with a warning since no sharper literature bound is
     available.  When p^k underflows the normal double range the identity
     check is vacuous, so the set fails with a warning that says so.
+    find_roots attaches the certificate it passed to the set it returns
+    (RootSet.certificate), so a caller never needs to certify that set again.
     """
     roots = root_set.roots
     identity = tuple(_identity_residual(r, params) for r in roots)
     coeffs = aux_poly_coeffs(params)
-    poly = tuple(abs(_horner_pair(coeffs, r)[0]) for r in roots)
-    min_sep = min((abs(z - w) for i, z in enumerate(roots) for w in roots[i + 1:]),
+    poly = tuple(abs(_horner(coeffs, r)) for r in roots)
+    min_sep = min(map(abs, starmap(sub, combinations(roots, 2))),
                   default=float("inf"))
     positive_real = sum(1 for r in roots
                         if abs(r.imag) <= _REAL_SNAP * (1.0 + abs(r)) and r.real > 0.0)

@@ -193,13 +193,13 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
 
 def check_root_certification(p_values, k_max: int,
                              find_roots=None) -> CheckResult:
-    """find_roots + certify_roots must pass on every float (p, k) pair
-    that find_roots solves (find_roots as in check_rootsum_pmf)."""
+    """The certificate find_roots attaches must pass on every float (p, k)
+    pair that find_roots solves (find_roots as in check_rootsum_pmf)."""
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("root_certification", True, 0)
     cells = _grid_params(p_values, k_max, Mode.FLOAT)
     for params, root_set in _solved_cells(result, cells, find_roots):
-        cert = roots_mod.certify_roots(root_set, params)
+        cert = root_set.certificate
         worst = max(cert.identity_residuals)
         result.cases += 1
         _track(result, cert.passed, worst,

@@ -228,6 +228,19 @@ class TestRootsCommand:
         assert code == 2
         assert "float" in err
 
+    def test_certified_once(self, monkeypatch, capsys):
+        # the report is the certificate find_roots attached to its set
+        certify, calls = roots_mod.certify_roots, []
+
+        def counting(root_set, params):
+            calls.append(params.k)
+            return certify(root_set, params)
+
+        monkeypatch.setattr(roots_mod, "certify_roots", counting)
+        code, out, _ = run_cli("roots", "--p", "0.37", "--k", "7", capsys=capsys)
+        assert (code, calls) == (0, [7])
+        assert json.loads(out)["passed"] is True
+
 
 class TestVerifyCommand:
     def test_small_grid_passes(self, capsys):

@@ -1,6 +1,8 @@
+import cmath
 import math
 import re
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from geomk import roots as roots_mod
 from geomk.numerics import ModeError, SolverError
 from geomk.params import make_params
-from geomk.roots import (RootSet, _branch_starts, _principal_root,
-                         aux_poly_coeffs, aux_poly_eval, certify_roots,
-                         find_roots, pmf_envelope, spectral_coefficients)
+from geomk.roots import (RootSet, _principal_root, aux_poly_coeffs,
+                         aux_poly_eval, certify_roots, find_roots,
+                         pmf_envelope, spectral_coefficients)
 
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
@@ -155,6 +157,34 @@ class TestFindRoots:
         assert keys == sorted(keys)
 
 
+class TestBranches:
+    """Root m is solved on branch m of z^k (1 - z) = q p^k, and branch
+    k - m holds its exact conjugate."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(p=st.floats(min_value=0.01, max_value=0.99),
+           k=st.integers(min_value=1, max_value=160))
+    def test_conjugate_pairs_one_root_per_branch(self, p, k):
+        params = make_params(p, k)
+        try:
+            root_set = find_roots(params)
+        except SolverError:
+            return
+        roots = root_set.roots
+        assert Counter(roots) == Counter(z.conjugate() for z in roots)
+        branches = sorted(round(k * cmath.phase(z) / (2 * math.pi)) % k
+                          for z in roots)
+        assert branches == list(range(k))
+        assert root_set.certificate == certify_roots(root_set, params)
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(roots_mod, "MAX_ITER", 1)
+        with pytest.raises(SolverError, match=re.escape(
+                "branch Newton iteration did not converge within 1 "
+                "iterations for (p=0.5, k=3, float)")):
+            find_roots(make_params(0.5, 3))
+
+
 class TestCertify:
     def test_pass(self):
         params = make_params(0.5, 2)
@@ -193,16 +223,16 @@ class TestCertify:
 
 
 def _doctored(monkeypatch, doctor, relaxed=()):
-    """Make find_roots canonicalize to doctor(roots), with the tolerances
-    named in relaxed set to infinity so that a later gate is reached.
-    Returns the list the doctored roots are appended to."""
-    original, made = roots_mod._canonicalize, []
+    """Make find_roots solve doctor(roots) in place of its unsorted roots,
+    with the tolerances named in relaxed set to infinity so that a later
+    gate is reached.  Returns the list the doctored roots are appended to."""
+    original, made = roots_mod._unsorted_roots, []
 
-    def canonicalize(coeffs, z):
-        made.extend(doctor(original(coeffs, z)))
+    def unsorted_roots(params, coeffs):
+        made.extend(doctor(original(params, coeffs)))
         return made
 
-    monkeypatch.setattr(roots_mod, "_canonicalize", canonicalize)
+    monkeypatch.setattr(roots_mod, "_unsorted_roots", unsorted_roots)
     for name in relaxed:
         monkeypatch.setattr(roots_mod, name, math.inf)
     return made
@@ -254,6 +284,16 @@ class TestOneCertificate:
             for z in [roots[0]] + sorted(roots[1:],
                                          key=lambda z: (-z.real, -z.imag))]
 
+    @pytest.mark.parametrize("p,k,message", [
+        (0.5, 53, "root magnitude >= 1 for (p=0.5, k=53, float)"),
+        (0.09, 300, "p^k = 1.87e-314 underflows the normal double range, so "
+                    "float roots cannot be certified for (p=0.09, k=300, float)"),
+    ])
+    def test_failure_texts(self, p, k, message):
+        with pytest.raises(SolverError) as caught:
+            find_roots(make_params(p, k))
+        assert str(caught.value) == message
+
     def test_polynomial_gate_is_part_of_the_certificate(self):
         # 1e-13 off the principal root: |A(z)| ~ 1.1e-13 fails POLISH_TOL,
         # while the identity residual |z - p| |A(z)| ~ 3.5e-14 passes
@@ -279,11 +319,13 @@ class TestUnderflow:
         assert time.perf_counter() - start < 1.0
 
     def test_certificate_rejects_vacuous_identity(self):
-        # The solver's own starting points: z^300 underflows to 0 at every
-        # one of them, so the identity check alone compares 0 with 0.
+        # The solver's own starting points w_m = e^(2 pi i m / k) p: z^300
+        # underflows to 0 at every one of them, so the identity check alone
+        # compares 0 with 0.
         params = make_params(0.06, 300)
         starts = ([complex(_principal_root(aux_poly_coeffs(params)), 0.0)]
-                  + _branch_starts(0.06, 0.94, 300))
+                  + [cmath.exp(2j * cmath.pi * m / 300) * 0.06
+                     for m in range(1, 300)])
         root_set = RootSet(roots=tuple(starts), principal_index=0,
                            residuals=(0.0,) * 300,
                            degenerate=params.degenerate)

@@ -139,6 +139,20 @@ def test_a_cell_the_solver_fails_is_skipped_with_its_reason(check):
     assert result.to_dict()["skipped"] == 1
 
 
+def test_root_certification_reads_the_solver_certificate(monkeypatch):
+    # every solved cell is certified once, inside find_roots
+    certify, calls = roots_mod.certify_roots, Counter()
+
+    def counting(root_set, params):
+        calls[params.k] += 1
+        return certify(root_set, params)
+
+    monkeypatch.setattr(roots_mod, "certify_roots", counting)
+    result = check_root_certification([0.5, 0.37], 6)
+    assert result.passed and result.cases == 12
+    assert calls == {k: 2 for k in range(1, 7)}
+
+
 @pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
 def test_a_consistency_error_is_not_skipped(check):
     def find_roots(params):
