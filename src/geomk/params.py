@@ -7,8 +7,9 @@ from fractions import Fraction
 
 from .numerics import DomainError, Mode, Scalar, mode_of
 
-# Below this distance from k/(k+1) the generic spectral weights are too
-# ill-conditioned to use, so float params are treated as degenerate.
+# Float params within this distance of k/(k+1) are flagged degenerate.  The
+# flag is reported (roots, acceptance) and switches no computation: the
+# spectral weights need no branch there.
 DEGENERACY_TOL = 1e-12
 
 

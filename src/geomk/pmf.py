@@ -385,12 +385,11 @@ def _rootsum_values(params: Params, root_set: RootSet, ns):
 def pmf_rootsum(params: Params, root_set: RootSet, n: int) -> float:
     """Spectral engine: f(n) = sum_j c_j lambda_j^{n-k} (float mode only).
 
-    The weights come from roots.spectral_coefficients, which selects the
-    degenerate branch (weight 2 on the principal root, 1 elsewhere) when
-    p = k/(k+1).  The imaginary part of the assembled sum must cancel to
-    below 1e-12 before it is discarded.  Tables and sweeps over many n use
-    the same loop (_rootsum_values), which checks the root set and computes
-    the weights once for all of them.
+    The weights are the residues of roots.spectral_coefficients, one
+    formula for every p, p = k/(k+1) included.  The imaginary part of the
+    assembled sum must cancel to below 1e-12 before it is discarded.
+    Tables and sweeps over many n use the same loop (_rootsum_values),
+    which checks the root set and computes the weights once for all of them.
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("pmf_rootsum requires float-mode params")

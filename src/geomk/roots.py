@@ -14,13 +14,14 @@ spectral engine is a cross-check, not the reference path.
 from __future__ import annotations
 
 import cmath
+import math
 import sys
 from dataclasses import dataclass, replace
 from itertools import combinations, starmap
 from operator import sub
 
-from .numerics import ConsistencyError, Mode, ModeError, SolverError
-from .params import DegeneracyFlag, Params
+from .numerics import Mode, ModeError, SolverError
+from .params import Params
 
 POLISH_TOL = 1e-14        # on |A(z)|; no coefficient of A exceeds 1 in magnitude
 IDENTITY_TOL = 1e-12      # on |z^k (1-z) - p^k q|
@@ -35,7 +36,6 @@ class RootSet:
     roots: tuple            # principal first, then by (re, im) descending
     principal_index: int
     residuals: tuple        # per-root |z^k (1-z) - p^k q|
-    degenerate: DegeneracyFlag
     certificate: RootCertification | None = None  # the one find_roots passed;
                                                   # None for a set built by hand
 
@@ -55,7 +55,9 @@ class RootCertification:
         return {
             "identity_residuals": list(self.identity_residuals),
             "poly_residuals": list(self.poly_residuals),
-            "min_separation": self.min_separation,
+            # a one-root set has no pair, and JSON has no Infinity
+            "min_separation": (self.min_separation
+                               if len(self.identity_residuals) > 1 else None),
             "positive_real_count": self.positive_real_count,
             "max_magnitude": self.max_magnitude,
             "degenerate": self.degenerate,
@@ -185,8 +187,7 @@ def find_roots(params: Params) -> RootSet:
     roots = _unsorted_roots(params, aux_poly_coeffs(params))
     roots = (roots[0], *sorted(roots[1:], key=lambda z: (-z.real, -z.imag)))
     root_set = RootSet(roots=roots, principal_index=0,
-                       residuals=tuple(_identity_residual(r, params) for r in roots),
-                       degenerate=params.degenerate)
+                       residuals=tuple(_identity_residual(r, params) for r in roots))
     cert = certify_roots(root_set, params)
     if not cert.passed:
         raise SolverError(next(_failures(cert, params)),
@@ -229,11 +230,10 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
     identity = tuple(_identity_residual(r, params) for r in roots)
     coeffs = aux_poly_coeffs(params)
     poly = tuple(abs(_horner(coeffs, r)) for r in roots)
-    min_sep = min(map(abs, starmap(sub, combinations(roots, 2))),
-                  default=float("inf"))
+    min_sep = _extreme(min, map(abs, starmap(sub, combinations(roots, 2))))
     positive_real = sum(1 for r in roots
                         if abs(r.imag) <= _REAL_SNAP * (1.0 + abs(r)) and r.real > 0.0)
-    max_mag = max(abs(r) for r in roots)
+    max_mag = _extreme(max, map(abs, roots))
 
     warnings = []
     underflow = _underflow(float(params.p), params.k)
@@ -249,7 +249,7 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
         min_separation=min_sep,
         positive_real_count=positive_real,
         max_magnitude=max_mag,
-        degenerate=root_set.degenerate.is_degenerate,
+        degenerate=params.degenerate.is_degenerate,
         passed=False,
         warnings=tuple(warnings),
     )
@@ -260,9 +260,10 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
 
 def _failures(cert: RootCertification, params: Params):
     """Yield the message of each gate cert fails, in order; find_roots
-    raises the first.  Each gate is the condition that passes, so a nan
-    fails it."""
-    poly, identity = max(cert.poly_residuals), max(cert.identity_residuals)
+    raises the first.  Each gate is the condition that passes, and each
+    reads a nan anywhere in its values (see _extreme), so a nan fails it."""
+    poly = _extreme(max, cert.poly_residuals)
+    identity = _extreme(max, cert.identity_residuals)
     if not poly <= POLISH_TOL:
         yield f"scaled polynomial residual {poly:.3e} exceeds {POLISH_TOL} for {params}"
     if not identity <= IDENTITY_TOL:
@@ -276,35 +277,27 @@ def _failures(cert: RootCertification, params: Params):
         yield f"two roots closer than {SEPARATION_TOL} for {params}"
 
 
+def _extreme(pick, values) -> float:
+    """pick(values) for pick max or min, but nan if any value is nan (the
+    builtins drop a nan anywhere but first); inf for no values."""
+    values = list(values)
+    if any(map(math.isnan, values)):
+        return math.nan
+    return pick(values, default=math.inf)
+
+
 def spectral_coefficients(params: Params, root_set: RootSet) -> list:
     """Per-root weights c_j such that f(n) = sum_j c_j lambda_j^{n-k}.
 
-    Generic case: c_j = (p^k / (k+1)) (lambda_j - p) / (lambda_j - k/(k+1)).
-    At p = k/(k+1) the principal weight degenerates to 0/0 and its
-    continuous limit 2 is used, with weight 1 for every other root.
+    c_j = p^k lambda_j^{k-1} / A'(lambda_j), the partial-fraction residue
+    of the generating function p^k s^k / (s^k A(1/s)) at s = 1/lambda_j.
+    A's roots are simple for every p: the double root at p = k/(k+1) is a
+    root of (z - p) A(z), not of A, so one formula serves every p.
     """
-    k = params.k
-    p = float(params.p)
-    front = p ** k / (k + 1)
-    pivot = k / (k + 1)
-    if params.degenerate.is_degenerate:
-        principal = root_set.roots[root_set.principal_index]
-        if abs(principal - pivot) > 1e-6:
-            raise ConsistencyError(
-                f"params {params} are flagged degenerate but the principal "
-                f"root {principal} is not at k/(k+1)")
-        coeffs = [2.0 * front + 0j]
-        coeffs += [front + 0j] * (k - 1)
-        return coeffs
-    coeffs = []
-    for z in root_set.roots:
-        denom = z - pivot
-        if abs(denom) < 1e-15:
-            raise ConsistencyError(
-                f"non-degenerate params {params} but weight denominator "
-                f"vanishes at root {z}")
-        coeffs.append(front * (z - p) / denom)
-    return coeffs
+    coeffs = aux_poly_coeffs(params)
+    front = float(params.p) ** params.k
+    return [front * z ** (params.k - 1) / _horner_pair(coeffs, z)[1]
+            for z in root_set.roots]
 
 
 def pmf_envelope(params: Params, root_set: RootSet) -> tuple:

@@ -30,7 +30,6 @@ from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
-ROOTSUM_DEGENERACY_SKIP = 1e-6
 
 DEFAULT_P_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 DEFAULT_K_MAX = 6
@@ -123,20 +122,14 @@ def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
 
 def check_rootsum_pmf(p_values, k_max: int, n_max: int,
                       find_roots=None) -> CheckResult:
-    """Spectral engine against the recurrence (always float).
-
-    Pairs within ROOTSUM_DEGENERACY_SKIP of p = k/(k+1) but not flagged
-    degenerate are left out, neither solved nor counted in skips: there the
-    generic weights are ill-conditioned and only the exactly-degenerate
-    branch is well-posed.  find_roots solves every other cell (default
-    roots.find_roots); see _solved_cells.
+    """Spectral engine against the recurrence (always float), on every
+    (p, k) cell of the grid, p = k/(k+1) and its neighbours included.
+    find_roots solves each cell (default roots.find_roots); see
+    _solved_cells.
     """
     find_roots = find_roots or roots_mod.find_roots
     result = CheckResult("rootsum_pmf", True, 0)
-    cells = (params for params in _grid_params(p_values, k_max, Mode.FLOAT)
-             if params.degenerate.is_degenerate
-             or abs(params.p - params.k / (params.k + 1))
-             >= ROOTSUM_DEGENERACY_SKIP)
+    cells = _grid_params(p_values, k_max, Mode.FLOAT)
     for params, root_set in _solved_cells(result, cells, find_roots):
         reference = recurrence_series(params, n_max)
         values = _rootsum_values(params, root_set, range(n_max + 1))

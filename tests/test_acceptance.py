@@ -116,7 +116,7 @@ def test_criterion_07_spectral_pmf_both_branches(acceptance_report):
     generic = check_rootsum_pmf(FLOAT_P_GRID, k_max=8, n_max=100)
     ok = generic.passed
     worst = generic.worst_magnitude
-    for p, k in ((0.5, 1), (2 / 3, 2)):   # degenerate branch
+    for p, k in ((0.5, 1), (2 / 3, 2)):   # degenerate p = k/(k+1)
         params = make_params(p, k)
         assert params.degenerate.is_degenerate
         root_set = find_roots(params)
@@ -127,7 +127,7 @@ def test_criterion_07_spectral_pmf_both_branches(acceptance_report):
             if dev > 1e-10:
                 ok = False
     acceptance_report(7, "spectral pmf matches recurrence within 1e-10, "
-               "degenerate branch included", ok, f"worst {worst:.2e}")
+               "degenerate p = k/(k+1) included", ok, f"worst {worst:.2e}")
 
 
 def test_criterion_08_k1_reduction(acceptance_report):

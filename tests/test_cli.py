@@ -69,6 +69,20 @@ class TestPmfCommand:
         assert code == 2
         assert "float-only" in err
 
+    def test_rootsum_near_degenerate_matches_recurrence(self, capsys):
+        # 1e-11 from 8/9, outside the 1e-12 degeneracy flag: Feller's form
+        # of the weights, (p^k/(k+1)) (z - p) / (z - k/(k+1)), is 0/0-like
+        # here and puts the value 5.6e-6 relative off
+        values = {}
+        for engine in ("rootsum", "recurrence"):
+            code, out, _ = run_cli("pmf", "--p", "0.8888888888988889",
+                                   "--k", "8", "--n", "20", "--mode", "float",
+                                   "--engine", engine, capsys=capsys)
+            assert code == 0
+            values[engine] = float(out.splitlines()[0])
+        assert (abs(values["rootsum"] - values["recurrence"])
+                <= 1e-13 * values["recurrence"])
+
     def test_rootsum_in_float_mode(self, capsys):
         code, out, _ = run_cli("pmf", "--p", "0.5", "--k", "2", "--n", "5",
                                "--engine", "rootsum", "--mode", "float",
@@ -221,6 +235,18 @@ class TestRootsCommand:
         jsonschema.validate(payload, load_schema("root_certification"))
         assert payload["passed"] is True
         assert payload["roots"][0]["re"] == pytest.approx(0.8090169943749475)
+        assert payload["min_separation"] == pytest.approx(math.sqrt(5) / 2)
+
+    @pytest.mark.parametrize("p", ["2/3", "0.5", "0.01", "0.99", "5e-10"])
+    def test_one_root_report_is_strict_json(self, p, capsys):
+        def no_constant(token):
+            raise ValueError(f"{token} is not JSON")
+
+        code, out, _ = run_cli("roots", "--p", p, "--k", "1", capsys=capsys)
+        assert code == 0
+        payload = json.loads(out, parse_constant=no_constant)
+        jsonschema.validate(payload, load_schema("root_certification"))
+        assert payload["min_separation"] is None
 
     def test_exact_mode_rejected(self, capsys):
         code, _, err = run_cli("roots", "--p", "1/2", "--k", "2",

@@ -5,7 +5,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geomk.cli import main
@@ -200,12 +200,13 @@ class TestRootSum:
             pmf_rootsum(params_b, root_set, 5)
 
     def test_degeneracy_flag_mismatch_rejected(self):
-        # non-degenerate params with a root planted on the singular pivot
+        # a principal root planted at 2/3, the degenerate point of k = 2,
+        # does not solve the identity of p = 0.31: the principal-residual
+        # check rejects the set before any weight is computed
         params = make_params(0.31, 2)
         pivot = 2 / 3
         fake = RootSet(roots=(complex(pivot, 0.0), complex(-0.2, 0.0)),
-                       principal_index=0,
-                       residuals=(0.0, 0.0), degenerate=params.degenerate)
+                       principal_index=0, residuals=(0.0, 0.0))
         with pytest.raises(ConsistencyError):
             pmf_rootsum(params, fake, 5)
 
@@ -214,7 +215,7 @@ class TestRootSumLoop:
     """The one rootsum loop gives, bit for bit, the per-n spectral sum."""
 
     # p = 1/2 (k = 1), 2/3 (k = 2) and 0.75 (k = 3) are the degenerate
-    # p = k/(k+1), which take the weight-2 branch.
+    # p = k/(k+1), where the residue weights need no branch.
     GRID = [(p, k) for p in (0.5, 2 / 3, 0.75, 0.2, 0.37, 0.9)
             for k in (1, 2, 3, 7)]
 
@@ -252,6 +253,31 @@ class TestRootSumLoop:
         root_set = find_roots(make_params(0.3, 2))
         with pytest.raises(ConsistencyError):
             next(_rootsum_values(make_params(0.7, 2), root_set, range(5)))
+
+
+# offsets from k/(k+1): 0, any |delta| <= 1e-5, and each decade down to
+# 1e-16, where Feller's form of the weights loses up to 1e-5 relative
+_NEAR_PIVOT = (st.just(0.0) | st.floats(min_value=-1e-5, max_value=1e-5)
+               | st.builds(lambda sign, e: sign * 10.0 ** e,
+                           st.sampled_from((-1.0, 1.0)),
+                           st.floats(min_value=-16.0, max_value=-5.0)))
+
+
+class TestNearDegenerate:
+    """Float rootsum keeps full precision at and around p = k/(k+1)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(min_value=1, max_value=20), delta=_NEAR_PIVOT)
+    @example(k=8, delta=1e-11)
+    @example(k=8, delta=0.0)
+    def test_rootsum_matches_exact_values(self, k, delta):
+        p = k / (k + 1) + delta
+        params = make_params(p, k)
+        exact = recurrence_series(make_params(Fraction(p), k), 300)
+        values = _rootsum_values(params, find_roots(params), range(301))
+        for value, reference in zip(values, map(float, exact)):
+            if reference >= sys.float_info.min:
+                assert abs(value - reference) <= 1e-12 * reference
 
 
 class TestPgf:

@@ -3,6 +3,7 @@ import math
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestCertify:
         good = find_roots(params)
         bad_roots = (good.roots[0] + 1e-6,) + good.roots[1:]
         bad = RootSet(roots=bad_roots, principal_index=0,
-                      residuals=good.residuals, degenerate=good.degenerate)
+                      residuals=good.residuals)
         cert = certify_roots(bad, params)
         assert not cert.passed
         # residual scales like |dA/dz| * 1e-6
@@ -300,11 +301,43 @@ class TestOneCertificate:
         params = make_params(0.5, 2)
         good = find_roots(params)
         bad = RootSet(roots=(good.roots[0] + 1e-13,) + good.roots[1:],
-                      principal_index=0, residuals=good.residuals,
-                      degenerate=good.degenerate)
+                      principal_index=0, residuals=good.residuals)
         cert = certify_roots(bad, params)
         assert max(cert.identity_residuals) <= 1e-12
         assert max(cert.poly_residuals) > 1e-14
+        assert not cert.passed
+
+
+class TestNanFailsEveryGate:
+    """max() and min() drop a nan anywhere but first, so each gate must read
+    a nan in its values and fail on it.  The nan is last in each case, at
+    p = 0.5, k = 3."""
+
+    PARAMS = make_params(0.5, 3)
+
+    @pytest.mark.parametrize("field,message", [
+        ("poly_residuals", "scaled polynomial residual nan exceeds 1e-14"),
+        ("identity_residuals", "root identity residual nan exceeds 1e-12"),
+    ])
+    def test_residual_gates(self, field, message):
+        good = find_roots(self.PARAMS).certificate
+        values = getattr(good, field)[:-1] + (math.nan,)
+        cert = replace(good, **{field: values})
+        assert list(roots_mod._failures(cert, self.PARAMS)) == [
+            f"{message} for (p=0.5, k=3, float)"]
+
+    @pytest.mark.parametrize("field,message", [
+        ("max_magnitude", "root magnitude >= 1"),
+        ("min_separation", "two roots closer than 1e-09"),
+    ])
+    def test_root_gates(self, field, message):
+        good = find_roots(self.PARAMS)
+        bad = RootSet(roots=good.roots[:-1] + (complex(math.nan, 0.0),),
+                      principal_index=0, residuals=good.residuals)
+        cert = certify_roots(bad, self.PARAMS)
+        assert math.isnan(getattr(cert, field))
+        assert (f"{message} for (p=0.5, k=3, float)"
+                in roots_mod._failures(cert, self.PARAMS))
         assert not cert.passed
 
 
@@ -327,8 +360,7 @@ class TestUnderflow:
                   + [cmath.exp(2j * cmath.pi * m / 300) * 0.06
                      for m in range(1, 300)])
         root_set = RootSet(roots=tuple(starts), principal_index=0,
-                           residuals=(0.0,) * 300,
-                           degenerate=params.degenerate)
+                           residuals=(0.0,) * 300)
         cert = certify_roots(root_set, params)
         assert max(cert.identity_residuals) <= 1e-12
         assert not cert.passed
@@ -341,6 +373,20 @@ class TestSpectralHelpers:
         root_set = find_roots(params)
         coeffs = spectral_coefficients(params, root_set)
         assert abs(sum(coeffs).real - 0.3 ** 3) <= 1e-12
+
+    @pytest.mark.parametrize("p,k", [
+        (p, k) for p in (0.2, 0.37, 0.5, 0.8, 0.95)
+        for k in (1, 2, 3, 5, 8, 13, 20) if abs(p - k / (k + 1)) >= 1e-3])
+    def test_residues_equal_fellers_form(self, p, k):
+        # A'(z) = z^(k-1) ((k+1) z - k) / (z - p) at a root z of A, so the
+        # residue p^k z^(k-1) / A'(z) is Feller's (p^k/(k+1)) (z - p) /
+        # (z - k/(k+1)) wherever the latter is well-conditioned
+        params = make_params(p, k)
+        root_set = find_roots(params)
+        residues = spectral_coefficients(params, root_set)
+        for c, z in zip(residues, root_set.roots):
+            feller = p ** k / (k + 1) * (z - p) / (z - k / (k + 1))
+            assert abs(c - feller) <= 1e-12 * abs(feller)
 
     def test_degenerate_weights(self):
         params = make_params(2 / 3, 2)

@@ -101,13 +101,16 @@ def test_empty_p_grid_rejected():
         run_verify(p_values=[], k_max=1, n_max=5, r_max=1)
 
 
-def test_rootsum_check_skips_near_degenerate():
-    # within 1e-6 of k/(k+1) but outside the degeneracy tolerance: skipped
+def test_rootsum_check_takes_near_degenerate_cells():
+    # 1e-8 from 2/3, the degenerate point of k = 2, and outside the 1e-12
+    # flag: solved and checked like any other cell
     result = check_rootsum_pmf([2 / 3 + 1e-8], 2, 30)
-    assert result.cases == 30 + 1  # only k=1 ran (k=2 is the near-degenerate)
+    assert result.passed and not result.skips
+    assert result.cases == 2 * (30 + 1)
+    assert result.worst_magnitude <= 1e-15
 
 
-def test_a_near_degenerate_cell_is_neither_solved_nor_skipped():
+def test_a_near_degenerate_cell_is_solved_or_skipped():
     solved = []
 
     def find_roots(params):
@@ -116,9 +119,14 @@ def test_a_near_degenerate_cell_is_neither_solved_nor_skipped():
             raise SolverError(f"no roots for {params}")
         return roots_mod.find_roots(params)
 
-    result = check_rootsum_pmf([2 / 3 + 1e-8], 2, 30, find_roots=find_roots)
-    assert solved == [1]
-    assert result.passed and result.cases == 30 + 1 and not result.skips
+    # no cell is left out unseen: where the solver fails, the near-degenerate
+    # cell is a skip with its reason, as anywhere else
+    p = 2 / 3 + 1e-8
+    result = check_rootsum_pmf([p], 2, 30, find_roots=find_roots)
+    assert solved == [1, 2]
+    assert result.passed and result.cases == 30 + 1
+    assert result.skips == [{"p": str(p), "k": 2,
+                             "reason": f"no roots for {make_params(p, 2)}"}]
 
 
 @pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
