@@ -7,8 +7,8 @@ Exact (rational) and float arithmetic are both first-class.
 """
 
 from .numerics import (ConsistencyError, DomainError, GeomkError, Mode,
-                       ModeError, ParseError, PrecisionWarning, Scalar,
-                       SolverError, gen_binomial, parse_scalar)
+                       ModeError, ParseError, Scalar, SolverError,
+                       gen_binomial, parse_scalar)
 from .params import DegeneracyFlag, Params, make_params, qpk
 from .roots import RootCertification, RootSet, aux_poly_eval, certify_roots, find_roots
 from .pmf import (Engine, PmfTable, build_table, pgf_eval, pmf,
@@ -25,10 +25,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConsistencyError", "DegeneracyFlag", "DomainError", "Engine",
     "GeomkError", "GofReport", "Mode", "ModeError", "MomentReport",
-    "Params", "ParseError", "PmfTable", "PrecisionWarning",
-    "RootCertification", "RootSet", "Scalar", "SimConfig", "SimSummary",
-    "SolverError", "SplitMix64", "aux_poly_eval", "build_table",
-    "certify_roots", "factorial_moment",
+    "Params", "ParseError", "PmfTable", "RootCertification", "RootSet",
+    "Scalar", "SimConfig", "SimSummary", "SolverError", "SplitMix64",
+    "aux_poly_eval", "build_table", "certify_roots", "factorial_moment",
     "factorial_moment_closed", "factorial_moment_muselli",
     "factorial_moment_series", "find_roots", "gen_binomial", "gof_report",
     "make_params", "mean", "moment_report", "parse_scalar", "pgf_eval",

@@ -29,7 +29,6 @@ import functools
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
@@ -40,7 +39,7 @@ from . import roots as roots_mod
 from . import simulate as sim_mod
 from . import verify as verify_mod
 from .numerics import (DomainError, GeomkError, Mode, ModeError, ParseError,
-                       PrecisionWarning, coerce, parse_scalar)
+                       coerce, parse_scalar)
 from .params import as_float_params, make_params
 from .pmf import (ENTRY_KEYS, Engine, _json_scalar, _render, build_table,
                   recurrence_series)
@@ -198,25 +197,18 @@ def _engine_from(args, mode):
 def cmd_pmf(args):
     params = _params_from(args)
     engine = _engine_from(args, params.mode)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PrecisionWarning)
-        value = pmf_eval(params, args.n, engine)
-    degraded = any(issubclass(w.category, PrecisionWarning) for w in caught)
+    value = pmf_eval(params, args.n, engine)
 
     def lines():
         yield _render(value)
         if isinstance(value, Fraction):
             yield f"decimal: {float(value)!r}"
         yield f"engine: {engine.value}, mode: {params.mode.value}"
-        if degraded:
-            yield ("note: precision degraded (heavy cancellation in this "
-                   "formula at these arguments)")
 
     _write(args,
            lambda: {"p": str(params.p), "k": params.k, "n": args.n,
                     "engine": engine.value, "mode": params.mode.value,
-                    "value": _json_scalar(value), "decimal": float(value),
-                    "precision_degraded": degraded},
+                    "value": _json_scalar(value), "decimal": float(value)},
            [("n", "f"), (args.n, _render(value))], lines())
     return 0
 
@@ -224,13 +216,7 @@ def cmd_pmf(args):
 def cmd_table(args):
     params = _params_from(args)
     engine = _engine_from(args, params.mode)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", PrecisionWarning)
-        table = build_table(params, engine, args.n_max)
-    # an alternating sum warns at most once per entry
-    degraded = sum(issubclass(w.category, PrecisionWarning) for w in caught)
-    note = (f"note: precision degraded at {degraded} of {table.n_max + 1} "
-            f"entries (heavy cancellation in this formula at these arguments)")
+    table = build_table(params, engine, args.n_max)
 
     def rows():
         yield "n", "f", "cumulative"
@@ -250,12 +236,8 @@ def cmd_table(args):
             yield f"  n={n:<5d} f={f:<24} cumulative={c}"
         if table.tail_bound is not None:
             yield f"  tail bound beyond n_max: {table.tail_bound!r}"
-        if degraded:
-            yield note
 
     _write(args, payload, rows(), lines())
-    if degraded and args.format != "text":
-        print(note, file=sys.stderr)
     return 0
 
 
@@ -277,9 +259,8 @@ def cmd_moments(args):
         yield f"  mean     = {_render(report.mean)}"
         yield f"  variance = {_render(report.variance)}"
         for r in range(1, report.r_max + 1):
-            flag = "  [precision degraded]" if report.precision_flags[r - 1] else ""
             yield (f"  r={r}: factorial={_render(report.factorial[r - 1])} "
-                   f"raw={_render(report.raw[r - 1])}{flag}")
+                   f"raw={_render(report.raw[r - 1])}")
 
     _write(args, report.to_dict, rows(), lines())
     return 0

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
 from . import roots as roots_mod
-from .numerics import (ConsistencyError, DomainError, Mode, PrecisionWarning,
-                       Scalar, SolverError, falling_factorial)
+from .numerics import (ConsistencyError, DomainError, Mode, Scalar, SolverError,
+                       falling_factorial)
 from .params import Params, as_float_params, qpk
 from .pmf import (Engine, _engine_values, _float_pmf, _json_scalar,
                   _over_power, _scaled_pmf, _scaled_pq)
@@ -42,30 +41,28 @@ from .pmf import (Engine, _engine_values, _float_pmf, _json_scalar,
 logger = logging.getLogger(__name__)
 
 
-def _factorial_moments(params: Params, rs, engine: Engine,
-                       label: Optional[str] = None):
+def _factorial_moments(params: Params, rs, engine: Engine):
     """mu_(r) for each r of the ascending rs, from one _engine_values pass
     over the ascending n_r = (r+1)k + r.
 
-    label names the route in a PrecisionWarning, as label(r=..., params);
-    None keeps the engine's own pmf label.  The result is a map over the
-    engine's generator, so no frame of this module sits between the term
-    generator and the function that draws from the map, and a warning
-    points at that function's caller.
+    A float (q p^k)^(r+1) or f(n_r) below the double range raises
+    DomainError, as does a moment past it (_finite).
     """
     k, base = params.k, qpk(params)
 
-    def moment(r, f):
+    def moment(r, n, f):
         power = base ** (r + 1)
         if power == 0:
             raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
                               f"underflows the float range; use exact mode")
+        if f == 0:
+            raise DomainError(f"factorial moment r={r} of {params}: f({n}) "
+                              f"underflows the float range; use exact mode")
         return _finite(lambda: math.factorial(r) * f / power,
                        f"factorial moment r={r}", params)
 
-    named = label and (lambda n: f"{label}(r={(n - k) // (k + 1)}, {params})")
-    return map(moment, rs,
-               _engine_values(params, engine, [(r + 1) * k + r for r in rs], named))
+    ns = [(r + 1) * k + r for r in rs]
+    return map(moment, rs, ns, _engine_values(params, engine, ns))
 
 
 def factorial_moment(params: Params, r: int,
@@ -83,15 +80,13 @@ def factorial_moment_muselli(params: Params, r: int) -> Scalar:
     Terms are evaluated exactly in both modes (see pmf._finish_sum).
     """
     _check_r(r)
-    return next(_factorial_moments(params, (r,), Engine.MUSELLI,
-                                   "factorial_moment_muselli"))
+    return next(_factorial_moments(params, (r,), Engine.MUSELLI))
 
 
 def factorial_moment_closed(params: Params, r: int) -> Scalar:
     """mu_(r) from the vanishing-free pmf form, upper limits r+1 and r."""
     _check_r(r)
-    return next(_factorial_moments(params, (r,), Engine.CLOSED_FORM,
-                                   "factorial_moment_closed"))
+    return next(_factorial_moments(params, (r,), Engine.CLOSED_FORM))
 
 
 def mean(params: Params) -> Scalar:
@@ -156,7 +151,6 @@ class MomentReport:
     mean: Scalar
     variance: Scalar
     method: Engine
-    precision_flags: tuple  # per factorial entry: True when cancellation-degraded
 
     def to_dict(self):
         return {
@@ -170,7 +164,6 @@ class MomentReport:
             "central": [_json_scalar(v) for v in self.central],
             "mean": _json_scalar(self.mean),
             "variance": _json_scalar(self.variance),
-            "precision_flags": list(self.precision_flags),
         }
 
 
@@ -178,23 +171,14 @@ def moment_report(params: Params, r_max: int,
                   engine: Engine = Engine.RECURRENCE) -> MomentReport:
     """Factorial moments for r = 1..r_max plus raw/central conversions.
 
-    All r come from one pass of the engine, drawn one r at a time so that
-    each precision flag records the warnings of its own r.  Raw moments use
-    E[N^m] = sum_j S(m, j) mu_(j) with exact integer Stirling numbers;
-    central moments expand binomially around the mean.  Exact mode
+    All r come from one pass of the engine (_factorial_moments).  Raw
+    moments use E[N^m] = sum_j S(m, j) mu_(j) with exact integer Stirling
+    numbers; central moments expand binomially around the mean.  Exact mode
     evaluates both sums on integers (_exact_conversions); in float mode the
     first moment past the double range raises DomainError (_finite).
     """
     _check_r(r_max)
-    values = _factorial_moments(params, range(1, r_max + 1), engine)
-    factorial = []
-    flags = []
-    for _ in range(r_max):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", PrecisionWarning)
-            value = next(values)
-        factorial.append(value)
-        flags.append(any(issubclass(w.category, PrecisionWarning) for w in caught))
+    factorial = list(_factorial_moments(params, range(1, r_max + 1), engine))
     for r, value in enumerate(factorial, start=1):
         if not value > 0:
             raise ConsistencyError(f"factorial moment r={r} not positive: {value}")
@@ -219,7 +203,7 @@ def moment_report(params: Params, r_max: int,
     return MomentReport(params=params, r_max=r_max, factorial=tuple(factorial),
                         raw=tuple(raw), central=tuple(central),
                         mean=mean(params), variance=variance(params),
-                        method=engine, precision_flags=tuple(flags))
+                        method=engine)
 
 
 def _exact_conversions(params: Params, factorial) -> tuple:

@@ -54,11 +54,6 @@ class ConsistencyError(GeomkError):
     """An internal invariant was violated (indicates a bug, not bad input)."""
 
 
-class PrecisionWarning(UserWarning):
-    """Float result suffered heavy cancellation; absolute error is still small
-    but relative accuracy is degraded."""
-
-
 def mode_of(value: Scalar) -> Mode:
     if isinstance(value, Fraction):
         return Mode.EXACT

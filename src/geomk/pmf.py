@@ -34,7 +34,6 @@ import decimal
 import math
 import operator
 import sys
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -43,15 +42,12 @@ from itertools import accumulate, islice
 from typing import Optional
 
 from . import roots as roots_mod
-from .numerics import (ConsistencyError, DomainError, Mode, ModeError,
-                       PrecisionWarning, Scalar, gen_binomial)
+from .numerics import (ConsistencyError, DomainError, Mode, ModeError, Scalar,
+                       gen_binomial)
 from .params import Params, qpk
 from .roots import RootSet
 
 IMAG_RESIDUE_TOL = 1e-12
-# A float alternating sum whose terms exceed the result by this factor has
-# lost more than ~10 significant digits.
-CANCELLATION_FLAG_RATIO = 1e6
 
 
 class Engine(Enum):
@@ -151,29 +147,18 @@ def _over_power(s: int, power: int, b: int) -> Fraction:
     return _coprime_fraction(s, power)
 
 
-def _finish_sum(params: Params, plus: int, minus: int, scale: int, label,
-                n: int) -> Scalar:
+def _finish_sum(params: Params, plus: int, minus: int, scale: int) -> Scalar:
     """(plus - minus) / scale, where plus and minus sum the magnitudes of an
     alternating sum's positive and negative integer terms: reduced once in
     exact mode, rounded once in float mode.
 
-    The cancellation guard still fires when sum |terms| = plus + minus
-    dwarfs the result: the returned float is correctly rounded, but the
-    formula itself is ill-conditioned there (a one-ulp change of p moves
-    the result by far more than one ulp).  Its text, label(n), is built
-    only then.
+    The terms are exact integers, so however much they cancel, the float is
+    the correctly rounded value for the params' model, a result below the
+    double range included (0.0 or a subnormal, never an OverflowError).
     """
-    total = plus - minus
     if params.mode is Mode.EXACT:
-        return Fraction(total, scale)
-    result = total / scale
-    magnitude = (plus + minus) / scale
-    if magnitude > CANCELLATION_FLAG_RATIO * abs(result):
-        # past the term generator and the function that drew from it
-        warnings.warn(
-            f"{label(n)}: precision degraded (sum of |terms| = {magnitude:.3e} vs "
-            f"result = {result:.3e})", PrecisionWarning, stacklevel=4)
-    return result
+        return Fraction(plus - minus, scale)
+    return (plus - minus) / scale
 
 
 def _recurrence_values(params: Params, ns):
@@ -245,7 +230,7 @@ def _falling_powers(runs: dict, b: int, stride: int, top: int) -> list:
     return run[last::-1]
 
 
-def _muselli_values(params: Params, ns, label=None):
+def _muselli_values(params: Params, ns):
     """Yield Muselli's sum f(n) for each n in ns: the one copy of the formula.
 
     Each sum at n >= k is integer terms over the scale b^(n+1): term m is
@@ -254,12 +239,9 @@ def _muselli_values(params: Params, ns, label=None):
     powers of b (_falling_powers) are built once for all of ns, and one n
     builds only the powers it uses, so a lone call pays for no other n.
     Each lead a^(mk) c^(m-1) is one small multiplication from the last.
-    label(n) names the sum in a PrecisionWarning (default: the pmf_muselli
-    call).
     """
     a, c, b = _scaled_pq(params)
     k = params.k
-    label = label or (lambda n: f"pmf_muselli(n={n}, {params})")
     first, ratio, runs = a ** k, a ** k * c, {}
     for n in ns:
         # b^(n+1-m(k+1)) for m = 1..(n+1)//(k+1)
@@ -281,7 +263,7 @@ def _muselli_values(params: Params, ns, label=None):
                 plus += term
             else:
                 minus += term
-        yield _finish_sum(params, plus, minus, b ** (n + 1), label, n)
+        yield _finish_sum(params, plus, minus, b ** (n + 1))
 
 
 def _closedform_head(params: Params, n: int) -> Scalar:
@@ -295,7 +277,7 @@ def _closedform_head(params: Params, n: int) -> Scalar:
     return params.q * params.p ** k
 
 
-def _closedform_values(params: Params, ns, label=None):
+def _closedform_values(params: Params, ns):
     """Yield the vanishing-free f(n) for each n in ns: the one copy of the
     formula.
 
@@ -305,7 +287,6 @@ def _closedform_values(params: Params, ns, label=None):
     """
     a, c, b = _scaled_pq(params)
     k = params.k
-    label = label or (lambda n: f"pmf_closedform(n={n}, {params})")
     ratio = a ** k * c
     # (-1)^(m-1) p^(mk) q^(m-1) C(i, m-2) for m = 2..(n+1)//(k+1), and
     # (-1)^(m-1) p^(mk) q^m C(i, m-1) for m = 2..n//(k+1): the leads of m = 2
@@ -331,15 +312,16 @@ def _closedform_values(params: Params, ns, label=None):
                 else:
                     minus += term
                 lead *= ratio
-        yield _finish_sum(params, plus, minus, b ** n, label, n)
+        yield _finish_sum(params, plus, minus, b ** n)
 
 
 def pmf_muselli(params: Params, n: int) -> Scalar:
     """Muselli's alternating sum over m = 1..floor((n+1)/(k+1)).
 
     Each term is (-1)^{m-1} p^{mk} q^{m-1} [C(n-mk-1, m-2) + q C(n-mk-1, m-1)]
-    under the extended binomial conventions.  Heavy cancellation raises
-    PrecisionWarning (see _finish_sum).
+    under the extended binomial conventions.  The integer terms are summed
+    exactly and rounded once, so a float result is correctly rounded however
+    much they cancel (_finish_sum).
     """
     _check_n(n)
     return next(_muselli_values(params, (n,)))
@@ -432,22 +414,20 @@ def pgf_eval(params: Params, s: Scalar) -> Scalar:
     return Fraction(num, den) if exact else num / den
 
 
-def _engine_values(params: Params, engine: Engine, ns, label=None):
+def _engine_values(params: Params, engine: Engine, ns):
     """f(n) for each n of the ascending ns, from one pass of the engine: the
     one place that maps an Engine to its evaluation.
 
     The recurrence is one kernel walk, each alternating formula one run of
-    its term generator (label as there), and rootsum one root solve and one
-    _rootsum_values loop.  The iterator is the engine's own generator, with
-    no frame of this function between it and the caller, so a cancellation
-    warning still points past the function that draws from it.
+    its term generator, and rootsum one root solve and one _rootsum_values
+    loop.
     """
     if engine is Engine.RECURRENCE:
         return _recurrence_values(params, ns)
     if engine is Engine.MUSELLI:
-        return _muselli_values(params, ns, label)
+        return _muselli_values(params, ns)
     if engine is Engine.CLOSED_FORM:
-        return _closedform_values(params, ns, label)
+        return _closedform_values(params, ns)
     if engine is Engine.ROOT_SUM:
         if params.mode is not Mode.FLOAT:
             raise ModeError("the rootsum engine is float-only; "

@@ -13,7 +13,6 @@ route is one more entry.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -21,7 +20,7 @@ from typing import Optional
 
 from . import moments as moments_mod
 from . import roots as roots_mod
-from .numerics import DomainError, Mode, PrecisionWarning, Scalar, SolverError
+from .numerics import DomainError, Mode, Scalar, SolverError
 from .params import Params, make_params
 # pmf_muselli stays importable from here: perfbench's tracer rebinds it.
 from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
@@ -78,9 +77,8 @@ def _pmf_route(engine):
     return lambda params, ns: _engine_values(params, engine, ns)
 
 
-def _moment_route(engine, label=None):
-    return lambda params, rs: moments_mod._factorial_moments(params, rs, engine,
-                                                             label)
+def _moment_route(engine):
+    return lambda params, rs: moments_mod._factorial_moments(params, rs, engine)
 
 
 # name -> (params, ns) -> f(n) for n in ns, one pass of each alternating sum
@@ -88,8 +86,8 @@ _ENGINES = {engine.value: _pmf_route(engine)
             for engine in (Engine.MUSELLI, Engine.CLOSED_FORM)}
 # name -> (params, rs) -> mu_(r) for r in rs, one pass of each moment route
 _MOMENT_ROUTES = {
-    "muselli_sum": _moment_route(Engine.MUSELLI, "factorial_moment_muselli"),
-    "closed_sum": _moment_route(Engine.CLOSED_FORM, "factorial_moment_closed"),
+    "muselli_sum": _moment_route(Engine.MUSELLI),
+    "closed_sum": _moment_route(Engine.CLOSED_FORM),
 }
 _via_pmf = _moment_route(Engine.RECURRENCE)
 
@@ -371,18 +369,14 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
 
     s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
     find_roots = _solved_once(roots_mod.find_roots)
-    # The checks quantify deviations themselves; per-cell cancellation
-    # warnings would only repeat what the report already says.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", PrecisionWarning)
-        checks = [
-            check_cross_engine_pmf(p_values, k_max, n_max, mode, engines),
-            check_rootsum_pmf(p_values, k_max, min(n_max, 100), find_roots),
-            check_moment_routes(p_values, k_max, r_max, mode),
-            check_mean_variance(p_values, k_max, mode),
-            check_root_certification(p_values, k_max, find_roots),
-            check_pgf_identity(p_values, k_max, s_values, mode),
-        ]
+    checks = [
+        check_cross_engine_pmf(p_values, k_max, n_max, mode, engines),
+        check_rootsum_pmf(p_values, k_max, min(n_max, 100), find_roots),
+        check_moment_routes(p_values, k_max, r_max, mode),
+        check_mean_variance(p_values, k_max, mode),
+        check_root_certification(p_values, k_max, find_roots),
+        check_pgf_identity(p_values, k_max, s_values, mode),
+    ]
     grid = {"p": [str(p) for p in p_values], "k_max": k_max,
             "n_max": n_max, "r_max": r_max}
     return VerifyReport(mode=mode.value, grid=grid, checks=checks)

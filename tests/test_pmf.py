@@ -1,7 +1,6 @@
 import json
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from geomk.cli import main
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
-                            PrecisionWarning, SolverError)
+                            SolverError)
 from geomk.params import make_params
 from geomk.pmf import (Engine, _closedform_values, _muselli_values,
                        _rootsum_values, build_table, pgf_eval, pmf,
@@ -75,15 +74,16 @@ class TestMuselli:
         assert pmf_muselli(HALF2, 1) == 0
         assert pmf_muselli(HALF2, 0) == 0
 
-    def test_precision_warning_on_heavy_cancellation(self):
-        params = make_params(0.5, 1)
-        with pytest.warns(PrecisionWarning,
-                          match=r"^pmf_muselli\(n=100, \(p=0\.5, k=1, float\)\): "
-                                r"precision degraded \(sum of \|terms\| = ") as caught:
-            value = pmf_muselli(params, 100)
-        assert [w.filename for w in caught] == [__file__]
-        # the value is still correctly rounded despite the warning
-        assert value == pytest.approx(0.5 ** 100, rel=1e-12)
+    def test_heavy_cancellation_is_correctly_rounded(self):
+        # Sum |terms| is over 1e6 times the result at each point, and past
+        # the double range (with f(n) below it) at the last two.  For
+        # p >= 1/2 the stored q = fl(1 - p) is exact, so float(exact) at
+        # Fraction(p) is the correctly rounded answer.
+        for p, k, n in [(0.5, 2, 60), (0.75, 2, 400), (0.9, 7, 1500),
+                        (0.5, 2, 2000), (0.5, 1, 3780), (0.5, 2, 7279)]:
+            want = float(pmf_recurrence(make_params(Fraction(p), k), n)).hex()
+            for single in (pmf_muselli, pmf_closedform):
+                assert single(make_params(p, k), n).hex() == want, (single, p, k, n)
 
 
 class TestClosedForm:
@@ -151,10 +151,8 @@ class TestCrossEngine:
                                (_closedform_values, pmf_closedform)):
             assert list(values(exact, ns)) == [reference[n] for n in ns]
             assert list(values(exact, ns)) == [single(exact, n) for n in ns]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", PrecisionWarning)
-                batch = [v.hex() for v in values(floats, ns)]
-                lone = [single(floats, n).hex() for n in ns]
+            batch = [v.hex() for v in values(floats, ns)]
+            lone = [single(floats, n).hex() for n in ns]
             assert batch == lone
 
 
@@ -376,7 +374,6 @@ class TestBuildTable:
         diffs = [b - a for a, b in zip(table.cumulative, table.cumulative[1:])]
         assert all(d >= -1e-15 for d in diffs)
 
-    @pytest.mark.filterwarnings("ignore::geomk.numerics.PrecisionWarning")
     def test_float_tail_bound_is_the_tail_mass(self):
         # P(N > n_max) = f(n_max + k + 1) / (q p^k): every float engine's
         # table carries the exact tail 1 - F(n_max) of its p, to rounding
@@ -418,16 +415,9 @@ class TestBuildTable:
     def test_alternating_table_is_one_pass_of_single_points(self, engine, single):
         # p = 0.5, k = 1 cancels heavily from n of about 40 on
         params = make_params(0.5, 1)
-        with warnings.catch_warnings(record=True) as table_warnings:
-            warnings.simplefilter("always", PrecisionWarning)
-            table = build_table(params, engine, 80)
-        with warnings.catch_warnings(record=True) as point_warnings:
-            warnings.simplefilter("always", PrecisionWarning)
-            points = [single(params, n) for n in range(81)]
+        table = build_table(params, engine, 80)
+        points = [single(params, n) for n in range(81)]
         assert [v.hex() for v in table.entries] == [v.hex() for v in points]
-        messages = [str(w.message) for w in table_warnings]
-        assert messages == [str(w.message) for w in point_warnings]
-        assert messages and messages[0].startswith(f"{single.__name__}(n=")
 
     def test_rootsum_table_needs_float(self):
         with pytest.raises(ModeError):
@@ -438,8 +428,8 @@ def _patched_muselli(monkeypatch, changes):
     """Make the muselli engine yield changes[n] in place of f(n)."""
     original = pmf_mod._muselli_values
 
-    def patched(params, ns, label=None):
-        for n, value in zip(ns, original(params, ns, label)):
+    def patched(params, ns):
+        for n, value in zip(ns, original(params, ns)):
             yield changes.get(n, value)
 
     monkeypatch.setattr(pmf_mod, "_muselli_values", patched)
@@ -516,7 +506,6 @@ def test_engine_dispatch_covers_all_variants():
         assert value == pytest.approx(0.09375, abs=1e-10)
 
 
-@pytest.mark.filterwarnings("ignore::geomk.numerics.PrecisionWarning")
 @pytest.mark.parametrize("p", [Fraction(2, 7), Fraction(3, 4), 2 / 7, 0.75])
 @pytest.mark.parametrize("k", [1, 3])
 def test_pmf_is_the_table_entry_for_every_engine(p, k):

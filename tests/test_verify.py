@@ -263,9 +263,9 @@ def test_moment_routes_make_one_pass_per_route_per_cell(monkeypatch):
     passes = Counter()
     route = moments_mod._factorial_moments
 
-    def counting(params, rs, engine, label=None):
+    def counting(params, rs, engine):
         passes[engine] += 1
-        return route(params, rs, engine, label)
+        return route(params, rs, engine)
 
     monkeypatch.setattr(moments_mod, "_factorial_moments", counting)
     result = check_moment_routes([Fraction(1, 3), Fraction(3, 4)], 3, 6,
