@@ -353,8 +353,12 @@ def cmd_sample(args):
         yield f"  truncated       = {summary.truncated_count}"
         yield (f"  chi-square p    = {gof.p_value:.6f}"
                f"{' [flagged]' if gof.flagged else ''}")
-        yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
-               f"{_or_na(gof.variance_z, '.3f')}")
+        if summary.truncated_count:     # the moments are those of N uncapped
+            yield (f"  mean z, var z   = n/a "
+                   f"({summary.truncated_count} truncated)")
+        else:
+            yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
+                   f"{_or_na(gof.variance_z, '.3f')}")
 
     _write(args, lambda: {"summary": summary.to_dict(), "gof": gof.to_dict()},
            rows(), lines())

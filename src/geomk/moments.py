@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,17 +46,19 @@ def _factorial_moments(params: Params, rs, engine: Engine):
     """mu_(r) for each r of the ascending rs, from one _engine_values pass
     over the ascending n_r = (r+1)k + r.
 
-    A float (q p^k)^(r+1) or f(n_r) below the double range raises
-    DomainError, as does a moment past it (_finite).
+    A float (q p^k)^(r+1) or f(n_r) below the normal double range raises
+    DomainError, as does a moment past it (_finite): a subnormal value has
+    lost bits, up to all of them.
     """
     k, base = params.k, qpk(params)
+    tiny = sys.float_info.min if params.mode is Mode.FLOAT else None
 
     def moment(r, n, f):
         power = base ** (r + 1)
-        if power == 0:
+        if tiny and power < tiny:
             raise DomainError(f"factorial moment r={r} of {params}: (q p^k)^{r + 1} "
                               f"underflows the float range; use exact mode")
-        if f == 0:
+        if tiny and abs(f) < tiny:
             raise DomainError(f"factorial moment r={r} of {params}: f({n}) "
                               f"underflows the float range; use exact mode")
         return _finite(lambda: math.factorial(r) * f / power,

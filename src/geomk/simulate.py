@@ -36,13 +36,27 @@ live, and once at most 16 are, each is finished by the skip loop,
 restarted k - 1 draws back (see _lane_block).  Histograms and truncation
 counts are those of the one-trial loop, bit for bit.
 
+A run of more than one block is shared among the usable CPUs
+(_run_shared): this process runs the first of near-equal contiguous
+chunks of the trials, and one forked worker per further CPU runs each of
+the others.  Workers start at the first call that needs them, take tasks
+and return results as marshalled ints, floats and dicts over pipes, and
+live until their task pipe reads EOF: at the process's exit, or when it
+is killed.  The histograms and truncation counts add up to those of one
+process, whatever the number of CPUs.
+
 Chi-square p-values use the finite closed form of the upper tail for an
 integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 """
 
 from __future__ import annotations
 
+import atexit
+import marshal
 import math
+import os
+import sys
+import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress
@@ -51,7 +65,7 @@ from typing import Optional
 from . import moments as moments_mod
 from .numerics import DomainError
 # pmf_recurrence stays importable from here: perfbench's tracer rebinds it.
-from .pmf import _float_pmf, pmf_recurrence  # noqa: F401
+from .pmf import _float_pmf, _nth, _tail_mass, pmf_recurrence  # noqa: F401
 from .params import Params, as_float_params
 
 _MASK = (1 << 64) - 1
@@ -293,24 +307,222 @@ def _lane_block(key: int, n: int, p: float, k: int, cap: int,
     return truncated
 
 
+def _run_trials(key: int, trials: int, p: float, k: int, cap: int):
+    """(histogram, truncated) of the trials keyed by key, key + G, ...,
+    key + (trials-1)*G (mod 2^64), run in blocks of _LANES lanes."""
+    histogram = Counter()
+    truncated = 0
+    for start in range(0, trials, _LANES):
+        truncated += _lane_block((key + start * _GOLDEN) & _MASK,
+                                 min(_LANES, trials - start),
+                                 p, k, cap, histogram)
+    return histogram, truncated
+
+
+# The worker processes: [pid, task fd, result fd] each, in start order.
+# Workers are forked on the first call with more than one lane block and
+# serve _run_trials tasks until their task pipe reads EOF.
+_workers = []
+_hooked = False     # the at-fork and at-exit hooks are registered
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (taskset restricts them), or 1 on a
+    platform that cannot fork or tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _threads() -> int:
+    """This process's OS threads.  Python's own threads are not all of
+    them: numpy's OpenBLAS starts its pool at import."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _send(fd: int, message) -> None:
+    """Write one message: its length in 8 bytes, then marshal's bytes."""
+    data = marshal.dumps(message)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int):
+    """The next message on fd, or None at EOF (its writer is gone)."""
+    head = _read(fd, 8)
+    body = head and _read(fd, int.from_bytes(head, "little"))
+    return None if body is None else marshal.loads(body)
+
+
+def _read(fd: int, size: int):
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _serve(tasks: int, results: int) -> None:
+    while (task := _receive(tasks)) is not None:
+        histogram, truncated = _run_trials(*task)
+        _send(results, (dict(histogram), truncated))
+
+
+def _start_worker():
+    """Fork one worker and return its entry, or None if that fails."""
+    global _hooked
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    fds = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    task_r, task_w, result_r, result_w = fds
+    if pid == 0:
+        # The at-fork hook has closed the earlier workers' pipe ends; the
+        # parent's ends of this worker's pipes go too, so that the parent's
+        # exit, however it comes, ends the task stream.
+        status = 1
+        try:
+            os.close(task_w)
+            os.close(result_r)
+            _serve(task_r, result_w)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(task_r)
+    os.close(result_w)
+    if not _hooked:
+        _hooked = True
+        os.register_at_fork(after_in_child=_forget_workers)
+        atexit.register(_stop_workers)
+    return [pid, task_w, result_r]
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the parent's pipe ends, so that each worker
+    still reads EOF once the parent is gone, and own no workers."""
+    for worker in list(_workers):
+        _close(worker)
+
+
+def _close(worker) -> None:
+    _workers.remove(worker)
+    os.close(worker[1])
+    os.close(worker[2])
+
+
+def _drop(worker, kill: bool = False) -> None:
+    """Close a worker's pipes and reap it, killing it first if asked."""
+    _close(worker)
+    try:
+        if kill:
+            import signal   # here, not at the top: its import costs 1.5 ms
+            os.kill(worker[0], signal.SIGKILL)
+        os.waitpid(worker[0], 0)
+    except (ProcessLookupError, ChildProcessError):
+        pass
+
+
+def _stop_workers(kill: bool = False) -> None:
+    """End every worker: at exit each reads EOF and leaves; after an
+    exception it is killed, so no later call reads a stale result."""
+    for worker in list(_workers):
+        _drop(worker, kill)
+
+
+def _pool(size: int) -> list:
+    """Up to `size` live workers: dead ones are reaped and new ones forked,
+    unless a fork fails."""
+    for worker in list(_workers):
+        try:
+            dead = os.waitpid(worker[0], os.WNOHANG)[0]
+        except ChildProcessError:       # reaped elsewhere
+            dead = True
+        if dead:
+            _close(worker)
+    while len(_workers) < size:
+        worker = _start_worker()
+        if worker is None:
+            break
+        _workers.append(worker)
+    return _workers[:size]
+
+
+def _run_shared(key: int, trials: int, p: float, k: int, cap: int):
+    """_run_trials over the whole range, split into near-equal contiguous
+    chunks: chunk 0 runs here and one more on each worker, with one worker
+    per usable CPU beyond the first, and at most one per lane block beyond
+    the first.  Trial i is keyed by its index alone, so the sums are the
+    same for any split.
+
+    The range runs here alone when it is one block, when there is one
+    usable CPU, when the process has another thread (which could share the
+    pipes, or hold a lock the forked child needs), or when no worker can be
+    started.
+    """
+    width = min(_usable_cpus(), -(-trials // _LANES)) - 1
+    if width < 1 or _threads() > 1:
+        return _run_trials(key, trials, p, k, cap)
+    try:
+        pool = _pool(width)
+        cuts = [trials * i // (len(pool) + 1) for i in range(len(pool) + 2)]
+        tasks = [((key + start * _GOLDEN) & _MASK, stop - start, p, k, cap)
+                 for start, stop in zip(cuts, cuts[1:])]
+        local, sent = tasks[:1], []
+        for worker, task in zip(pool, tasks[1:]):
+            try:
+                _send(worker[1], task)
+                sent.append((worker, task))
+            except OSError:             # it died since _pool looked
+                _drop(worker)
+                local.append(task)
+        results = [_run_trials(*task) for task in local]
+        for worker, task in sent:
+            result = _receive(worker[2])
+            if result is None:          # it died mid-task: run its chunk here
+                _drop(worker)
+                result = _run_trials(*task)
+            results.append(result)
+    except BaseException:
+        _stop_workers(kill=True)
+        raise
+    histogram, truncated = results[0]
+    for part, cut in results[1:]:
+        histogram.update(part)
+        truncated += cut
+    return histogram, truncated
+
+
 def run_simulation(config: SimConfig) -> SimSummary:
     """Deterministic summary over config.trials independent samples.
 
     Trial i is the stream keyed by (seed + i*G) mod 2^64, as in
     SplitMix64.for_trial; the trials run in blocks of _LANES lanes (see
     _lane_block), so the histogram and the truncation count are those of
-    sample_waiting_time on each trial's stream, bit for bit.
+    sample_waiting_time on each trial's stream, bit for bit.  A run of
+    more than one block is shared with one forked worker per further
+    usable CPU (_run_shared), and its summary is the same for any number
+    of CPUs.
     """
     p = float(config.params.p)
     k = config.params.k
-    seed = config.seed & _MASK
     cap = config.max_steps_per_trial
-    histogram = Counter()
-    truncated = 0
-    for start in range(0, config.trials, _LANES):
-        truncated += _lane_block((seed + start * _GOLDEN) & _MASK,
-                                 min(_LANES, config.trials - start),
-                                 p, k, cap, histogram)
+    histogram, truncated = _run_shared(config.seed & _MASK, config.trials,
+                                       p, k, cap)
 
     completed = config.trials - truncated
     mean = variance = None
@@ -374,35 +586,50 @@ def gof_report(summary: SimSummary, params: Params,
                threshold: float = 0.001, min_expected: float = 5.0) -> GofReport:
     """Chi-square comparison of the empirical histogram against the pmf.
 
-    Bins with expected count below min_expected are pooled into the tail.
-    Mass observed below the support (n < k) is a hard failure; a small
-    chi-square p-value only flags the report (soft, to tolerate 1-in-1000
-    flukes in CI).  Mean and variance z-scores use the analytic moments.
+    Every trial counts.  Bin n holds the trials that completed at step n,
+    expected trials * f(n); bins with expected count below min_expected are
+    pooled into the tail.  When trials hit the cap, the completed ones end
+    by it, so the tail bin stops at the cap and one bin `>cap` holds the
+    truncated trials, expected trials * P(N > cap), P(N > cap) =
+    f(cap + k + 1) / (q p^k) (pmf._tail_mass); below min_expected it pools
+    into the tail too.  Mass observed below the support (n < k) is a hard
+    failure; a small chi-square p-value only flags the report (soft, to
+    tolerate 1-in-1000 flukes in CI).  Mean and variance z-scores use the
+    analytic moments of N, so they are None once a trial is truncated: the
+    completed trials are then a sample of N given N <= cap.
     """
     own = summary.config.params
     if own.k != params.k or float(own.p) != float(params.p):
         raise DomainError(
             f"summary was simulated at {own} but compared against {params}")
-    completed = summary.trials - summary.truncated_count
+    trials, truncated = summary.trials, summary.truncated_count
+    cap = summary.config.max_steps_per_trial
+    completed = trials - truncated
     if completed < 1:
         raise DomainError(
-            f"no trial completed: all {summary.trials} hit the cap of "
-            f"{summary.config.max_steps_per_trial} steps; raise --max-steps")
+            f"no trial completed: all {trials} hit the cap of {cap} steps; "
+            f"raise --max-steps")
 
     k = params.k
     hard_fail = any(n < k for n in summary.histogram)
     fparams = as_float_params(params)
+    last = cap if truncated else math.inf
 
     # Individual bins while the expected count stays above the cutoff, then
-    # one pooled tail bin.
+    # one pooled tail bin, up to the cap when trials were truncated.
     edges = []
     cum = 0.0
-    for n, f in enumerate(_float_pmf(fparams), start=k):
-        if completed * f < min_expected or n - k > 100_000:
+    values = _float_pmf(fparams)
+    for n, f in enumerate(values, start=k):
+        if trials * f < min_expected or n - k > 100_000 or n > last:
             break
-        edges.append((n, completed * f))
+        edges.append((n, trials * f))
         cum += f
-    tail_expected = completed * (1.0 - cum)
+    # P(N > cap), the mass no completed trial can show, from f(cap + k + 1):
+    # the walk stopped at f(n), n <= cap + 1.
+    beyond = (_tail_mass(fparams, _nth(values, cap + k - n))
+              if truncated else 0.0)
+    tail_expected = trials * (1.0 - beyond - cum)
     while edges and tail_expected < min_expected:
         last_n, last_exp = edges.pop()
         tail_expected += last_exp
@@ -410,14 +637,20 @@ def gof_report(summary: SimSummary, params: Params,
     observed = [summary.histogram.get(m, 0) for m, _ in edges]
     tail_observed = sum(c for m, c in summary.histogram.items() if m >= n)
     bins = [(str(m), obs, exp) for (m, exp), obs in zip(edges, observed)]
-    bins.append((f">={n}", tail_observed, tail_expected))
+    if truncated and trials * beyond >= min_expected:
+        bins.append((str(n) if n == cap else f"{n}..{cap}", tail_observed,
+                     tail_expected))
+        bins.append((f">{cap}", truncated, trials * beyond))
+    else:
+        bins.append((f">={n}", tail_observed + truncated,
+                     tail_expected + trials * beyond))
 
     stat = sum((obs - exp) ** 2 / exp for _, obs, exp in bins)
     dof = max(len(bins) - 1, 1)
     p_value = _chi2_sf(stat, dof)
 
     mean_z = variance_z = None
-    if completed >= 2 and summary.sample_mean is not None:
+    if not truncated and completed >= 2 and summary.sample_mean is not None:
         report = moments_mod.moment_report(fparams, 4)
         mu = float(report.mean)
         var = float(report.variance)

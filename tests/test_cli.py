@@ -407,6 +407,22 @@ class TestSampleCommand:
         assert "sample variance = n/a" in out
         assert "None" not in out
 
+    def test_capped_run_is_censored(self, capsys):
+        args = ("sample", "--p", "0.5", "--k", "5", "--trials", "20000",
+                "--max-steps", "40", "--seed", "1")
+        code, out, err = run_cli(*args, "--format", "text", capsys=capsys)
+        assert code == 0 and err == ""
+        assert "  truncated       = 10517\n" in out
+        assert "  chi-square p    = 0.328396\n" in out
+        assert out.endswith("  mean z, var z   = n/a (10517 truncated)\n")
+        code, out, _ = run_cli(*args, capsys=capsys)
+        payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("sample_report"))
+        gof = payload["gof"]
+        assert gof["mean_z"] is None and gof["variance_z"] is None
+        assert gof["bins"][-1] == {"bin": ">40", "observed": 10517,
+                                   "expected": pytest.approx(10641.6268)}
+
     def test_p_near_one_gives_finite_z_scores(self, capsys):
         code, out, err = run_cli("sample", "--p", "0.999999999", "--k", "1",
                                  "--trials", "20", capsys=capsys)

@@ -102,7 +102,22 @@ class TestThreeRoutes:
                 r"^factorial moment r=162 of \(p=0\.9, k=1, float\): f\(325\) "
                 r"underflows the float range; use exact mode$")):
             route(make_params(0.9, 1), 162)
-        assert route(make_params(0.9, 1), 161) > 0
+        # f(309) to f(323) are subnormal: a quotient by one has lost bits
+        # (1.2e-2 relative at r = 161), so it is refused too.
+        for r in (154, 161):
+            with pytest.raises(DomainError, match=(
+                    rf"^factorial moment r={r} .*: f\({2 * r + 1}\) underflows")):
+                route(make_params(0.9, 1), r)
+        # f(307) = 9e-307 is normal: r = 153 is still a float moment.
+        exact = float(factorial_moment(make_params(Fraction(0.9), 1), 153))
+        assert abs(route(make_params(0.9, 1), 153) - exact) <= 1e-14 * exact
+
+    @pytest.mark.parametrize("route", [factorial_moment, factorial_moment_muselli,
+                                       factorial_moment_closed])
+    def test_float_subnormal_divisor_is_a_domain_error(self, route):
+        # (q p^k)^2 = 5.4e-320 is subnormal, q p^k = 2.3e-160 is not
+        with pytest.raises(DomainError, match=r"\(q p\^k\)\^2 underflows the float range"):
+            route(make_params(0.3, 305), 1)
 
 
 class TestMeanVariance:

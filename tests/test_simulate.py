@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -227,10 +228,254 @@ class TestLaneKernel:
             return real(state, p, k, cap)
 
         monkeypatch.setattr(simulate, "_first_run", recording)
+        # 300 trials are one lane block, so they run in this process; past
+        # _LANES trials a spy on lane internals sees only this process's
+        # chunk, the workers' chunks run in forked copies.
         assert _lane_counts(params, 300, 8, 10_000_000) == want
         # At most 16 trials reach the one-trial loop, restarted past draw 0.
         assert 0 < len(caps) <= 16
         assert len(set(caps)) == 1 and caps[0] < 10_000_000 - 3
+
+
+def _python(code, *args, **kwargs):
+    """Popen of a fresh interpreter running `code` on this checkout's geomk,
+    with every warning an error: no numpy or scipy thread is running there,
+    so run_simulation forks its workers."""
+    import geomk
+    src = os.path.dirname(os.path.dirname(geomk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-W", "error", "-c", code, *args],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def _finish(proc, timeout=60):
+    """proc.communicate(), killing proc if it outlasts the timeout (a worker
+    that never reads EOF hangs its process's exit)."""
+    try:
+        return proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        raise
+
+
+def _run_python(code, *args):
+    """(stdout as JSON) of _python(code, *args), which must exit 0."""
+    with _python(code, *args) as proc:
+        out, err = _finish(proc)
+    assert proc.returncode == 0, err
+    assert err == ""
+    return json.loads(out)
+
+
+_SHARED = """
+import json, os, signal, sys, time
+from geomk import simulate
+from geomk.params import make_params
+from geomk.simulate import SimConfig, run_simulation
+
+def use_cpus(n):
+    simulate._usable_cpus = lambda: n
+
+def pids():
+    return [worker[0] for worker in simulate._workers]
+
+def state(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def _process_state(pid):
+    """The state letter of process pid, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+needs_proc = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+         and os.path.isdir("/proc/self/task")),
+    reason="forked workers need os.fork, sched_getaffinity and /proc")
+
+
+class TestSharedTrials:
+    """run_simulation's split of the trials among forked workers."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(k=st.integers(1, 6), extra=st.integers(0, 60),
+           trials=st.integers(1, 3 * _LANES), seed=st.integers(0, _MASK),
+           cuts=st.lists(st.integers(0, 3 * _LANES), min_size=1, max_size=3),
+           p=st.one_of(st.integers(8, 63).map(lambda a: a / 64),
+                       st.sampled_from([0.3, 0.5, 1 - 2 ** -30])))
+    def test_pieces_add_up_to_the_whole(self, k, extra, trials, seed, cuts, p):
+        cap = k + extra
+        bounds = sorted({0, trials, *(c % (trials + 1) for c in cuts)})
+        histogram, truncated = Counter(), 0
+        for start, stop in zip(bounds, bounds[1:]):
+            part, cut = simulate._run_trials((seed + start * _GOLDEN) & _MASK,
+                                             stop - start, p, k, cap)
+            histogram.update(part)
+            truncated += cut
+        assert (histogram, truncated) == simulate._run_trials(seed, trials,
+                                                              p, k, cap)
+
+    @needs_proc
+    def test_any_cpu_count_gives_the_same_summary(self):
+        out = _run_python(_SHARED + """
+out = {"summaries": [], "workers": []}
+for trials, cap in ((1025, 10_000_000), (4097, 40), (20000, 10_000_000)):
+    config = SimConfig(params=make_params(0.5, 3), trials=trials, seed=7,
+                       max_steps_per_trial=cap)
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        out["summaries"].append(run_simulation(config).to_dict())
+        out["workers"].append(pids())
+use_cpus(2)
+run_simulation(config)
+out["again"] = pids()
+print(json.dumps(out))
+""")
+        summaries = out["summaries"]
+        for i in range(0, 9, 3):
+            assert summaries[i] == summaries[i + 1] == summaries[i + 2]
+        assert summaries[3]["truncated_count"] > 0
+        # At most one worker per CPU beyond the first and per block beyond
+        # the first (1025 trials are two blocks); workers live on unused.
+        first, second = out["workers"][5]
+        assert out["workers"] == [[], [first], [first],
+                                  [first], [first], [first, second],
+                                  [first, second], [first, second],
+                                  [first, second]]
+        assert out["again"] == [first, second]
+
+    @needs_proc
+    def test_killed_worker_is_reaped_and_replaced(self):
+        out = _run_python(_SHARED + """
+use_cpus(2)
+config = SimConfig(params=make_params(0.5, 3), trials=4097, seed=7)
+first = run_simulation(config)
+[old] = pids()
+os.kill(old, signal.SIGKILL)
+deadline = time.monotonic() + 10
+while state(old) != "Z" and time.monotonic() < deadline:
+    time.sleep(0.005)
+second = run_simulation(config)
+print(json.dumps({"same": first == second, "old": old, "now": pids(),
+                  "reaped": reaped(old)}))
+""")
+        assert out["same"] and out["reaped"]
+        assert len(out["now"]) == 1 and out["now"] != [out["old"]]
+
+    @needs_proc
+    def test_worker_killed_mid_task_is_dropped(self):
+        # The timer kills the worker while both halves are running; the
+        # parent reads EOF and runs the worker's half itself.
+        out = _run_python(_SHARED + """
+use_cpus(1)
+config = SimConfig(params=make_params(0.5, 5), trials=20000, seed=3)
+serial = run_simulation(config)
+use_cpus(2)
+run_simulation(SimConfig(params=make_params(0.5, 2), trials=2000, seed=1))
+[old] = pids()
+signal.signal(signal.SIGALRM, lambda *_: os.kill(old, signal.SIGKILL))
+signal.setitimer(signal.ITIMER_REAL, 0.05)
+shared = run_simulation(config)
+print(json.dumps({"same": serial == shared, "now": pids(),
+                  "reaped": reaped(old)}))
+""")
+        assert out == {"same": True, "now": [], "reaped": True}
+
+    @needs_proc
+    def test_interrupt_mid_task_stops_the_workers(self):
+        # No later call may read the interrupted call's result.
+        out = _run_python(_SHARED + """
+use_cpus(2)
+config = SimConfig(params=make_params(0.5, 5), trials=20000, seed=3)
+run_simulation(SimConfig(params=make_params(0.5, 2), trials=2000, seed=1))
+[old] = pids()
+
+def interrupt(*_):
+    raise KeyboardInterrupt
+
+signal.signal(signal.SIGALRM, interrupt)
+signal.setitimer(signal.ITIMER_REAL, 0.05)
+try:
+    run_simulation(config)
+except KeyboardInterrupt:
+    pass
+stopped = {"now": pids(), "reaped": reaped(old)}
+shared = run_simulation(config)
+use_cpus(1)
+print(json.dumps({**stopped, "same": shared == run_simulation(config),
+                  "new": len(set(pids()) - {old})}))
+""")
+        assert out == {"now": [], "reaped": True, "same": True, "new": 1}
+
+    @needs_proc
+    def test_output_before_a_fork_is_written_once(self):
+        # stdout is a pipe, so "before" waits in a buffer the fork copies:
+        # a worker that writes would flush that copy too, unless the parent
+        # flushed first.
+        code = _SHARED + """
+print("before")
+serve = simulate._serve
+
+def chatty(tasks, results):
+    print("worker", flush=True)
+    serve(tasks, results)
+
+simulate._serve = chatty
+use_cpus(2)
+run_simulation(SimConfig(params=make_params(0.5, 2), trials=2000, seed=1))
+"""
+        with _python(code) as proc:
+            out, err = _finish(proc)
+        assert proc.returncode == 0, err
+        assert out == "before\nworker\n"
+
+    @needs_proc
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_no_worker_outlives_its_process(self, ending):
+        code = _SHARED + """
+use_cpus(3)
+run_simulation(SimConfig(params=make_params(0.5, 2), trials=5000, seed=1))
+print(json.dumps(pids()), flush=True)
+if sys.argv[1] == "kill":
+    sys.stdin.read()
+"""
+        with _python(code, ending, stdin=subprocess.PIPE) as proc:
+            workers = json.loads(proc.stdout.readline())
+            assert len(workers) == 2
+            if ending == "kill":
+                proc.kill()
+            _, err = _finish(proc)
+        if ending == "exit":
+            assert proc.returncode == 0 and err == ""
+            # reaped by the process's exit hook, so gone, not even a zombie
+            assert [_process_state(pid) for pid in workers] == [None, None]
+            return
+        # An orphan reads EOF on its task pipe and leaves; it stays a
+        # zombie only where nothing reaps orphans.
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline and any(
+                _process_state(pid) not in (None, "Z") for pid in workers):
+            time.sleep(0.01)
+        assert all(_process_state(pid) in (None, "Z") for pid in workers)
 
 
 class TestRunSimulation:
@@ -328,6 +573,34 @@ class TestGofReport:
         assert summary.truncated_count == 5
         with pytest.raises(DomainError, match="no trial completed"):
             gof_report(summary, params)
+
+    @pytest.mark.parametrize("p, k, cap, seed", [
+        (0.5, 5, 40, 1), (0.5, 5, 40, 2), (0.3, 3, 25, 1), (0.7, 8, 30, 1)])
+    def test_capped_runs_are_censored_not_flagged(self, p, k, cap, seed):
+        params = make_params(p, k)
+        summary = run_simulation(SimConfig(params=params, trials=20_000,
+                                           seed=seed, max_steps_per_trial=cap))
+        report = gof_report(summary, params)
+        assert summary.truncated_count > 5000
+        assert not report.flagged and not report.hard_fail
+        assert report.mean_z is None and report.variance_z is None
+        # Every trial is in a bin, the truncated ones in the last.
+        assert sum(obs for _, obs, _ in report.bins) == 20_000
+        assert report.bins[-1][:2] == (f">{cap}", summary.truncated_count)
+        assert sum(exp for _, _, exp in report.bins) == pytest.approx(20_000)
+        assert all(exp >= 5.0 for _, _, exp in report.bins)
+
+    def test_rare_truncations_pool_into_the_tail(self):
+        # P(N > 20) = F(22) / 2^20 = 0.017 at p = 0.5, k = 2: 1.7 of 100
+        # trials expected beyond the cap, too few for a bin of their own.
+        params = make_params(0.5, 2)
+        summary = run_simulation(SimConfig(params=params, trials=100,
+                                           seed=11, max_steps_per_trial=20))
+        report = gof_report(summary, params)
+        assert summary.truncated_count > 0
+        assert report.bins[-1][0].startswith(">=")
+        assert sum(obs for _, obs, _ in report.bins) == 100
+        assert report.mean_z is None and report.variance_z is None
 
     def test_json_payload_shape(self, summary):
         payload = gof_report(summary, HALF2).to_dict()
