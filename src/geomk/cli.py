@@ -8,11 +8,12 @@ text; each CSV record is one `str.join` of its fields, with the bytes
 `csv.writer` writes in its default QUOTE_MINIMAL dialect with LF line ends.
 
 One stdlib encoder, `json.JSONEncoder(indent=2)`, writes every JSON report
-in pieces, with the bytes of `json.dumps(report, indent=2)`.  One list
-takes another way: a float table's entries, held as columns (`_Rows`) so
-that no dict is built per row, are written through one %-template per row
-in blocks of `_BLOCK` rows, after the encoder's text of the table's other
-fields.
+in pieces, with the bytes of `json.dumps(report, indent=2)`.  A table's
+entries take another way, after the encoder's text of the table's other
+fields, with no dict built per row: a float table's, held as columns
+(`_Rows`), through one %-template per row in blocks of `_BLOCK` rows, and
+an exact table's text rows (`_TextRows`) one row per piece, as its text
+walk makes them, so that no piece holds more than one row's digits.
 
 `main` builds the argparse parser once per process and reuses it, so
 in-process callers pay for it once.  Exit codes: 0 success, 1 a
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
+from typing import Iterable
 
 from . import moments as moments_mod
 from . import roots as roots_mod
@@ -64,6 +66,14 @@ class _Rows:
     columns: tuple
 
 
+@dataclass(frozen=True)
+class _TextRows:
+    """An exact table's entries as its text rows (n, f_text,
+    cumulative_text), made one at a time: JSON writes each as a dict of
+    ENTRY_KEYS with n a number and each text a string."""
+    rows: Iterable
+
+
 @contextlib.contextmanager
 def _out_stream(path):
     if path in (None, "-"):
@@ -82,9 +92,9 @@ def _write(args, payload, rows, lines):
 
     JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
     `_json_chunks`: the stdlib encoder writes the report, except that a
-    `_Rows` as its last value (a float table's entries) is written by the
-    row template.  CSV is `rows`, header first; text is `lines`.  Every line
-    ends in LF, and only the requested form is built.
+    `_Rows` or `_TextRows` as its last value (a table's entries) is written
+    by a row template.  CSV is `rows`, header first; text is `lines`.  Every
+    line ends in LF, and only the requested form is built.
     """
     with _out_stream(args.out) as out:
         if args.format == "json":
@@ -128,16 +138,19 @@ def _csv_field(field):
 def _json_chunks(report):
     """The text of `json.dumps(report, indent=2)` in pieces.
 
-    A dict whose last value is a `_Rows` is written as the encoder's text
-    of the dict up to that value, then `_json_rows`, then its closing brace;
-    any other report is `_ENCODER.iterencode(report)`.
+    A dict whose last value is a `_Rows` or a `_TextRows` is written as the
+    encoder's text of the dict up to that value, then `_json_rows` or
+    `_json_text_rows`, then its closing brace; any other report is
+    `_ENCODER.iterencode(report)`.
     """
     if isinstance(report, dict) and report:
         key, rows = next(reversed(report.items()))
-        if isinstance(rows, _Rows):
+        if isinstance(rows, (_Rows, _TextRows)):
             # the encoder's text with the rows as null, cut before the null
             head = _ENCODER.encode({**report, key: None})[:-len("null\n}")]
-            return chain((head,), _json_rows(rows), ("\n}",))
+            body = (_json_rows(rows) if isinstance(rows, _Rows)
+                    else _json_text_rows(rows))
+            return chain((head,), body, ("\n}",))
     return _ENCODER.iterencode(report)
 
 
@@ -158,6 +171,21 @@ def _json_rows(rows):
         yield lead
         yield pattern % block
         lead = row_sep
+    yield "\n  ]"
+
+
+def _json_text_rows(rows):
+    """The `_TextRows` `rows` as the indented JSON list of a top-level key,
+    one piece per row with its leading punctuation.  A text is digits and
+    at most one slash, which JSON writes as they are, inside quotes."""
+    n_key, f_key, c_key = map(encode_basestring_ascii, ENTRY_KEYS)
+    template = (f'{{\n      {n_key}: %d,\n      {f_key}: "%s",'
+                f'\n      {c_key}: "%s"\n    }}')
+    first, rest = "[\n    " + template, ",\n    " + template
+    rows = iter(rows.rows)
+    yield first % next(rows)
+    for row in rows:
+        yield rest % row
     yield "\n  ]"
 
 
@@ -224,7 +252,7 @@ def cmd_table(args):
 
     def payload():
         if params.mode is Mode.EXACT:
-            return table.to_dict()
+            return {**table.summary(), "entries": _TextRows(table.text_rows())}
         # a float table's rows from its columns, with no dict per row
         return {**table.summary(), "entries": _Rows(ENTRY_KEYS, (
             range(table.n_max + 1), table.entries, table.cumulative))}

@@ -26,16 +26,24 @@ a Fraction, or rounded to a float, exactly once.  In float mode the
 alternating sums read p and the stored q = fl(1 - p) as the binary
 rationals they denote, so their results are correctly rounded; the float
 recurrence stays in double precision (_float_pmf).
+
+An exact recurrence table reduces each value once too.  Its entries are
+recurrence_series; one pass over them (_scaled_cumulative) takes each
+factor b^n / denominator once, runs the table's checks on the integers
+g(n) and C(n) = C(n-1) b + g(n), and reduces each C(n) once, keeping its
+factor.  The digits come from a Decimal run of the kernel divided by those
+kept factors (_exact_texts), so printing divides no int.
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import operator
 import sys
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, islice
@@ -131,20 +139,54 @@ else:
             return Fraction(numerator, denominator, _normalize=False)
 
 
+@functools.lru_cache(maxsize=64)
+def _strip_step(b: int) -> int:
+    """The power of b that _over_power strips per gcd: the largest b^j that
+    fits one digit of CPython's int (below 2^30 on 64-bit builds), or b
+    itself when b is larger.
+
+    A remainder by a one-digit number is a single pass over the other
+    operand, and the small gcd after it costs next to nothing, so one gcd
+    strips up to j factors of b for about the price of one.  Cached, as
+    every value of a table that needs stripping asks for the same b.
+    """
+    step, digit = b, 1 << sys.int_info.bits_per_digit
+    while step * b < digit:
+        step *= b
+    return step
+
+
 def _over_power(s: int, power: int, b: int) -> Fraction:
     """s / power as a reduced Fraction, where every prime of power divides b.
 
-    A prime that divides both s and power then divides b, so dividing both
-    by t = gcd(s, b, power) until t = 1 leaves them coprime.  Each step is
-    linear in the size of s (gcd(s, b) takes one pass of s % b), where
-    gcd(s, power) is quadratic.
+    A prime that divides both s and power then divides b, so s / power is
+    already reduced when gcd(s, b) = 1, and otherwise _strip_shared reduces
+    it.  gcd(s, b) takes one pass of s % b, where gcd(s, power) is
+    quadratic in their size.
     """
     if not s:
         return Fraction(0)
-    while (t := math.gcd(s, b, power)) != 1:
+    if math.gcd(s, b) != 1:
+        s, power, _ = _strip_shared(s, power, b)
+    return _coprime_fraction(s, power)
+
+
+def _strip_shared(s: int, power: int, b: int) -> tuple:
+    """(s / t, power / t, t) in lowest terms, for every prime of power a
+    prime of b: t is b^n / denominator for s / b^n, the factor the digits of
+    an exact table divide by (_exact_texts).
+
+    Dividing both by t = gcd(s, step, power) for step = _strip_step(b)
+    until t = 1 leaves them coprime, as any prime they share divides step.
+    Each round is one pass of s % step, and it strips up to j factors of
+    b = step^(1/j) where a round with b itself would strip one.
+    """
+    step, shared = _strip_step(b), 1
+    while (t := math.gcd(s, step, power)) != 1:
         s //= t
         power //= t
-    return _coprime_fraction(s, power)
+        shared *= t
+    return s, power, shared
 
 
 def _finish_sum(params: Params, plus: int, minus: int, scale: int) -> Scalar:
@@ -451,17 +493,21 @@ class PmfTable:
 
     entries and cumulative are reduced Fractions in exact mode and floats in
     float mode.  text_rows is the one text form of the table: to_dict (in
-    exact mode), the CLI's CSV rows and its text lines all read it.  The
-    CLI's stdlib JSON encoder writes an exact table's to_dict, and the
-    fields of summary() for a float table, whose entries follow from the
-    columns through the CLI's row template with no dict built per row; both
-    have the bytes of json.dumps(to_dict(), indent=2).
+    exact mode), the CLI's CSV rows, its text lines and its JSON rows all
+    read it.  An exact recurrence table also carries shared: for each n,
+    the factors b^n / denominator of f(n) and of its cumulative value, which
+    its digit walk divides by (_exact_texts).  The CLI writes the fields of
+    summary() through the stdlib JSON encoder and the entries through a row
+    template: an exact table's one row at a time from text_rows, a float
+    table's from its columns with no dict built per row.  Both have the
+    bytes of json.dumps(to_dict(), indent=2).
     """
     params: Params
     engine: Engine
     entries: tuple          # f(0), f(1), ..., f(n_max)
     cumulative: tuple
     tail_bound: Optional[float]  # float mode: P(N > n_max)
+    shared: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def n_max(self) -> int:
@@ -478,8 +524,8 @@ class PmfTable:
         An exact recurrence table takes its digits from _exact_texts, in
         time linear in their number; every other table renders its values.
         """
-        if self.engine is Engine.RECURRENCE and self.params.mode is Mode.EXACT:
-            yield from _exact_texts(self.params, self.entries, self.cumulative)
+        if self.shared is not None:
+            yield from _exact_texts(self.params, self.shared)
         else:
             for n, f, c in self.rows():
                 yield n, _render(f), _render(c)
@@ -513,15 +559,16 @@ _EXACT_DECIMAL = decimal.Context(
     traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation])
 
 
-def _exact_texts(params: Params, entries, cumulative):
+def _exact_texts(params: Params, shared):
     """Yield (n, f_text, cumulative_text) for an exact recurrence table whose
-    reduced values are entries and cumulative.
+    reductions removed the factors shared[n] = (b^n / den f(n),
+    b^n / den F(n)) (_scaled_cumulative).
 
     _scaled_pmf runs again over Decimal integers, with C(n) = C(n-1) b + g(n)
     beside it, so g(n) / b^n and C(n) / b^n have base-10 digits from the
-    start.  Each value is divided by the factor G = b^n // denominator that
-    its reduction removed (no division when G = 1), and str() of a Decimal
-    is linear in its digits where str(int) and Decimal(int) are quadratic.
+    start.  Each is divided by the factor its reduction kept (no division
+    when it is 1), so no int is divided here, and str() of a Decimal is
+    linear in its digits where str(int) and Decimal(int) are quadratic.
     Rows are made in batches inside _EXACT_DECIMAL and yielded outside it,
     so no caller ever runs in that context.
     """
@@ -529,7 +576,7 @@ def _exact_texts(params: Params, entries, cumulative):
     k = params.k
     for n in range(k):
         yield n, "0", "0"
-    rows = _decimal_rows(a, c, b, k, entries, cumulative)
+    rows = _decimal_rows(a, c, b, k, shared)
     while True:
         with decimal.localcontext(_EXACT_DECIMAL):
             batch = list(islice(rows, 64))
@@ -538,29 +585,26 @@ def _exact_texts(params: Params, entries, cumulative):
         yield from batch
 
 
-def _decimal_rows(a, c, b, k, entries, cumulative):
+def _decimal_rows(a, c, b, k, shared):
     values = _scaled_pmf(decimal.Decimal(a), decimal.Decimal(c), k)
     b_dec, total = decimal.Decimal(b), decimal.Decimal(0)
-    power = b ** k
-    power_dec = decimal.Decimal(power)
-    for n in range(k, len(entries)):
+    power = b_dec ** k
+    for n in range(k, len(shared)):
         g = next(values)
         total = total * b_dec + g
-        yield (n, _text_over(g, power, power_dec, entries[n].denominator),
-               _text_over(total, power, power_dec, cumulative[n].denominator))
-        power *= b
-        power_dec *= b_dec
+        f_shared, c_shared = shared[n]
+        yield (n, _text_over(g, power, f_shared),
+               _text_over(total, power, c_shared))
+        power *= b_dec
 
 
-def _text_over(scaled, power: int, power_dec, denominator: int) -> str:
-    """_render of the value scaled / power in (0, 1) whose reduced
-    denominator is `denominator`; scaled and power_dec are the Decimal
-    forms of the numerator and of power."""
-    shared = power // denominator
+def _text_over(scaled, power, shared: int) -> str:
+    """_render of the value scaled / power in (0, 1) for Decimal integers
+    scaled and power, whose reduction removes the factor shared."""
     if shared != 1:
         shared = decimal.Decimal(shared)
-        scaled, power_dec = scaled // shared, power_dec // shared
-    return str(scaled) + "/" + str(power_dec)
+        scaled, power = scaled // shared, power // shared
+    return str(scaled) + "/" + str(power)
 
 
 def _render(value: Scalar) -> str:
@@ -604,11 +648,14 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     Every engine but the recurrence fills the entries in one pass of
     _engine_values, so they are the values pmf gives; the recurrence table
     is recurrence_series.  The cumulative column comes from the entries
-    alone (_checked_cumulative), and a table that fails its checks (a nan
-    entry included) raises ConsistencyError.  In float mode the table also
-    carries the mass beyond n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k)
-    (_tail_mass): a recurrence table walks k + 1 values further, and every
-    other engine takes f(n_max + k + 1) from one float recurrence walk.
+    alone, and a table that fails its checks (a nan entry included) raises
+    ConsistencyError.  An exact recurrence table is checked and cumulated on
+    integers by _scaled_cumulative, which also keeps the factors its digits
+    divide by; every other table goes through _checked_cumulative.  In
+    float mode the table also carries the mass beyond n_max,
+    P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a recurrence
+    table walks k + 1 values further, and every other engine takes
+    f(n_max + k + 1) from one float recurrence walk.
     """
     if n_max < params.k:
         raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
@@ -620,7 +667,10 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     else:
         entries = list(_engine_values(params, engine, range(n_max + 1)))
 
-    cumulative = _checked_cumulative(params, entries)
+    if engine is Engine.RECURRENCE and not floating:
+        cumulative, shared = _scaled_cumulative(params, entries)
+    else:
+        cumulative, shared = _checked_cumulative(params, entries), None
 
     bound = None
     if floating:
@@ -628,18 +678,20 @@ def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
             far = pmf_recurrence(params, n_max + params.k + 1)
         bound = _tail_mass(params, far)
     return PmfTable(params=params, engine=engine, entries=tuple(entries),
-                    cumulative=tuple(cumulative), tail_bound=bound)
+                    cumulative=tuple(cumulative), tail_bound=bound,
+                    shared=shared)
 
 
 def _checked_cumulative(params: Params, entries) -> list:
-    """The cumulative column of a table's entries, each exact value reduced
-    once.  Raise ConsistencyError unless every entry is a probability,
-    those below the support are 0, f(k) = p^k (within 1e-10 in float mode),
-    every exact f(n) is an integer over b^n (p = a/b) and the total mass is
-    at most 1.  The comparisons are written so that a nan fails them, as an
-    infinity does."""
-    exact = params.mode is Mode.EXACT
-    slack = 0 if exact else 1e-10
+    """The cumulative column of a table's entries.  Raise ConsistencyError
+    unless every entry is a probability, those below the support are 0,
+    f(k) = p^k (within 1e-10 in float mode) and the total mass is at most
+    1.  Exact entries are checked and cumulated on integers
+    (_scaled_cumulative).  The float comparisons are written so that a nan
+    fails them, as an infinity does."""
+    if params.mode is Mode.EXACT:
+        return _scaled_cumulative(params, entries)[0]
+    slack = 1e-10
     k = params.k
     for n, f in enumerate(entries):
         if not -slack <= f <= 1 + slack:
@@ -650,20 +702,61 @@ def _checked_cumulative(params: Params, entries) -> list:
     if len(entries) > k and abs(entries[k] - expected_at_k) > slack:
         raise ConsistencyError(
             f"pmf at n=k is {entries[k]}, expected p^k = {expected_at_k}")
-    if not exact:
-        cumulative = list(accumulate(entries, initial=0.0))[1:]
-    else:
-        # C(n) = F(n) b^n is the integer C(n-1) b + num (b^n // den)
-        b = _scaled_pq(params)[2]
-        cumulative, total, power = [], 0, 1
-        for n, f in enumerate(entries):
-            shared, rest = divmod(power, f.denominator)
-            if rest:
-                raise ConsistencyError(f"pmf value at n={n} of {params} is "
-                                       f"not an integer over b^n: {f}")
-            total = total * b + f.numerator * shared
-            cumulative.append(_over_power(total, power, b))
-            power *= b
+    cumulative = list(accumulate(entries, initial=0.0))[1:]
     if not cumulative[-1] <= 1 + slack:
         raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
     return cumulative
+
+
+def _scaled_cumulative(params: Params, entries) -> tuple:
+    """(cumulative, shared) for a table of exact entries f(0..n_max), from
+    one pass over the integers g(n) = f(n) b^n and C(n) = F(n) b^n
+    (p = a/b).
+
+    Each entry gives its factor G = b^n // den once, and the remainder of
+    that division is the check that f(n) is an integer over b^n.  Then
+    g(n) = num G is checked on integers: 0 <= g(n) <= b^n, g(n) = 0 below
+    the support, g(k) = a^k and C(n_max) <= b^n_max, each raising
+    ConsistencyError with the message of the same check on floats
+    (_checked_cumulative).  The first bad n is named, by the first of those
+    checks it fails, and by the scale check only when it passes the others.
+    C(n) = C(n-1) b + g(n) is reduced once, as _over_power does, and
+    shared[n] keeps the pair (G, b^n / den F(n)).
+    """
+    a, _, b = _scaled_pq(params)
+    k = params.k
+    top = a ** k
+    cumulative, shared = [], []
+    total, power = 0, 1
+    for n, f in enumerate(entries):
+        f_shared, rest = divmod(power, f.denominator)
+        # g(n) = f(n) b^n, checked against b^n; an f(n) off that scale is
+        # checked as it is, against 1, and fails the last check if no other
+        g, unit = (f, 1) if rest else (f.numerator * f_shared, power)
+        if not 0 <= g <= unit:
+            raise ConsistencyError(f"pmf value out of [0,1] at n={n}: {f}")
+        if n < k:
+            if g and n:
+                raise ConsistencyError(
+                    f"nonzero pmf below the support at n={n}: {f}")
+        elif n == k and (rest or g != top):
+            raise ConsistencyError(
+                f"pmf at n=k is {f}, expected p^k = {params.p ** k}")
+        if rest:
+            raise ConsistencyError(f"pmf value at n={n} of {params} is "
+                                   f"not an integer over b^n: {f}")
+        total = total * b + g
+        if not total:
+            cumulative.append(Fraction(0))
+            c_shared = power
+        elif math.gcd(total, b) != 1:
+            num, den, c_shared = _strip_shared(total, power, b)
+            cumulative.append(_coprime_fraction(num, den))
+        else:
+            cumulative.append(_coprime_fraction(total, power))
+            c_shared = 1
+        shared.append((f_shared, c_shared))
+        power *= b
+    if total > power // b:
+        raise ConsistencyError(f"cumulative mass exceeds 1: {cumulative[-1]}")
+    return cumulative, tuple(shared)

@@ -118,6 +118,11 @@ class TestReductionByFactorsOfB:
                 expected = Fraction(scaled, b ** n)
                 assert (value.numerator, value.denominator) == (
                     expected.numerator, expected.denominator)
+            # the factors each reduction removed from b^n, for the reduced
+            # p's b, which the digits divide by
+            power = table.params.p.denominator ** n
+            assert table.shared[n] == (power // table.entries[n].denominator,
+                                       power // table.cumulative[n].denominator)
         assert list(table.text_rows()) == [
             (n, _render(f), _render(c)) for n, f, c in table.rows()]
         return table
