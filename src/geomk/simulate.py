@@ -38,12 +38,9 @@ counts are those of the one-trial loop, bit for bit.
 
 A run of more than one block is shared among the usable CPUs
 (_run_shared): this process runs the first of near-equal contiguous
-chunks of the trials, and one forked worker per further CPU runs each of
-the others.  Workers start at the first call that needs them, take tasks
-and return results as marshalled ints, floats and dicts over pipes, and
-live until their task pipe reads EOF: at the process's exit, or when it
-is killed.  The histograms and truncation counts add up to those of one
-process, whatever the number of CPUs.
+chunks of the trials, and a worker of the process's one pool (geomk.pool)
+runs each of the others.  The histograms and truncation counts add up to
+those of one process, whatever the number of CPUs.
 
 Chi-square p-values use the finite closed form of the upper tail for an
 integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
@@ -51,18 +48,14 @@ integer number of degrees of freedom (Abramowitz & Stegun 26.4.4, 26.4.5).
 
 from __future__ import annotations
 
-import atexit
-import marshal
 import math
-import os
-import sys
-import threading
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Optional
 
 from . import moments as moments_mod
+from . import pool
 from .numerics import DomainError
 # pmf_recurrence stays importable from here: perfbench's tracer rebinds it.
 from .pmf import _float_pmf, _nth, _tail_mass, pmf_recurrence  # noqa: F401
@@ -307,201 +300,33 @@ def _lane_block(key: int, n: int, p: float, k: int, cap: int,
     return truncated
 
 
+@pool.register
 def _run_trials(key: int, trials: int, p: float, k: int, cap: int):
     """(histogram, truncated) of the trials keyed by key, key + G, ...,
-    key + (trials-1)*G (mod 2^64), run in blocks of _LANES lanes."""
+    key + (trials-1)*G (mod 2^64), run in blocks of _LANES lanes; the
+    histogram is a plain dict, which marshal carries."""
     histogram = Counter()
     truncated = 0
     for start in range(0, trials, _LANES):
         truncated += _lane_block((key + start * _GOLDEN) & _MASK,
                                  min(_LANES, trials - start),
                                  p, k, cap, histogram)
-    return histogram, truncated
-
-
-# The worker processes: [pid, task fd, result fd] each, in start order.
-# Workers are forked on the first call with more than one lane block and
-# serve _run_trials tasks until their task pipe reads EOF.
-_workers = []
-_hooked = False     # the at-fork and at-exit hooks are registered
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (taskset restricts them), or 1 on a
-    platform that cannot fork or tell."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _threads() -> int:
-    """This process's OS threads.  Python's own threads are not all of
-    them: numpy's OpenBLAS starts its pool at import."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _send(fd: int, message) -> None:
-    """Write one message: its length in 8 bytes, then marshal's bytes."""
-    data = marshal.dumps(message)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int):
-    """The next message on fd, or None at EOF (its writer is gone)."""
-    head = _read(fd, 8)
-    body = head and _read(fd, int.from_bytes(head, "little"))
-    return None if body is None else marshal.loads(body)
-
-
-def _read(fd: int, size: int):
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            return None
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
-
-
-def _serve(tasks: int, results: int) -> None:
-    while (task := _receive(tasks)) is not None:
-        histogram, truncated = _run_trials(*task)
-        _send(results, (dict(histogram), truncated))
-
-
-def _start_worker():
-    """Fork one worker and return its entry, or None if that fails."""
-    global _hooked
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:
-            stream.flush()
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    task_r, task_w, result_r, result_w = fds
-    if pid == 0:
-        # The at-fork hook has closed the earlier workers' pipe ends; the
-        # parent's ends of this worker's pipes go too, so that the parent's
-        # exit, however it comes, ends the task stream.
-        status = 1
-        try:
-            os.close(task_w)
-            os.close(result_r)
-            _serve(task_r, result_w)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(task_r)
-    os.close(result_w)
-    if not _hooked:
-        _hooked = True
-        os.register_at_fork(after_in_child=_forget_workers)
-        atexit.register(_stop_workers)
-    return [pid, task_w, result_r]
-
-
-def _forget_workers() -> None:
-    """In a forked child: close the parent's pipe ends, so that each worker
-    still reads EOF once the parent is gone, and own no workers."""
-    for worker in list(_workers):
-        _close(worker)
-
-
-def _close(worker) -> None:
-    _workers.remove(worker)
-    os.close(worker[1])
-    os.close(worker[2])
-
-
-def _drop(worker, kill: bool = False) -> None:
-    """Close a worker's pipes and reap it, killing it first if asked."""
-    _close(worker)
-    try:
-        if kill:
-            import signal   # here, not at the top: its import costs 1.5 ms
-            os.kill(worker[0], signal.SIGKILL)
-        os.waitpid(worker[0], 0)
-    except (ProcessLookupError, ChildProcessError):
-        pass
-
-
-def _stop_workers(kill: bool = False) -> None:
-    """End every worker: at exit each reads EOF and leaves; after an
-    exception it is killed, so no later call reads a stale result."""
-    for worker in list(_workers):
-        _drop(worker, kill)
-
-
-def _pool(size: int) -> list:
-    """Up to `size` live workers: dead ones are reaped and new ones forked,
-    unless a fork fails."""
-    for worker in list(_workers):
-        try:
-            dead = os.waitpid(worker[0], os.WNOHANG)[0]
-        except ChildProcessError:       # reaped elsewhere
-            dead = True
-        if dead:
-            _close(worker)
-    while len(_workers) < size:
-        worker = _start_worker()
-        if worker is None:
-            break
-        _workers.append(worker)
-    return _workers[:size]
+    return dict(histogram), truncated
 
 
 def _run_shared(key: int, trials: int, p: float, k: int, cap: int):
     """_run_trials over the whole range, split into near-equal contiguous
-    chunks: chunk 0 runs here and one more on each worker, with one worker
-    per usable CPU beyond the first, and at most one per lane block beyond
-    the first.  Trial i is keyed by its index alone, so the sums are the
-    same for any split.
-
-    The range runs here alone when it is one block, when there is one
-    usable CPU, when the process has another thread (which could share the
-    pipes, or hold a lock the forked child needs), or when no worker can be
-    started.
+    chunks, one per process of the pool (pool.width): one per usable CPU,
+    and at most one per lane block.  Chunk 0 runs here and each other on a
+    forked worker.  Trial i is keyed by its index alone, so the sums are
+    the same for any split.
     """
-    width = min(_usable_cpus(), -(-trials // _LANES)) - 1
-    if width < 1 or _threads() > 1:
-        return _run_trials(key, trials, p, k, cap)
-    try:
-        pool = _pool(width)
-        cuts = [trials * i // (len(pool) + 1) for i in range(len(pool) + 2)]
-        tasks = [((key + start * _GOLDEN) & _MASK, stop - start, p, k, cap)
-                 for start, stop in zip(cuts, cuts[1:])]
-        local, sent = tasks[:1], []
-        for worker, task in zip(pool, tasks[1:]):
-            try:
-                _send(worker[1], task)
-                sent.append((worker, task))
-            except OSError:             # it died since _pool looked
-                _drop(worker)
-                local.append(task)
-        results = [_run_trials(*task) for task in local]
-        for worker, task in sent:
-            result = _receive(worker[2])
-            if result is None:          # it died mid-task: run its chunk here
-                _drop(worker)
-                result = _run_trials(*task)
-            results.append(result)
-    except BaseException:
-        _stop_workers(kill=True)
-        raise
-    histogram, truncated = results[0]
-    for part, cut in results[1:]:
+    width = pool.width(-(-trials // _LANES))
+    cuts = [trials * i // width for i in range(width + 1)]
+    tasks = [((key + start * _GOLDEN) & _MASK, stop - start, p, k, cap)
+             for start, stop in zip(cuts, cuts[1:])]
+    histogram, truncated = Counter(), 0
+    for part, cut in pool.run(_run_trials, tasks):
         histogram.update(part)
         truncated += cut
     return histogram, truncated

@@ -9,16 +9,28 @@ alternating-sum engine to its pmf values over all n of a cell, and
 _MOMENT_ROUTES a moment route to its mu_(r) over all r of a cell, each
 through the library's one engine dispatch (pmf._engine_values).  A new
 route is one more entry.
+
+Every check runs cell by cell.  _cell runs a plan's checks on one (p, k)
+cell, with one float root solve for both root checks, and gives each
+check's CheckResult over that cell; _fold adds the cells' results up in
+grid order into exactly the result of one pass over the grid.  A public
+check_* function runs its one check this way in this process.  run_verify
+runs all six: it deals the cells round-robin, in grid order, to the
+processes of geomk.pool, one per usable CPU, and folds what they return,
+so its report is the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import moments as moments_mod
+from . import pool
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, Scalar, SolverError
 from .params import Params, make_params
@@ -34,6 +46,8 @@ DEFAULT_P_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)
 DEFAULT_K_MAX = 6
 DEFAULT_N_MAX = 200
 DEFAULT_R_MAX = 8
+# the interior points of run_verify's generating-function check
+_S_VALUES = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 
 
 @dataclass
@@ -45,11 +59,24 @@ class CheckResult:
     worst_magnitude: float = -1.0
     failures: list = field(default_factory=list)
     skips: list = field(default_factory=list)   # cells the solver failed on
+    # The first case of the largest magnitude that is not NaN: worst too,
+    # unless the first case was NaN.  _fold needs it (see _track).
+    peak: Optional[dict] = None
+    peak_magnitude: float = -math.inf
 
     def to_dict(self):
+        """The report's fields, strict JSON: a non-finite float in worst or
+        a failure (a NaN deviation, say) is written as null."""
         return {"name": self.name, "passed": self.passed, "cases": self.cases,
-                "skipped": len(self.skips), "worst": self.worst,
-                "failures": self.failures[:10]}
+                "skipped": len(self.skips), "worst": _finite(self.worst),
+                "failures": [_finite(f) for f in self.failures[:10]]}
+
+
+def _finite(record: Optional[dict]) -> Optional[dict]:
+    if record is None:
+        return None
+    return {key: None if isinstance(value, float) and not math.isfinite(value)
+            else value for key, value in record.items()}
 
 
 @dataclass
@@ -65,12 +92,6 @@ class VerifyReport:
     def to_dict(self):
         return {"mode": self.mode, "grid": self.grid, "passed": self.passed,
                 "checks": [c.to_dict() for c in self.checks]}
-
-
-def _grid_params(p_values, k_max, mode: Mode):
-    for p in p_values:
-        for k in range(1, k_max + 1):
-            yield make_params(p if mode is Mode.EXACT else float(p), k)
 
 
 def _pmf_route(engine):
@@ -92,6 +113,20 @@ _MOMENT_ROUTES = {
 _via_pmf = _moment_route(Engine.RECURRENCE)
 
 
+class _Plan(NamedTuple):
+    """What _cell runs on each cell: the named checks, in report order,
+    and the sizes and routes each reads."""
+    checks: tuple
+    mode: Mode = Mode.FLOAT
+    n_max: int = 0                  # cross_engine_pmf
+    rootsum_n_max: int = 0          # rootsum_pmf
+    r_max: int = 0                  # moment_routes
+    s_values: tuple = ()            # pgf_identity
+    engines: Optional[dict] = None  # cross_engine_pmf
+    # the root checks' solver; None is roots.find_roots as bound at the call
+    find_roots: Optional[Callable] = None
+
+
 def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
                            engines: Optional[dict] = None) -> CheckResult:
     """Alternating-sum engines against the recurrence on the full grid.
@@ -101,103 +136,56 @@ def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
     pass per (p, k) cell.  Exact mode demands bit-exact equality of reduced
     rationals; float mode allows FLOAT_PMF_TOL absolute deviation.
     """
-    if engines is None:
-        engines = _ENGINES
-    result = CheckResult("cross_engine_pmf", True, 0)
-    exact, ns = mode is Mode.EXACT, range(n_max + 1)
-    for params in _grid_params(p_values, k_max, mode):
-        reference = recurrence_series(params, n_max)
-        for name, values in engines.items():
-            for n, value, expected in zip(ns, values(params, ns), reference):
-                equal, dev = _compare(value, expected, exact)
-                result.cases += 1
-                ok = equal if exact else dev <= FLOAT_PMF_TOL
-                _track(result, ok, dev,
-                       lambda: {"engine": name, "p": str(params.p),
-                                "k": params.k, "n": n, "deviation": dev})
-    return result
+    return _run_here(_Plan(("cross_engine_pmf",), mode, n_max=n_max,
+                           engines=_ENGINES if engines is None else engines),
+                     p_values, k_max)
 
 
 def check_rootsum_pmf(p_values, k_max: int, n_max: int,
                       find_roots=None) -> CheckResult:
     """Spectral engine against the recurrence (always float), on every
     (p, k) cell of the grid, p = k/(k+1) and its neighbours included.
-    find_roots solves each cell (default roots.find_roots); see
-    _solved_cells.
+    find_roots solves each cell (default roots.find_roots).  A cell where
+    it raises SolverError is skipped: it goes into the result's skips with
+    its reason, adds no case and never counts as a pass.
     """
-    find_roots = find_roots or roots_mod.find_roots
-    result = CheckResult("rootsum_pmf", True, 0)
-    cells = _grid_params(p_values, k_max, Mode.FLOAT)
-    for params, root_set in _solved_cells(result, cells, find_roots):
-        reference = recurrence_series(params, n_max)
-        values = _rootsum_values(params, root_set, range(n_max + 1))
-        for n, value in enumerate(values):
-            dev = abs(value - reference[n])
-            result.cases += 1
-            _track(result, dev <= FLOAT_PMF_TOL, dev,
-                   lambda: {"p": str(params.p), "k": params.k, "n": n,
-                            "deviation": dev})
-    return result
+    return _run_here(_Plan(("rootsum_pmf",), rootsum_n_max=n_max,
+                           find_roots=find_roots), p_values, k_max)
 
 
 def check_moment_routes(p_values, k_max: int, r_max: int,
                         mode: Mode) -> CheckResult:
     """Three-route factorial-moment agreement on the (p, k, r) grid: per
     cell, one pass of the pmf route and one of each _MOMENT_ROUTES sum."""
-    result = CheckResult("moment_routes", True, 0)
-    rs = range(1, r_max + 1)
-    for params in _grid_params(p_values, k_max, mode):
-        reference = list(_via_pmf(params, rs))
-        routes = [(name, list(route(params, rs)))
-                  for name, route in _MOMENT_ROUTES.items()]
-        for r, via_pmf in zip(rs, reference):
-            for name, values in routes:
-                equal, dev = _compare(values[r - 1], via_pmf, mode is Mode.EXACT)
-                rel = dev / float(abs(via_pmf))
-                result.cases += 1
-                ok = equal if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
-                _track(result, ok, rel,
-                       lambda: {"route": name, "p": str(params.p),
-                                "k": params.k, "r": r,
-                                "relative_deviation": rel})
-    return result
+    return _run_here(_Plan(("moment_routes",), mode, r_max=r_max),
+                     p_values, k_max)
 
 
 def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
     """Closed-form mean/variance against the factorial-moment chain."""
-    result = CheckResult("mean_variance", True, 0)
-    for params in _grid_params(p_values, k_max, mode):
-        mu1, mu2 = _via_pmf(params, (1, 2))
-        mu = moments_mod.mean(params)
-        var = moments_mod.variance(params)
-        chain = mu2 - mu1 * mu1 + mu1
-        for name, lhs, rhs in (("mean", mu1, mu), ("variance", chain, var)):
-            equal, dev = _compare(lhs, rhs, mode is Mode.EXACT)
-            rel = dev / max(float(abs(rhs)), 1.0)
-            result.cases += 1
-            ok = equal if mode is Mode.EXACT else rel <= FLOAT_MOMENT_TOL
-            _track(result, ok, rel,
-                   lambda: {"identity": name, "p": str(params.p),
-                            "k": params.k, "relative_deviation": rel})
-    return result
+    return _run_here(_Plan(("mean_variance",), mode), p_values, k_max)
 
 
 def check_root_certification(p_values, k_max: int,
                              find_roots=None) -> CheckResult:
     """The certificate find_roots attaches must pass on every float (p, k)
-    pair that find_roots solves (find_roots as in check_rootsum_pmf)."""
-    find_roots = find_roots or roots_mod.find_roots
-    result = CheckResult("root_certification", True, 0)
-    cells = _grid_params(p_values, k_max, Mode.FLOAT)
-    for params, root_set in _solved_cells(result, cells, find_roots):
-        cert = root_set.certificate
-        worst = max(cert.identity_residuals)
-        result.cases += 1
-        _track(result, cert.passed, worst,
-               lambda: {"p": str(params.p), "k": params.k,
-                        "max_identity_residual": worst,
-                        "positive_real_count": cert.positive_real_count,
-                        "max_magnitude": cert.max_magnitude})
+    pair that find_roots solves (find_roots and skips as in
+    check_rootsum_pmf)."""
+    return _run_here(_Plan(("root_certification",), find_roots=find_roots),
+                     p_values, k_max)
+
+
+def check_pgf_identity(p_values, k_max: int, s_values,
+                       mode: Mode) -> CheckResult:
+    """Truncated pmf series against the closed-form generating function."""
+    return _run_here(_Plan(("pgf_identity",), mode, s_values=tuple(s_values)),
+                     p_values, k_max)
+
+
+def _run_here(plan: _Plan, p_values, k_max: int) -> CheckResult:
+    """The plan's one check over the grid, cell by cell in this process."""
+    [result] = _fold(plan.checks, [_cell(plan, p, k)
+                                   for p, k in _cells(p_values, k_max)])
     return result
 
 
@@ -257,28 +245,201 @@ def _pgf_series_gaps(params: Params, s_values, bound_tol: float = 1e-12):
         yield abs(num * w ** n - acc * den) / (den * w ** n), bound, n
 
 
-def check_pgf_identity(p_values, k_max: int, s_values,
-                       mode: Mode) -> CheckResult:
-    """Truncated pmf series against the closed-form generating function."""
-    result = CheckResult("pgf_identity", True, 0)
-    slack = 0.0 if mode is Mode.EXACT else 1e-12
-    typed = [Fraction(s) if mode is Mode.EXACT else float(s) for s in s_values]
-    for params in _grid_params(p_values, k_max, mode):
-        # one recurrence walk per cell serves every s
-        gaps = _pgf_series_gaps(params, typed)
-        for s, (gap, bound, _) in zip(s_values, gaps):
+def _cross_engine_pmf(result: CheckResult, plan: _Plan, cell) -> None:
+    exact, ns = plan.mode is Mode.EXACT, range(plan.n_max + 1)
+    params = cell.params
+    reference = recurrence_series(params, plan.n_max)
+    for name, values in plan.engines.items():
+        for n, value, expected in zip(ns, values(params, ns), reference):
+            equal, dev = _compare(value, expected, exact)
             result.cases += 1
-            _track(result, gap <= bound + slack, gap,
-                   lambda: {"p": str(params.p), "k": params.k, "s": str(s),
-                            "gap": gap, "tail_bound": bound})
-        one = Fraction(1) if mode is Mode.EXACT else 1.0
-        at_one = pgf_eval(params, one)
-        gap = float(abs(at_one - 1))
+            ok = equal if exact else dev <= FLOAT_PMF_TOL
+            _track(result, ok, dev,
+                   lambda: {"engine": name, "p": str(params.p),
+                            "k": params.k, "n": n, "deviation": dev})
+
+
+def _rootsum_pmf(result: CheckResult, plan: _Plan, cell) -> None:
+    if (solved := _solved(result, cell)) is None:
+        return
+    params, root_set = solved
+    n_max = plan.rootsum_n_max
+    reference = recurrence_series(params, n_max)
+    values = _rootsum_values(params, root_set, range(n_max + 1))
+    for n, value in enumerate(values):
+        dev = abs(value - reference[n])
         result.cases += 1
-        _track(result, at_one == 1, gap,
-               lambda: {"p": str(params.p), "k": params.k, "s": "1",
-                        "gap": gap})
-    return result
+        _track(result, dev <= FLOAT_PMF_TOL, dev,
+               lambda: {"p": str(params.p), "k": params.k, "n": n,
+                        "deviation": dev})
+
+
+def _moment_routes(result: CheckResult, plan: _Plan, cell) -> None:
+    exact, rs = plan.mode is Mode.EXACT, range(1, plan.r_max + 1)
+    params = cell.params
+    reference = list(_via_pmf(params, rs))
+    routes = [(name, list(route(params, rs)))
+              for name, route in _MOMENT_ROUTES.items()]
+    for r, via_pmf in zip(rs, reference):
+        for name, values in routes:
+            equal, dev = _compare(values[r - 1], via_pmf, exact)
+            rel = dev / float(abs(via_pmf))
+            result.cases += 1
+            ok = equal if exact else rel <= FLOAT_MOMENT_TOL
+            _track(result, ok, rel,
+                   lambda: {"route": name, "p": str(params.p),
+                            "k": params.k, "r": r,
+                            "relative_deviation": rel})
+
+
+def _mean_variance(result: CheckResult, plan: _Plan, cell) -> None:
+    exact, params = plan.mode is Mode.EXACT, cell.params
+    mu1, mu2 = _via_pmf(params, (1, 2))
+    mu = moments_mod.mean(params)
+    var = moments_mod.variance(params)
+    chain = mu2 - mu1 * mu1 + mu1
+    for name, lhs, rhs in (("mean", mu1, mu), ("variance", chain, var)):
+        equal, dev = _compare(lhs, rhs, exact)
+        rel = dev / max(float(abs(rhs)), 1.0)
+        result.cases += 1
+        ok = equal if exact else rel <= FLOAT_MOMENT_TOL
+        _track(result, ok, rel,
+               lambda: {"identity": name, "p": str(params.p),
+                        "k": params.k, "relative_deviation": rel})
+
+
+def _root_certification(result: CheckResult, plan: _Plan, cell) -> None:
+    if (solved := _solved(result, cell)) is None:
+        return
+    params, root_set = solved
+    cert = root_set.certificate
+    worst = max(cert.identity_residuals)
+    result.cases += 1
+    _track(result, cert.passed, worst,
+           lambda: {"p": str(params.p), "k": params.k,
+                    "max_identity_residual": worst,
+                    "positive_real_count": cert.positive_real_count,
+                    "max_magnitude": cert.max_magnitude})
+
+
+def _pgf_identity(result: CheckResult, plan: _Plan, cell) -> None:
+    exact, params = plan.mode is Mode.EXACT, cell.params
+    slack = 0.0 if exact else 1e-12
+    typed = [Fraction(s) if exact else float(s) for s in plan.s_values]
+    # one recurrence walk per cell serves every s
+    gaps = _pgf_series_gaps(params, typed)
+    for s, (gap, bound, _) in zip(plan.s_values, gaps):
+        result.cases += 1
+        _track(result, gap <= bound + slack, gap,
+               lambda: {"p": str(params.p), "k": params.k, "s": str(s),
+                        "gap": gap, "tail_bound": bound})
+    at_one = pgf_eval(params, Fraction(1) if exact else 1.0)
+    gap = float(abs(at_one - 1))
+    result.cases += 1
+    _track(result, at_one == 1, gap,
+           lambda: {"p": str(params.p), "k": params.k, "s": "1", "gap": gap})
+
+
+# check name -> its work on one cell, in run_verify's report order
+_CHECKS = {
+    "cross_engine_pmf": _cross_engine_pmf,
+    "rootsum_pmf": _rootsum_pmf,
+    "moment_routes": _moment_routes,
+    "mean_variance": _mean_variance,
+    "root_certification": _root_certification,
+    "pgf_identity": _pgf_identity,
+}
+
+
+def _cells(p_values, k_max: int) -> list:
+    """The grid's (p, k) cells in grid order: p by p, k = 1..k_max."""
+    return [(p, k) for p in p_values for k in range(1, k_max + 1)]
+
+
+class _Cell:
+    """One (p, k) cell: its params, and its float params and root solve,
+    each made when a check first asks for it."""
+
+    def __init__(self, plan: _Plan, p, k: int):
+        self.plan, self.p, self.k = plan, p, k
+
+    @cached_property
+    def params(self) -> Params:
+        exact = self.plan.mode is Mode.EXACT
+        return make_params(self.p if exact else float(self.p), self.k)
+
+    @cached_property
+    def solved(self) -> tuple:
+        """(float params, their root set, or the SolverError raised in its
+        place): one solve for both root checks."""
+        params = make_params(float(self.p), self.k)
+        find_roots = self.plan.find_roots or roots_mod.find_roots
+        try:
+            return params, find_roots(params)
+        except SolverError as exc:
+            return params, exc
+
+
+def _solved(result: CheckResult, cell: _Cell) -> Optional[tuple]:
+    """The cell's float (params, root set); or, where the solver failed,
+    None, with the cell in result.skips with its reason: a skip adds no
+    case and never counts as a pass."""
+    params, root_set = cell.solved
+    if isinstance(root_set, SolverError):
+        result.skips.append({"p": str(params.p), "k": params.k,
+                             "reason": str(root_set)})
+        return None
+    return params, root_set
+
+
+def _cell(plan: _Plan, p, k: int) -> tuple:
+    """(states, error): the plan's checks on the (p, k) cell alone, in
+    order, each as its CheckResult's fields (vars), which marshal carries,
+    up to the first check that raises; error is that exception, or None.
+    _fold raises it where a pass over the whole grid would."""
+    cell, states = _Cell(plan, p, k), []
+    for name in plan.checks:
+        result = CheckResult(name, True, 0)
+        try:
+            _CHECKS[name](result, plan, cell)
+        except Exception as exc:    # raised by _fold, in grid order
+            return states, exc
+        states.append(vars(result))
+    return states, None
+
+
+def _fold(names, outcomes) -> list:
+    """One CheckResult per check name, from each cell's _cell outcome in
+    grid order: exactly the result of one pass of each check over the grid.
+
+    Check by check, then cell by cell: the first error in that order is
+    raised, as such a pass raises it.  Cases add, passed is ANDed,
+    failures and skips are joined, and worst replays _track's rule: the
+    first cell with a case gives its own worst; after that, a cell's peak
+    replaces worst when it is strictly larger, so a NaN worst stays.
+    """
+    results = []
+    for index, name in enumerate(names):
+        total = CheckResult(name, True, 0)
+        for states, error in outcomes:
+            if index == len(states):
+                raise error
+            part = CheckResult(**states[index])
+            total.cases += part.cases
+            total.passed = total.passed and part.passed
+            total.failures += part.failures
+            total.skips += part.skips
+            if total.worst is None:
+                total.worst = part.worst
+                total.worst_magnitude = part.worst_magnitude
+            elif part.peak_magnitude > total.worst_magnitude:
+                total.worst = part.peak
+                total.worst_magnitude = part.peak_magnitude
+            if part.peak_magnitude > total.peak_magnitude:
+                total.peak = part.peak
+                total.peak_magnitude = part.peak_magnitude
+        results.append(total)
+    return results
 
 
 def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
@@ -288,51 +449,70 @@ def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
     return equal, 0.0 if equal else float(abs(value - reference))
 
 
-def _solved_cells(result: CheckResult, cells, find_roots):
-    """Yield (params, find_roots(params)) for each float params in cells.  A
-    cell where find_roots raises SolverError is skipped: it goes into
-    result.skips with its reason, adds no case and never counts as a pass."""
-    for params in cells:
-        try:
-            root_set = find_roots(params)
-        except SolverError as exc:
-            result.skips.append({"p": str(params.p), "k": params.k, "reason": str(exc)})
-            continue
-        yield params, root_set
-
-
-def _solved_once(find_roots):
-    """find_roots keeping each params' outcome, a raised SolverError
-    included (functools.cache keeps no exception), for checks that share
-    cells: each later call returns or raises it again."""
-    outcomes = {}
-
-    def solve(params):
-        if params not in outcomes:
-            try:
-                outcomes[params] = find_roots(params)
-            except SolverError as exc:
-                outcomes[params] = exc
-        if isinstance(outcomes[params], SolverError):
-            raise outcomes[params]
-        return outcomes[params]
-
-    return solve
-
-
 def _track(result: CheckResult, ok: bool, magnitude: float, info):
     """Count one case against result; info() builds the case's record, and
-    runs only when the case fails or sets a new worst."""
+    runs only when the case fails or sets a new worst or peak.
+
+    worst is the first case, then each case strictly larger than it: a NaN
+    first case stays worst, as nothing compares larger than NaN.  peak
+    leaves NaN out.  After earlier cases, a later run of cases changes
+    worst only through its peak, which is how _fold joins cells.
+    """
     worst = result.worst is None or magnitude > result.worst_magnitude
-    if ok and not worst:
+    peak = magnitude > result.peak_magnitude
+    if ok and not worst and not peak:
         return
     record = info()
     if worst:
         result.worst = record
         result.worst_magnitude = magnitude
+    if peak:
+        result.peak = record
+        result.peak_magnitude = magnitude
     if not ok:
         result.passed = False
         result.failures.append(record)
+
+
+def _engines(corrupt_engine: Optional[str]) -> dict:
+    """_ENGINES, with the named engine perturbed by 1e-9 at n = k+1 (see
+    run_verify)."""
+    engines = dict(_ENGINES)
+    if corrupt_engine is None:
+        return engines
+    if corrupt_engine not in engines:
+        raise DomainError(
+            f"--corrupt-engine: unknown engine {corrupt_engine!r}; "
+            f"valid engines: {', '.join(engines)}")
+    original = engines[corrupt_engine]
+
+    def corrupted(params, ns):
+        bump = Fraction(1, 10 ** 9) if params.mode is Mode.EXACT else 1e-9
+        for n, value in zip(ns, original(params, ns)):
+            yield value + bump if n == params.k + 1 else value
+
+    engines[corrupt_engine] = corrupted
+    return engines
+
+
+def _verify_plan(mode: Mode, n_max: int, r_max: int,
+                 corrupt_engine: Optional[str]) -> _Plan:
+    return _Plan(tuple(_CHECKS), mode, n_max=n_max,
+                 rootsum_n_max=min(n_max, 100), r_max=r_max,
+                 s_values=_S_VALUES, engines=_engines(corrupt_engine))
+
+
+@pool.register
+def _verify_share(mode: str, n_max: int, r_max: int,
+                  corrupt_engine: Optional[str], p_values: list, k_max: int,
+                  first: int, step: int) -> list:
+    """The _cell outcomes of run_verify's cells first, first + step, ... in
+    grid order.  The arguments are what marshal carries: the mode's value,
+    and each Fraction of p_values as its (numerator, denominator)."""
+    plan = _verify_plan(Mode(mode), n_max, r_max, corrupt_engine)
+    p_values = [Fraction(*p) if isinstance(p, tuple) else p for p in p_values]
+    return [_cell(plan, p, k)
+            for p, k in _cells(p_values, k_max)[first::step]]
 
 
 def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
@@ -341,6 +521,12 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
                corrupt_engine: Optional[str] = None) -> VerifyReport:
     """Run the full verification sweep; the default grid reproduces the
     library's acceptance surface in exact mode.
+
+    The (p, k) cells are dealt round-robin, in grid order, to
+    min(usable CPUs, cells) processes (geomk.pool): this one and forked
+    workers.  Each runs all six checks on each of its cells, and the
+    cells' results fold in grid order (_fold), so the report is the same
+    for any number of CPUs.
 
     corrupt_engine is a test hook: it perturbs the named pmf engine by 1e-9
     at n = k+1 so the harness's failure path can itself be exercised.
@@ -352,31 +538,17 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
                                ("--r-max", r_max, 1)):
         if value < least:
             raise DomainError(f"{flag}: must be >= {least}, got {value}")
-    engines = dict(_ENGINES)
-    if corrupt_engine is not None:
-        if corrupt_engine not in engines:
-            raise DomainError(
-                f"--corrupt-engine: unknown engine {corrupt_engine!r}; "
-                f"valid engines: {', '.join(engines)}")
-        original = engines[corrupt_engine]
-
-        def corrupted(params, ns, _values=original):
-            bump = Fraction(1, 10 ** 9) if params.mode is Mode.EXACT else 1e-9
-            for n, value in zip(ns, _values(params, ns)):
-                yield value + bump if n == params.k + 1 else value
-
-        engines[corrupt_engine] = corrupted
-
-    s_values = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
-    find_roots = _solved_once(roots_mod.find_roots)
-    checks = [
-        check_cross_engine_pmf(p_values, k_max, n_max, mode, engines),
-        check_rootsum_pmf(p_values, k_max, min(n_max, 100), find_roots),
-        check_moment_routes(p_values, k_max, r_max, mode),
-        check_mean_variance(p_values, k_max, mode),
-        check_root_certification(p_values, k_max, find_roots),
-        check_pgf_identity(p_values, k_max, s_values, mode),
-    ]
+    plan = _verify_plan(mode, n_max, r_max, corrupt_engine)
+    wire = [(p.numerator, p.denominator) if isinstance(p, Fraction) else p
+            for p in p_values]
+    count = len(p_values) * k_max
+    width = pool.width(count)
+    shares = pool.run(_verify_share,
+                      [(mode.value, n_max, r_max, corrupt_engine, wire, k_max,
+                        first, width) for first in range(width)])
+    # cell i is the (i // width)-th cell of share i % width
+    outcomes = [shares[i % width][i // width] for i in range(count)]
     grid = {"p": [str(p) for p in p_values], "k_max": k_max,
             "n_max": n_max, "r_max": r_max}
-    return VerifyReport(mode=mode.value, grid=grid, checks=checks)
+    return VerifyReport(mode=mode.value, grid=grid,
+                        checks=_fold(plan.checks, outcomes))

@@ -272,15 +272,15 @@ def _run_python(code, *args):
 
 _SHARED = """
 import json, os, signal, sys, time
-from geomk import simulate
+from geomk import pool
 from geomk.params import make_params
 from geomk.simulate import SimConfig, run_simulation
 
 def use_cpus(n):
-    simulate._usable_cpus = lambda: n
+    pool._usable_cpus = lambda: n
 
 def pids():
-    return [worker[0] for worker in simulate._workers]
+    return [worker[0] for worker in pool._workers]
 
 def state(pid):
     try:
@@ -433,13 +433,13 @@ print(json.dumps({**stopped, "same": shared == run_simulation(config),
         # flushed first.
         code = _SHARED + """
 print("before")
-serve = simulate._serve
+serve = pool._serve
 
 def chatty(tasks, results):
     print("worker", flush=True)
     serve(tasks, results)
 
-simulate._serve = chatty
+pool._serve = chatty
 use_cpus(2)
 run_simulation(SimConfig(params=make_params(0.5, 2), trials=2000, seed=1))
 """

@@ -1,19 +1,29 @@
+import json
+import math
+import subprocess
+import time
 from collections import Counter
 from fractions import Fraction
 
+import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomk import moments as moments_mod
+from geomk import pool
 from geomk import roots as roots_mod
 from geomk.numerics import ConsistencyError, DomainError, Mode, SolverError
 from geomk.params import make_params, qpk
 from geomk.pmf import Engine, build_table, pgf_eval, recurrence_series
-from geomk.verify import (check_mean_variance, check_moment_routes,
-                          _pgf_series_gaps, check_pgf_identity,
+from geomk.schema import load_schema
+from geomk.verify import (CheckResult, check_mean_variance,
+                          check_moment_routes, _fold, _pgf_series_gaps,
+                          _track, check_pgf_identity,
                           check_root_certification, check_rootsum_pmf,
                           pgf_series_gap, run_verify)
+from test_simulate import (_finish, _process_state, _python, _run_python,
+                           needs_proc)
 
 
 def test_small_exact_sweep_passes():
@@ -55,8 +65,15 @@ def test_corruption_fails_exactly_at_k_plus_one(engine, mode):
     assert all(c.passed for c in checks.values())
 
 
+@pytest.fixture
+def here_alone(monkeypatch):
+    """run_verify's cells all in this process, where a test's patches are
+    seen: a worker runs the functions it was forked with."""
+    monkeypatch.setattr(pool, "_usable_cpus", lambda: 1)
+
+
 @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
-def test_roots_solved_once_per_cell(monkeypatch, mode):
+def test_roots_solved_once_per_cell(monkeypatch, here_alone, mode):
     solved = Counter()
     find_roots = roots_mod.find_roots
 
@@ -72,7 +89,7 @@ def test_roots_solved_once_per_cell(monkeypatch, mode):
     assert solved == {(p, k): 1 for p in (0.5, 2 / 3) for k in range(1, 4)}
 
 
-def test_a_failed_cell_is_solved_once(monkeypatch):
+def test_a_failed_cell_is_solved_once(monkeypatch, here_alone):
     # float roots are lost at p = 1/2 from k = 53: both root checks skip
     # those cells, each with its reason, from one solve per cell
     solved = Counter()
@@ -299,3 +316,251 @@ def test_pgf_check_includes_unit_point():
     result = check_pgf_identity([Fraction(1, 2)], 1, [Fraction(1, 2)], Mode.EXACT)
     assert result.passed
     assert result.cases == 2  # one interior s plus s = 1
+
+
+magnitudes = st.one_of(st.floats(0, 10), st.sampled_from([math.nan, math.inf]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.lists(magnitudes, max_size=5), max_size=6))
+def test_fold_replays_one_pass(cells):
+    # a NaN first case stays worst in one pass, and a later cell's NaN
+    # first case does not hide a larger case after it
+    def track(result, cell, values):
+        for case, magnitude in enumerate(values):
+            result.cases += 1
+            _track(result, magnitude < 5, magnitude,
+                   lambda: {"cell": cell, "case": case})
+
+    one_pass = CheckResult("check", True, 0)
+    outcomes = []
+    for cell, values in enumerate(cells):
+        track(one_pass, cell, values)
+        part = CheckResult("check", True, 0)
+        track(part, cell, values)
+        outcomes.append(([vars(part)], None))
+    [folded] = _fold(("check",), outcomes)
+    assert repr(vars(folded)) == repr(vars(one_pass))
+
+
+def test_non_finite_values_are_written_as_null():
+    result = CheckResult("check", True, 0)
+    for magnitude in (math.nan, 1.0, math.inf):
+        result.cases += 1
+        _track(result, False, magnitude,
+               lambda: {"n": result.cases, "deviation": magnitude})
+    payload = result.to_dict()
+    assert payload["worst"] == {"n": 1, "deviation": None}
+    assert payload["failures"] == [{"n": 1, "deviation": None},
+                                   {"n": 2, "deviation": 1.0},
+                                   {"n": 3, "deviation": None}]
+    json.dumps(payload, allow_nan=False)
+
+
+def test_the_pool_runs_registered_functions_only():
+    # a worker could not find it, so it would die and its task run here
+    with pytest.raises(ValueError, match="builtins.len is not registered"):
+        pool.run(len, [("ab",), ("cd",)])
+
+
+_CELLS = """
+import contextlib, io, json, math, os, signal, sys, time
+from fractions import Fraction
+from geomk import pool, verify
+from geomk.cli import main
+from geomk.numerics import DomainError, Mode
+from geomk.verify import run_verify
+
+def use_cpus(n):
+    pool._usable_cpus = lambda: n
+
+def pids():
+    return [worker[0] for worker in pool._workers]
+
+def fields(report):
+    # every field of every check, the whole failure list and peak included;
+    # repr, because a NaN equals nothing, not even itself
+    return repr([vars(check) for check in report.checks])
+
+def cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return [code, out.getvalue()]
+
+def reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+@needs_proc
+class TestSharedCells:
+    """run_verify's cells dealt among forked workers: the report is the
+    same for any number of CPUs."""
+
+    def test_any_cpu_count_gives_the_same_report(self):
+        out = _run_python(_CELLS + """
+out = []
+for argv in ((), ("--mode", "float", "--p-grid", "0.3,1/2,2/3", "--k-max", "4",
+                  "--n-max", "80"), ("--corrupt-engine", "closedform")):
+    runs = []
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        runs.append(cli("verify", *argv))
+    out.append(runs)
+runs = []
+for cpus in (1, 2, 3):
+    use_cpus(cpus)
+    runs.append(fields(run_verify(corrupt_engine="closedform")))
+out.append(runs)
+print(json.dumps(out))
+""")
+        for runs in out:
+            assert runs[0] == runs[1] == runs[2]
+        exact, floats, corrupt, _ = (runs[0] for runs in out)
+        assert exact[0] == floats[0] == 0 and corrupt[0] == 1
+        assert json.loads(floats[1])["mode"] == "float"
+        failures = json.loads(corrupt[1])["checks"][0]["failures"]
+        assert {f["engine"] for f in failures} == {"closedform"}
+
+    @pytest.mark.parametrize("bad_k", [1, 3])
+    def test_a_nan_in_any_cell_gives_the_same_report(self, bad_k):
+        # muselli's first case in cell k = bad_k is NaN, and its n = k + 2
+        # is 1e-3 off: after earlier cells the NaN is not worst, the 1e-3
+        # case is; in the first cell the NaN stays worst
+        out = _run_python(_CELLS + """
+bad_k = int(sys.argv[1])
+muselli = verify._ENGINES["muselli"]
+
+def fake(params, ns):
+    for n, value in zip(ns, muselli(params, ns)):
+        if params.k == bad_k and n == 0:
+            value = math.nan
+        elif params.k == bad_k and n == params.k + 2:
+            value += 1e-3
+        yield value
+
+verify._ENGINES["muselli"] = fake
+runs = []
+for cpus in (1, 2, 3):
+    use_cpus(cpus)
+    report = run_verify(p_values=[0.3, 0.5], k_max=4, n_max=30, r_max=2,
+                        mode=Mode.FLOAT)
+    runs.append([fields(report)] + cli("verify", "--mode", "float",
+                                       "--p-grid", "0.3,0.5", "--k-max", "4",
+                                       "--n-max", "30", "--r-max", "2"))
+print(json.dumps(runs))
+""", str(bad_k))
+        assert out[0] == out[1] == out[2]
+        _, code, text = out[0]
+        assert code == 1
+        # strict JSON: no NaN or Infinity token
+        payload = json.loads(text, parse_constant=pytest.fail)
+        jsonschema.validate(payload, load_schema("verify_report"))
+        check = payload["checks"][0]
+        if bad_k == 1:
+            assert check["worst"] == {"engine": "muselli", "p": "0.3", "k": 1,
+                                      "n": 0, "deviation": None}
+        else:
+            assert check["worst"]["k"] == bad_k
+            assert check["worst"]["n"] == bad_k + 2
+            assert check["worst"]["deviation"] == pytest.approx(1e-3)
+        assert [(f["k"], f["n"]) for f in check["failures"]] == [
+            (bad_k, 0), (bad_k, bad_k + 2)] * 2
+
+    def test_a_skipped_cell_gives_the_same_report(self):
+        # float roots are lost at p = 1/2 from k = 53: both root checks skip
+        out = _run_python(_CELLS + """
+runs = []
+for cpus in (1, 2, 3):
+    use_cpus(cpus)
+    report = run_verify(p_values=[Fraction(1, 2)], k_max=60, n_max=10,
+                        r_max=1)
+    runs.append([fields(report), [len(check.skips) for check in report.checks]])
+print(json.dumps(runs))
+""")
+        assert out[0] == out[1] == out[2]
+        assert out[0][1] == [0, 8, 0, 0, 8, 0]
+
+    def test_the_first_error_of_a_serial_run_is_raised(self):
+        # moment_routes fails at k = 2, before cross_engine_pmf fails at
+        # k = 5 in grid order; one pass per check raises the latter first
+        out = _run_python(_CELLS + """
+closedform = verify._ENGINES["closedform"]
+muselli_sum = verify._MOMENT_ROUTES["muselli_sum"]
+
+def fake_engine(params, ns):
+    if params.k == 5:
+        raise DomainError(f"closedform fails at {params}")
+    return closedform(params, ns)
+
+def fake_route(params, rs):
+    if params.k == 2:
+        raise DomainError(f"muselli_sum fails at {params}")
+    return muselli_sum(params, rs)
+
+verify._ENGINES["closedform"] = fake_engine
+verify._MOMENT_ROUTES["muselli_sum"] = fake_route
+runs = []
+for cpus in (1, 2, 3):
+    use_cpus(cpus)
+    try:
+        run_verify(k_max=6, n_max=40, r_max=2)
+    except DomainError as exc:
+        runs.append(str(exc))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        runs.append(cli("verify", "--k-max", "6", "--n-max", "40",
+                        "--r-max", "2") + [stderr.getvalue()])
+print(json.dumps(runs))
+""")
+        message = "closedform fails at (p=1/3, k=5, exact)"
+        assert out == [message, [2, "", f"error: {message}\n"]] * 3
+
+    def test_worker_killed_mid_task_is_dropped(self):
+        # The timer kills the worker while both shares run; the parent reads
+        # EOF and runs the worker's cells itself.
+        out = _run_python(_CELLS + """
+use_cpus(1)
+serial = fields(run_verify())
+use_cpus(2)
+run_verify(p_values=[Fraction(1, 2)], k_max=2, n_max=10, r_max=1)
+[old] = pids()
+signal.signal(signal.SIGALRM, lambda *_: os.kill(old, signal.SIGKILL))
+signal.setitimer(signal.ITIMER_REAL, 0.05)
+shared = fields(run_verify())
+print(json.dumps({"same": serial == shared, "now": pids(),
+                  "reaped": reaped(old)}))
+""")
+        assert out == {"same": True, "now": [], "reaped": True}
+
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_workers_are_reused_and_none_outlives_its_process(self, ending):
+        code = _CELLS + """
+use_cpus(3)
+run_verify(k_max=2, n_max=10, r_max=1)
+first = pids()
+run_verify(k_max=3, n_max=10, r_max=1)
+print(json.dumps([first, pids()]), flush=True)
+if sys.argv[1] == "kill":
+    sys.stdin.read()
+"""
+        with _python(code, ending, stdin=subprocess.PIPE) as proc:
+            first, workers = json.loads(proc.stdout.readline())
+            assert len(workers) == 2 and workers == first
+            if ending == "kill":
+                proc.kill()
+            _, err = _finish(proc)
+        if ending == "exit":
+            assert proc.returncode == 0 and err == ""
+            assert [_process_state(pid) for pid in workers] == [None, None]
+            return
+        deadline = time.monotonic() + 2
+        while time.monotonic() < deadline and any(
+                _process_state(pid) not in (None, "Z") for pid in workers):
+            time.sleep(0.01)
+        assert all(_process_state(pid) in (None, "Z") for pid in workers)
