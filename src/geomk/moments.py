@@ -12,8 +12,8 @@ one pass of its engine (_factorial_moments over pmf._engine_values): one
 kernel walk for the pmf route, one term-generator run for each sum.
 
 An independent truncated-series oracle sums n(n-1)...(n-r+1) f(n) directly
-from the recurrence, with the truncation point chosen from the spectral
-tail envelope, so the identity itself is verifiable without trusting it.
+from the recurrence, stopping on a proved tail bound from P(N > n), never
+the identity, so the identity itself is verifiable without trusting it.
 
 In exact mode, with p = a/b and q = c/b, every factorial, raw and central
 moment is an integer over a power of D = c a^k: mu_(r) = r! b g(n) / D^(r+1)
@@ -30,12 +30,12 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
+from itertools import count, islice, tee
 
 from . import roots as roots_mod
 from .numerics import (ConsistencyError, DomainError, Mode, Scalar, SolverError,
                        falling_factorial)
-from .params import Params, as_float_params, qpk
+from .params import Params, qpk
 from .pmf import (Engine, _engine_values, _float_pmf, _json_scalar,
                   _over_power, _scaled_pmf, _scaled_pq)
 
@@ -274,43 +274,42 @@ class SeriesOracle:
 
 _MAX_ORACLE_TERMS = 4_000_000
 _CHECK_EVERY = 128
+_REL_TOL = 1e-15           # the oracle stops once every bound is this small
 
 
-def factorial_moment_series(params: Params, r_max: int,
-                            rel_tol: float = 1e-15) -> SeriesOracle:
-    """Independent oracle: sum the factorial-moment series term by term.
+def factorial_moment_series(params: Params, r_max: int) -> SeriesOracle:
+    """Independent oracle: sum the factorial-moment series term by term,
+    until every bound of _tail_bounds is at most _REL_TOL times its sum.
 
-    The truncation point is found from the spectral envelope f(n) <= A m^n
-    (float arithmetic is used only to decide where to stop).  In exact mode
-    the partial sums are computed on scaled integers: with p = a/b the pmf
-    is f(n) = g(n) / b^n for the integers g of pmf._scaled_pmf, so each
-    partial sum is an integer over b^n, extended by S <- S b + n^(r) g(n)
-    and reduced once at the end.  Float mode sums the float recurrence with
-    Neumaier compensation.  The stop test reads these partial sums (exact
-    ones rounded once, float ones with their carries).  An oracle that
-    cannot stop within _MAX_ORACLE_TERMS terms raises SolverError before it
-    sums (_check_reach), and one whose float terms or tail bounds pass the
-    double range raises SolverError when they do.
+    In exact mode the partial sums are integers over b^n for p = a/b
+    (f(n) = g(n) / b^n, g from pmf._scaled_pmf), extended by
+    S <- S b + n^(r) g(n) and reduced once at the end.  Float mode sums the
+    float recurrence with Neumaier compensation.  The stop test reads these
+    sums (exact ones rounded once) and P(N > n) = f(n+k+1) / (q p^k), k + 1
+    values ahead on the same walk, rounded up.  An oracle that cannot stop
+    within _MAX_ORACLE_TERMS terms raises SolverError before it sums
+    (_check_reach), and one whose float terms or bounds pass the double
+    range raises it when they do.
     """
     _check_r(r_max)
+    _check_reach(params)
     k = params.k
-    fparams = as_float_params(params)
-    root_set = roots_mod.find_roots(fparams)
-    env_a, env_m = roots_mod.pmf_envelope(fparams, root_set)
-    _check_reach(params, r_max, rel_tol, env_a, env_m)
     exact = params.mode is Mode.EXACT
 
     if exact:
         a, c, b = _scaled_pq(params)
+        d = c * a ** k                            # q p^k = d / b^(k+1)
         values = _scaled_pmf(a, c, k)
         sums = [0] * r_max                        # scaled by b^n
     else:
+        base = qpk(params)
         values = _float_pmf(params)
         sums = [0.0] * r_max
         carries = [0.0] * r_max
+    behind, ahead = tee(values)
 
     try:
-        for n, value in enumerate(values, start=k):
+        for n, value, far in zip(count(k), behind, islice(ahead, k + 1, None)):
             for ri in range(r_max):
                 ff = falling_factorial(n, ri + 1)
                 if exact:
@@ -325,23 +324,22 @@ def factorial_moment_series(params: Params, r_max: int,
                     sums[ri] = t
 
             if n % _CHECK_EVERY == 0 or n - k < 8:
-                bounds = [_series_tail_bound(env_a, env_m, n, ri + 1)
-                          for ri in range(r_max)]
                 if exact:
                     scale = b ** n
                     partial = [s / scale for s in sums]
+                    tail = far / (scale * d)
                 else:
                     partial = [s + c for s, c in zip(sums, carries)]
-                if all(bd is not None and bd <= rel_tol * s
-                       for bd, s in zip(bounds, partial)):
+                    tail = far / base
+                bounds = _tail_bounds(math.nextafter(tail, math.inf), n, partial)
+                if all(bd <= _REL_TOL * s for bd, s in zip(bounds, partial)):
                     break
             if n - k >= _MAX_ORACLE_TERMS:
                 raise SolverError(
-                    f"series oracle did not reach rel_tol={rel_tol} within "
+                    f"series oracle did not reach tolerance {_REL_TOL} within "
                     f"{_MAX_ORACLE_TERMS} terms for {params}")
     except OverflowError:
-        # n^(r) in a float term, (n+1)^r in the tail bound or an exact
-        # partial sum is too large for a double.
+        # a float term, a bound or an exact partial sum passes the double range
         raise SolverError(
             f"series oracle left the double range (about 1.8e308) at "
             f"n={n} with r_max={r_max} for {params}") from None
@@ -354,40 +352,36 @@ def factorial_moment_series(params: Params, r_max: int,
     return SeriesOracle(sums=final, bounds=tuple(bounds), n_terms=n)
 
 
-def _check_reach(params: Params, r_max: int, rel_tol: float,
-                 env_a: float, env_m: float):
-    """Raise SolverError if the oracle's truncation test cannot pass within
-    _MAX_ORACLE_TERMS terms.
+def _tail_bounds(tail: float, n: int, partial) -> list:
+    """B_i = P/(1-P) [S_i + sum_{l<i} C(i, l) n^(i-l) U_l] bounds the tail
+    T_i = sum_{j>n} j^(i) f(j) for P = tail >= P(N > n), S_i = partial[i-1],
+    U_0 = 1 and U_l = S_l + B_l, scaled by 1 + 1e-12 for its roundings.
 
-    The test needs _series_tail_bound(n, r_max) <= rel_tol * S, and the
-    float partial sum S stays below mu_(r_max).  Where the bound is defined
-    (a suffix of n, as rho falls with n) it decreases, since consecutive
-    leads differ by the factor rho < 1 and 1 - rho grows.  So the first n
-    at which it falls to rel_tol * mu_(r_max) comes no later than the
-    loop's stop, and it lies past the last n the loop reaches exactly when
-    the bound there is still above.  The float estimate of mu_(r_max) is
-    doubled to cover its rounding and that of S; an estimate that is not a
-    finite positive double, or a bound past the float range, skips the check.
+    On {N > n}, N <= n + N', N' the wait within trials n+1, n+2, ...,
+    independent of them and distributed as N, so by Vandermonde
+    T_i <= P sum_l C(i, l) n^(i-l) (S_l + T_l) (README).  At k = 1,
+    N = n + N' there and B_i is the tail.
     """
+    ratio = tail / (1.0 - tail) if tail < 1.0 else math.inf
+    full, bounds = [1.0], []                  # full: U_0, U_1, ...
+    for i, s in enumerate(partial, start=1):
+        rest = sum(math.comb(i, l) * math.perm(n, i - l) * u
+                   for l, u in enumerate(full))
+        bound = ratio * (s + rest) * (1 + 1e-12)
+        bounds.append(bound)
+        full.append(s + bound)
+    return bounds
+
+
+def _check_reach(params: Params):
+    """Raise SolverError if the stop test cannot pass by _MAX_ORACLE_TERMS
+    terms: each bound is at least P(N > n), falling in n, times its sum.
+    roots.tail_estimate is doubled for its error; a non-finite one skips."""
+    refusal = (f"series oracle cannot reach tolerance {_REL_TOL} within "
+               f"{_MAX_ORACLE_TERMS} terms")
     try:
-        estimate = 2 * factorial_moment(as_float_params(params), r_max)
-        bound = _series_tail_bound(env_a, env_m, params.k + _MAX_ORACLE_TERMS,
-                                   r_max)
-    except (DomainError, OverflowError):
-        return
-    if not 0 < estimate < math.inf:
-        return
-    if bound is None or bound > rel_tol * estimate:
-        raise SolverError(
-            f"series oracle cannot reach rel_tol={rel_tol} within "
-            f"{_MAX_ORACLE_TERMS} terms for {params}")
-
-
-def _series_tail_bound(env_a: float, env_m: float, n: int, r: int) -> Optional[float]:
-    """Bound sum_{j>n} j(j-1)..(j-r+1) f(j) via f(j) <= A m^j and
-    j^r m^j <= (n+1)^r m^{n+1} rho^{j-n-1} with rho = m ((n+2)/(n+1))^r."""
-    rho = env_m * ((n + 2) / (n + 1)) ** r
-    if rho >= 1.0:
-        return None
-    lead = env_a * (n + 1) ** r * env_m ** (n + 1)
-    return lead / (1.0 - rho)
+        estimate = roots_mod.tail_estimate(params, params.k + _MAX_ORACLE_TERMS)
+    except SolverError as err:
+        raise SolverError(f"{refusal}: {err}") from None
+    if math.isfinite(estimate) and estimate > 2 * _REL_TOL:
+        raise SolverError(f"{refusal} for {params}")

@@ -16,7 +16,6 @@ DEGENERACY_TOL = 1e-12
 @dataclass(frozen=True)
 class DegeneracyFlag:
     is_degenerate: bool
-    detection_mode: Mode
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def make_params(p: Scalar, k: int) -> Params:
     else:
         is_degenerate = abs(p - k / (k + 1)) < DEGENERACY_TOL
     return Params(p=p, q=q, k=k, mode=mode,
-                  degenerate=DegeneracyFlag(is_degenerate, mode))
+                  degenerate=DegeneracyFlag(is_degenerate))
 
 
 def qpk(params: Params) -> Scalar:
@@ -59,7 +58,7 @@ def qpk(params: Params) -> Scalar:
 
 
 def as_float_params(params: Params) -> Params:
-    """Float twin of exact params (used to size truncations and find roots)."""
+    """Float twin of exact params."""
     if params.mode is Mode.FLOAT:
         return params
     return make_params(float(params.p), params.k)

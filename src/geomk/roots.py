@@ -300,10 +300,14 @@ def spectral_coefficients(params: Params, root_set: RootSet) -> list:
             for z in root_set.roots]
 
 
-def pmf_envelope(params: Params, root_set: RootSet) -> tuple:
-    """(A, m) with f(n) <= A * m^n for n >= k, m = |principal root|."""
-    coeffs = spectral_coefficients(params, root_set)
-    m = abs(root_set.roots[root_set.principal_index])
-    a = sum(abs(c) for c in coeffs) * m ** (-params.k)
-    return a, m
-
+def tail_estimate(params: Params, n: int) -> float:
+    """P(N > n) ~ lambda^(n+k) / (q A'(lambda)) at large n from the principal
+    root and float p, q alone; inf when q A'(lambda) rounds to 0.  Raises
+    SolverError when p^k underflows (_underflow) or lambda rounds to 1."""
+    why = _underflow(float(params.p), params.k)
+    coeffs = aux_poly_coeffs(params)
+    lam = 1.0 if why else _principal_root(coeffs)
+    if not lam < 1.0:
+        raise SolverError(f"{why or 'principal root rounds to 1'} for {params}")
+    slope = float(params.q) * _horner_pair(coeffs, lam)[1]
+    return lam ** (n + params.k) / slope if slope else math.inf

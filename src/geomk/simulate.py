@@ -68,6 +68,8 @@ _LANES = 1024        # trials per block: 16 KB per packed int
 _SLOT = 128          # bits per lane
 _SLOT_BYTES = _SLOT // 8
 _HANDOFF = 16        # live lanes at or below which the skip loop takes over
+GOF_THRESHOLD = 0.001   # a chi-square p-value below this flags the report
+GOF_MIN_EXPECTED = 5.0  # bins expecting fewer trials pool into the tail
 
 
 def _mix64(z: int) -> int:
@@ -385,7 +387,7 @@ class GofReport:
     chi_square: float
     dof: int
     p_value: float
-    flagged: bool            # soft: p-value below threshold
+    flagged: bool            # soft: p-value below GOF_THRESHOLD
     hard_fail: bool          # impossible support observed
     mean_z: Optional[float]
     variance_z: Optional[float]
@@ -407,17 +409,16 @@ class GofReport:
         }
 
 
-def gof_report(summary: SimSummary, params: Params,
-               threshold: float = 0.001, min_expected: float = 5.0) -> GofReport:
+def gof_report(summary: SimSummary, params: Params) -> GofReport:
     """Chi-square comparison of the empirical histogram against the pmf.
 
     Every trial counts.  Bin n holds the trials that completed at step n,
-    expected trials * f(n); bins with expected count below min_expected are
-    pooled into the tail.  When trials hit the cap, the completed ones end
+    expected trials * f(n); bins expecting fewer than GOF_MIN_EXPECTED pool
+    into the tail.  When trials hit the cap, the completed ones end
     by it, so the tail bin stops at the cap and one bin `>cap` holds the
     truncated trials, expected trials * P(N > cap), P(N > cap) =
-    f(cap + k + 1) / (q p^k) (pmf._tail_mass); below min_expected it pools
-    into the tail too.  Mass observed below the support (n < k) is a hard
+    f(cap + k + 1) / (q p^k) (pmf._tail_mass); below GOF_MIN_EXPECTED it
+    pools into the tail too.  Mass observed below the support (n < k) is a hard
     failure; a small chi-square p-value only flags the report (soft, to
     tolerate 1-in-1000 flukes in CI).  Mean and variance z-scores use the
     analytic moments of N, so they are None once a trial is truncated: the
@@ -446,7 +447,7 @@ def gof_report(summary: SimSummary, params: Params,
     cum = 0.0
     values = _float_pmf(fparams)
     for n, f in enumerate(values, start=k):
-        if trials * f < min_expected or n - k > 100_000 or n > last:
+        if trials * f < GOF_MIN_EXPECTED or n - k > 100_000 or n > last:
             break
         edges.append((n, trials * f))
         cum += f
@@ -455,14 +456,14 @@ def gof_report(summary: SimSummary, params: Params,
     beyond = (_tail_mass(fparams, _nth(values, cap + k - n))
               if truncated else 0.0)
     tail_expected = trials * (1.0 - beyond - cum)
-    while edges and tail_expected < min_expected:
+    while edges and tail_expected < GOF_MIN_EXPECTED:
         last_n, last_exp = edges.pop()
         tail_expected += last_exp
         n = last_n
     observed = [summary.histogram.get(m, 0) for m, _ in edges]
     tail_observed = sum(c for m, c in summary.histogram.items() if m >= n)
     bins = [(str(m), obs, exp) for (m, exp), obs in zip(edges, observed)]
-    if truncated and trials * beyond >= min_expected:
+    if truncated and trials * beyond >= GOF_MIN_EXPECTED:
         bins.append((str(n) if n == cap else f"{n}..{cap}", tail_observed,
                      tail_expected))
         bins.append((f">{cap}", truncated, trials * beyond))
@@ -486,6 +487,6 @@ def gof_report(summary: SimSummary, params: Params,
             variance_z = (summary.sample_variance - var) / math.sqrt(var_of_s2)
 
     return GofReport(chi_square=stat, dof=dof, p_value=p_value,
-                     flagged=p_value < threshold, hard_fail=hard_fail,
+                     flagged=p_value < GOF_THRESHOLD, hard_fail=hard_fail,
                      mean_z=mean_z, variance_z=variance_z,
-                     bins=tuple(bins), threshold=threshold)
+                     bins=tuple(bins), threshold=GOF_THRESHOLD)

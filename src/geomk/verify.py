@@ -41,6 +41,7 @@ from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
 
 FLOAT_PMF_TOL = 1e-10       # absolute, engine vs recurrence
 FLOAT_MOMENT_TOL = 1e-9     # relative, across the three moment routes
+PGF_BOUND_TOL = 1e-12       # the pgf check's series tail bound
 
 DEFAULT_P_GRID = (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
 DEFAULT_K_MAX = 6
@@ -189,21 +190,21 @@ def _run_here(plan: _Plan, p_values, k_max: int) -> CheckResult:
     return result
 
 
-def pgf_series_gap(params: Params, s: Scalar, bound_tol: float = 1e-12):
+def pgf_series_gap(params: Params, s: Scalar):
     """(|pgf - truncated series|, tail bound, n used) at the point s.
 
     The remainder sum_{i>n} f(i) s^i is at most |s|^(n+1) P(N > n), with
     P(N > n) = f(n+k+1) / (q p^k) (pmf._tail_mass).  n starts at
     max(k + 1, 8) and grows by max(8, n // 4) until that bound is at most
-    bound_tol, on one recurrence walk that each step extends.  In exact mode
-    the gap and the bound are exact rationals, each rounded once by one
+    PGF_BOUND_TOL, on one recurrence walk that each step extends.  In exact
+    mode the gap and the bound are exact rationals, each rounded once by one
     int / int division, so an exact gap <= bound holds in floats too.
     """
-    return next(_pgf_series_gaps(params, (s,), bound_tol))
+    return next(_pgf_series_gaps(params, (s,)))
 
 
-def _pgf_series_gaps(params: Params, s_values, bound_tol: float = 1e-12):
-    """Yield pgf_series_gap(params, s, bound_tol) for each s of s_values,
+def _pgf_series_gaps(params: Params, s_values):
+    """Yield pgf_series_gap(params, s) for each s of s_values,
     all from one recurrence walk: each s reads the values the walk has
     made and extends it only past them."""
     k, exact = params.k, params.mode is Mode.EXACT
@@ -229,7 +230,7 @@ def _pgf_series_gaps(params: Params, s_values, bound_tol: float = 1e-12):
                     / (v ** (n + 1) * b ** n * qpk_den))
 
         n = max(k + 1, 8)
-        while (bound := bound_at(n)) > bound_tol:
+        while (bound := bound_at(n)) > PGF_BOUND_TOL:
             n += max(8, n // 4)
         head = values[:n - k + 1]       # f(k..n)
         if not exact:

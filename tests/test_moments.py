@@ -396,17 +396,53 @@ class TestSeriesOracle:
         with pytest.raises(DomainError):
             factorial_moment_series(HALF2, 0)
 
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(st.integers(2, 20).flatmap(
+               lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+           st.integers(1, 6), st.integers(1, 6), st.integers(0, 100))
+    @example((1, 2), 1, 6, 0)
+    @example((2, 3), 2, 6, 0)
+    def test_tail_bound_holds_at_every_n(self, ab, k, r_max, extra):
+        # The bound the oracle stops on, at any n >= k: it dominates the
+        # exact tail mu_(r) - S_r, and at k = 1 it is that tail.
+        params = make_params(Fraction(*ab), k)
+        n = k + extra
+        f = pmf_mod.recurrence_series(params, n + k + 1)
+        partial = [sum(math.perm(j, r) * f[j] for j in range(n + 1))
+                   for r in range(1, r_max + 1)]
+        tail = math.nextafter(float(f[n + k + 1] / qpk(params)), math.inf)
+        bounds = moments_mod._tail_bounds(tail, n, [float(s) for s in partial])
+        for r, (s, bound) in enumerate(zip(partial, bounds), start=1):
+            gap = factorial_moment(params, r) - s
+            assert 0 < gap and float(gap) <= bound
+            if k == 1:
+                assert bound <= float(gap) * (1 + 1e-11)
+
+    @pytest.mark.parametrize("q", [Fraction(1, 10 ** 20), Fraction(1, 10 ** 400)])
+    def test_p_that_rounds_to_one(self, q):
+        # float(p) is 1.0, which no float params accept; the exact oracle
+        # needs no float twin and stops at once.
+        params = make_params(1 - q, 3)
+        oracle = factorial_moment_series(params, 2)
+        assert oracle.n_terms == 3
+        for r in (1, 2):
+            gap = factorial_moment(params, r) - oracle.sums[r - 1]
+            assert 0 < gap and float(gap) <= oracle.bounds[r - 1]
+
     def test_unreachable_tolerance_fails_fast(self, monkeypatch):
-        # q p^k = 2^-31: the tail shrinks by about 5e-10 a term, so the
-        # oracle would sum its 4M-term cap of ever-wider integers first.
+        # At k = 30, q p^k = 2^-31: the tail shrinks by about 5e-10 a term,
+        # so the oracle would sum its 4M-term cap of ever-wider integers
+        # first.  At k = 53 the principal root rounds to 1, and at k = 2000
+        # p^k is below the double range.
         def kernel(*args):
             raise AssertionError("the oracle started summing")
 
         monkeypatch.setattr(moments_mod, "_scaled_pmf", kernel)
-        start = time.perf_counter()
-        with pytest.raises(SolverError, match="cannot reach"):
-            factorial_moment_series(make_params(Fraction(1, 2), 30), 2)
-        assert time.perf_counter() - start < 1.0
+        for k in (17, 20, 30, 53, 2000):
+            start = time.perf_counter()
+            with pytest.raises(SolverError, match="cannot reach"):
+                factorial_moment_series(make_params(Fraction(1, 2), k), 2)
+            assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("p,k,r_max", [
         (Fraction(1, 2), 2, 3), (Fraction(2, 3), 1, 2), (Fraction(3, 10), 3, 2),
@@ -436,8 +472,8 @@ class TestSeriesOracle:
     @pytest.mark.parametrize("estimate", [math.inf, math.nan, 0.0])
     def test_no_finite_estimate_skips_the_precheck(self, estimate, monkeypatch):
         oracle = factorial_moment_series(HALF2, 3)
-        monkeypatch.setattr(moments_mod, "factorial_moment",
-                            lambda params, r: estimate)
+        monkeypatch.setattr(moments_mod.roots_mod, "tail_estimate",
+                            lambda params, n: estimate)
         monkeypatch.setattr(moments_mod, "_MAX_ORACLE_TERMS", oracle.n_terms - 2)
         assert factorial_moment_series(HALF2, 3) == oracle
 

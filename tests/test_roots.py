@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from geomk import roots as roots_mod
 from geomk.numerics import ModeError, SolverError
-from geomk.params import make_params
+from geomk.params import make_params, qpk
 from geomk.roots import (RootSet, _principal_root, aux_poly_coeffs,
                          aux_poly_eval, certify_roots, find_roots,
-                         pmf_envelope, spectral_coefficients)
+                         spectral_coefficients)
 
 P_GRID = (0.2, 0.5, 0.8)
 GOLDEN_PLUS = (1 + math.sqrt(5)) / 4
@@ -396,14 +396,16 @@ class TestSpectralHelpers:
         assert coeffs[0] == pytest.approx(2 * front)
         assert coeffs[1] == pytest.approx(front)
 
-    def test_envelope_dominates_pmf(self):
+    @pytest.mark.parametrize("p,k", [
+        (Fraction(1, 2), 2), (Fraction(2, 3), 2), (Fraction(1, 3), 4),
+        (Fraction(3, 4), 6), (Fraction(37, 100), 3), (Fraction(9, 10), 8)])
+    def test_tail_estimate_is_the_tail_at_large_n(self, p, k):
+        # against P(N > n) = f(n+k+1) / (q p^k), exact; (2/3, 2) is degenerate
         from geomk.pmf import recurrence_series
-        params = make_params(0.4, 3)
-        root_set = find_roots(params)
-        env_a, env_m = pmf_envelope(params, root_set)
-        series = recurrence_series(params, 60)
-        for n in range(3, 61):
-            assert series[n] <= env_a * env_m ** n * (1 + 1e-9)
+        params = make_params(p, k)
+        tail = recurrence_series(params, 100 + k + 1)[-1] / qpk(params)
+        assert roots_mod.tail_estimate(params, 100) == pytest.approx(
+            float(tail), rel=1e-6)
 
 
 def test_solver_error_carries_residuals():
