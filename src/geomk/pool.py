@@ -1,27 +1,31 @@
 """One pool of forked worker processes, shared by every caller in a process.
 
 `run(fn, tasks)` computes fn(*task) for each task and returns the results
-in task order.  tasks[0] runs in this process; each other task runs on a
-worker of its own, at the same time.  `width(most)` says how many tasks a
-caller should make: one per usable CPU, at most `most`, and 1 where the
-work must stay in this process.  fn must be registered (`register`) when
-its module is imported, so that every worker, forked later, holds it.
+in task order.  It deals the tasks round-robin among width(len(tasks))
+processes: process i of W takes tasks i, i + W, i + 2W, ...  Process 0 is
+this one; each other is a worker, which gets its whole share as one
+message, runs it at the same time as the others and sends back the list
+of its results.  `width(most)` says how many processes `most` tasks are
+dealt among: one per usable CPU, at most `most`, and 1 where the work must
+stay in this process.  fn must be registered (`register`) when its module
+is imported, so that every worker, forked later, holds it.
 
 Workers are made by `os.fork` on the first call that needs them and serve
-tasks until their task pipe reads EOF: at the process's exit, when the
-process is killed, or when `_stop_workers` closes it.  A task and its
-result travel over pipes as marshal's bytes, so both must be built from
-ints, floats, strings, tuples, lists, dicts and None.
+shares until their task pipe reads EOF: at the process's exit, when the
+process is killed, or when `_stop_workers` closes it.  A share and its
+results travel over pipes as marshal's bytes, so tasks and results must be
+built from ints, floats, strings, tuples, lists, dicts and None.
 
 The rules, in one place:
 - usable CPUs are `os.sched_getaffinity(0)`, so `taskset` restricts them;
 - the work stays in this process on one usable CPU, when the process has
   another OS thread (which could share the pipes, or hold a lock the
   forked child needs), and on a platform that cannot fork;
-- a task no worker can take (its fork failed, or its worker died before
-  or while running it) runs here, after tasks[0];
+- a share no worker can take (its fork failed, or its worker died before
+  or while running it) runs here, after this process's own share;
 - a task that raises, or returns what marshal cannot carry, ends its
-  worker, so it runs here again and any error it raises is raised here;
+  worker, so its share runs here again and any error it raises is raised
+  here;
 - dead workers are reaped at the next call and replaced;
 - any exception in this process while workers run (an interrupt, say)
   kills every worker, so no later call reads a stale result;
@@ -54,8 +58,8 @@ def _name(fn) -> str:
 
 
 def width(most: int) -> int:
-    """How many processes `most` independent tasks should be shared among:
-    one per usable CPU, at most `most`, and 1 where they must run here."""
+    """How many processes `run` deals `most` tasks among: one per usable
+    CPU, at most `most`, and 1 where they must run here."""
     size = min(_usable_cpus(), most)
     if size < 2 or _threads() > 1:
         return 1
@@ -63,37 +67,40 @@ def width(most: int) -> int:
 
 
 def run(fn, tasks) -> list:
-    """[fn(*task) for task in tasks], with tasks[0] run here and each other
-    task on a worker (see the module docstring for the rules)."""
+    """[fn(*task) for task in tasks], dealt round-robin among
+    width(len(tasks)) processes (see the module docstring for the rules)."""
     name = _name(fn)
     if _TASKS.get(name) is not fn:
         raise ValueError(f"{name} is not registered with the pool")
-    if len(tasks) < 2:
+    size = width(len(tasks))
+    if size < 2:
         return [fn(*task) for task in tasks]
-    results = [None] * len(tasks)
+    shares = [tasks[i::size] for i in range(size)]
+    done = [None] * size
     try:
-        workers = _pool(len(tasks) - 1)
+        workers = _pool(size - 1)
         local, sent = [0], []
         for index, worker in enumerate(workers, start=1):
             try:
-                _send(worker[1], (name, tasks[index]))
+                _send(worker[1], (name, shares[index]))
                 sent.append((worker, index))
             except OSError:             # it died since _pool looked
                 _drop(worker)
                 local.append(index)
-        local += range(len(workers) + 1, len(tasks))    # forks failed
+        local += range(len(workers) + 1, size)      # forks failed
         for index in local:
-            results[index] = fn(*tasks[index])
+            done[index] = [fn(*task) for task in shares[index]]
         for worker, index in sent:
-            result = _receive(worker[2])
-            if result is None:          # it died mid-task: run its task here
+            results = _receive(worker[2])
+            if results is None:         # it died mid-share: run it here
                 _drop(worker)
-                result = fn(*tasks[index])
-            results[index] = result
+                results = [fn(*task) for task in shares[index]]
+            done[index] = results
     except BaseException:
         _stop_workers(kill=True)
         raise
-    return results
+    # task i is the (i // size)-th of share i % size
+    return [done[i % size][i // size] for i in range(len(tasks))]
 
 
 def _usable_cpus() -> int:
@@ -141,8 +148,9 @@ def _read(fd: int, size: int):
 
 def _serve(tasks: int, results: int) -> None:
     while (message := _receive(tasks)) is not None:
-        name, task = message
-        _send(results, _TASKS[name](*task))
+        name, share = message
+        fn = _TASKS[name]
+        _send(results, [fn(*task) for task in share])
 
 
 def _start_worker():

@@ -319,9 +319,9 @@ def _run_trials(key: int, trials: int, p: float, k: int, cap: int):
 def _run_shared(key: int, trials: int, p: float, k: int, cap: int):
     """_run_trials over the whole range, split into near-equal contiguous
     chunks, one per process of the pool (pool.width): one per usable CPU,
-    and at most one per lane block.  Chunk 0 runs here and each other on a
-    forked worker.  Trial i is keyed by its index alone, so the sums are
-    the same for any split.
+    and at most one per lane block.  The pool deals one chunk to each
+    process: chunk 0 runs here and each other on a forked worker.  Trial i
+    is keyed by its index alone, so the sums are the same for any split.
     """
     width = pool.width(-(-trials // _LANES))
     cuts = [trials * i // width for i in range(width + 1)]

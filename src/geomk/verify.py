@@ -13,11 +13,14 @@ route is one more entry.
 Every check runs cell by cell.  _cell runs a plan's checks on one (p, k)
 cell, with one float root solve for both root checks, and gives each
 check's CheckResult over that cell; _fold adds the cells' results up in
-grid order into exactly the result of one pass over the grid.  A public
-check_* function runs its one check this way in this process.  run_verify
-runs all six: it deals the cells round-robin, in grid order, to the
-processes of geomk.pool, one per usable CPU, and folds what they return,
-so its report is the same on any number of CPUs.
+grid order into exactly the result of one pass over the grid.  A check's
+worst case is its largest magnitude, a NaN above every number, the
+earliest case of a tie (_above), so a cell's own worst is all _fold needs.
+A public check_* function runs its one check this way in this process.
+run_verify runs all six: it hands geomk.pool one task per cell, in grid
+order, the pool deals them among one process per usable CPU, and the
+results come back in grid order for _fold, so the report is the same on
+any number of CPUs.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import moments as moments_mod
 from . import pool
 from . import roots as roots_mod
 from .numerics import DomainError, Mode, Scalar, SolverError
-from .params import Params, make_params
+from .params import Params, as_float_params, make_params
 # pmf_muselli stays importable from here: perfbench's tracer rebinds it.
 from .pmf import (Engine, _engine_values, _float_pmf,  # noqa: F401
                   _rootsum_values, _scaled_pmf, _scaled_pq, _tail_mass,
@@ -60,10 +63,6 @@ class CheckResult:
     worst_magnitude: float = -1.0
     failures: list = field(default_factory=list)
     skips: list = field(default_factory=list)   # cells the solver failed on
-    # The first case of the largest magnitude that is not NaN: worst too,
-    # unless the first case was NaN.  _fold needs it (see _track).
-    peak: Optional[dict] = None
-    peak_magnitude: float = -math.inf
 
     def to_dict(self):
         """The report's fields, strict JSON: a non-finite float in worst or
@@ -124,34 +123,29 @@ class _Plan(NamedTuple):
     r_max: int = 0                  # moment_routes
     s_values: tuple = ()            # pgf_identity
     engines: Optional[dict] = None  # cross_engine_pmf
-    # the root checks' solver; None is roots.find_roots as bound at the call
-    find_roots: Optional[Callable] = None
 
 
-def check_cross_engine_pmf(p_values, k_max: int, n_max: int, mode: Mode,
-                           engines: Optional[dict] = None) -> CheckResult:
-    """Alternating-sum engines against the recurrence on the full grid.
-
-    engines maps a name to a term generator (params, ns) -> f(n) for n in
-    ns (default: the muselli and closedform engines' own), each run in one
-    pass per (p, k) cell.  Exact mode demands bit-exact equality of reduced
-    rationals; float mode allows FLOAT_PMF_TOL absolute deviation.
+def check_cross_engine_pmf(p_values, k_max: int, n_max: int,
+                           mode: Mode) -> CheckResult:
+    """Alternating-sum engines (_ENGINES) against the recurrence on the full
+    grid, each in one pass per (p, k) cell.  Exact mode demands bit-exact
+    equality of reduced rationals; float mode allows FLOAT_PMF_TOL absolute
+    deviation.
     """
     return _run_here(_Plan(("cross_engine_pmf",), mode, n_max=n_max,
-                           engines=_ENGINES if engines is None else engines),
-                     p_values, k_max)
+                           engines=_ENGINES), p_values, k_max)
 
 
-def check_rootsum_pmf(p_values, k_max: int, n_max: int,
-                      find_roots=None) -> CheckResult:
+def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
     """Spectral engine against the recurrence (always float), on every
     (p, k) cell of the grid, p = k/(k+1) and its neighbours included.
-    find_roots solves each cell (default roots.find_roots).  A cell where
-    it raises SolverError is skipped: it goes into the result's skips with
-    its reason, adds no case and never counts as a pass.
+    roots.find_roots solves each cell's float params.  A cell where it
+    raises SolverError, or whose p has no float twin in (0, 1), is skipped:
+    it goes into the result's skips with its reason, adds no case and never
+    counts as a pass.
     """
-    return _run_here(_Plan(("rootsum_pmf",), rootsum_n_max=n_max,
-                           find_roots=find_roots), p_values, k_max)
+    return _run_here(_Plan(("rootsum_pmf",), rootsum_n_max=n_max),
+                     p_values, k_max)
 
 
 def check_moment_routes(p_values, k_max: int, r_max: int,
@@ -167,13 +161,10 @@ def check_mean_variance(p_values, k_max: int, mode: Mode) -> CheckResult:
     return _run_here(_Plan(("mean_variance",), mode), p_values, k_max)
 
 
-def check_root_certification(p_values, k_max: int,
-                             find_roots=None) -> CheckResult:
+def check_root_certification(p_values, k_max: int) -> CheckResult:
     """The certificate find_roots attaches must pass on every float (p, k)
-    pair that find_roots solves (find_roots and skips as in
-    check_rootsum_pmf)."""
-    return _run_here(_Plan(("root_certification",), find_roots=find_roots),
-                     p_values, k_max)
+    pair that it solves (skips as in check_rootsum_pmf)."""
+    return _run_here(_Plan(("root_certification",)), p_values, k_max)
 
 
 def check_pgf_identity(p_values, k_max: int, s_values,
@@ -358,8 +349,8 @@ def _cells(p_values, k_max: int) -> list:
 
 
 class _Cell:
-    """One (p, k) cell: its params, and its float params and root solve,
-    each made when a check first asks for it."""
+    """One (p, k) cell: its params, and its float params' root solve, each
+    made when a check first asks for it."""
 
     def __init__(self, plan: _Plan, p, k: int):
         self.plan, self.p, self.k = plan, p, k
@@ -370,27 +361,29 @@ class _Cell:
         return make_params(self.p if exact else float(self.p), self.k)
 
     @cached_property
-    def solved(self) -> tuple:
-        """(float params, their root set, or the SolverError raised in its
-        place): one solve for both root checks."""
-        params = make_params(float(self.p), self.k)
-        find_roots = self.plan.find_roots or roots_mod.find_roots
+    def solved(self):
+        """(float params, their root set), or the SolverError or DomainError
+        raised in its place: one solve for both root checks.  An exact p
+        whose double is 1.0 has no float params (DomainError); its exact
+        checks run all the same."""
+        params = self.params            # a p outside (0, 1) raises here
         try:
-            return params, find_roots(params)
-        except SolverError as exc:
-            return params, exc
+            params = as_float_params(params)
+            return params, roots_mod.find_roots(params)
+        except (SolverError, DomainError) as exc:
+            return exc
 
 
 def _solved(result: CheckResult, cell: _Cell) -> Optional[tuple]:
-    """The cell's float (params, root set); or, where the solver failed,
-    None, with the cell in result.skips with its reason: a skip adds no
-    case and never counts as a pass."""
-    params, root_set = cell.solved
-    if isinstance(root_set, SolverError):
-        result.skips.append({"p": str(params.p), "k": params.k,
-                             "reason": str(root_set)})
+    """The cell's float (params, root set); or, where there is none, None,
+    with the cell in result.skips with its reason: a skip adds no case and
+    never counts as a pass."""
+    solved = cell.solved
+    if isinstance(solved, Exception):
+        result.skips.append({"p": str(float(cell.p)), "k": cell.k,
+                             "reason": str(solved)})
         return None
-    return params, root_set
+    return solved
 
 
 def _cell(plan: _Plan, p, k: int) -> tuple:
@@ -415,9 +408,8 @@ def _fold(names, outcomes) -> list:
 
     Check by check, then cell by cell: the first error in that order is
     raised, as such a pass raises it.  Cases add, passed is ANDed,
-    failures and skips are joined, and worst replays _track's rule: the
-    first cell with a case gives its own worst; after that, a cell's peak
-    replaces worst when it is strictly larger, so a NaN worst stays.
+    failures and skips are joined, and a cell's worst replaces the total's
+    when it ranks strictly above it (_above), as _track does case by case.
     """
     results = []
     for index, name in enumerate(names):
@@ -430,15 +422,9 @@ def _fold(names, outcomes) -> list:
             total.passed = total.passed and part.passed
             total.failures += part.failures
             total.skips += part.skips
-            if total.worst is None:
+            if _above(part.worst_magnitude, total.worst_magnitude):
                 total.worst = part.worst
                 total.worst_magnitude = part.worst_magnitude
-            elif part.peak_magnitude > total.worst_magnitude:
-                total.worst = part.peak
-                total.worst_magnitude = part.peak_magnitude
-            if part.peak_magnitude > total.peak_magnitude:
-                total.peak = part.peak
-                total.peak_magnitude = part.peak_magnitude
         results.append(total)
     return results
 
@@ -450,26 +436,25 @@ def _compare(value: Scalar, reference: Scalar, exact: bool) -> tuple:
     return equal, 0.0 if equal else float(abs(value - reference))
 
 
+def _above(magnitude: float, worst: float) -> bool:
+    """Whether a case of this magnitude ranks strictly above the worst one:
+    by size, with NaN above every number, so a tie keeps the earlier case.
+    Every magnitude is >= 0 or NaN, so any case ranks above CheckResult's
+    starting worst_magnitude of -1."""
+    return not math.isnan(worst) and (magnitude > worst
+                                      or math.isnan(magnitude))
+
+
 def _track(result: CheckResult, ok: bool, magnitude: float, info):
     """Count one case against result; info() builds the case's record, and
-    runs only when the case fails or sets a new worst or peak.
-
-    worst is the first case, then each case strictly larger than it: a NaN
-    first case stays worst, as nothing compares larger than NaN.  peak
-    leaves NaN out.  After earlier cases, a later run of cases changes
-    worst only through its peak, which is how _fold joins cells.
-    """
-    worst = result.worst is None or magnitude > result.worst_magnitude
-    peak = magnitude > result.peak_magnitude
-    if ok and not worst and not peak:
+    runs only when the case fails or becomes the worst (_above)."""
+    worst = _above(magnitude, result.worst_magnitude)
+    if ok and not worst:
         return
     record = info()
     if worst:
         result.worst = record
         result.worst_magnitude = magnitude
-    if peak:
-        result.peak = record
-        result.peak_magnitude = magnitude
     if not ok:
         result.passed = False
         result.failures.append(record)
@@ -504,16 +489,13 @@ def _verify_plan(mode: Mode, n_max: int, r_max: int,
 
 
 @pool.register
-def _verify_share(mode: str, n_max: int, r_max: int,
-                  corrupt_engine: Optional[str], p_values: list, k_max: int,
-                  first: int, step: int) -> list:
-    """The _cell outcomes of run_verify's cells first, first + step, ... in
-    grid order.  The arguments are what marshal carries: the mode's value,
-    and each Fraction of p_values as its (numerator, denominator)."""
+def _verify_cell(mode: str, n_max: int, r_max: int,
+                 corrupt_engine: Optional[str], p, k: int) -> tuple:
+    """The _cell outcome of one of run_verify's cells.  The arguments are
+    what marshal carries: the mode's value, and p as a float or as a
+    Fraction's (numerator, denominator)."""
     plan = _verify_plan(Mode(mode), n_max, r_max, corrupt_engine)
-    p_values = [Fraction(*p) if isinstance(p, tuple) else p for p in p_values]
-    return [_cell(plan, p, k)
-            for p, k in _cells(p_values, k_max)[first::step]]
+    return _cell(plan, Fraction(*p) if isinstance(p, tuple) else p, k)
 
 
 def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
@@ -523,11 +505,11 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
     """Run the full verification sweep; the default grid reproduces the
     library's acceptance surface in exact mode.
 
-    The (p, k) cells are dealt round-robin, in grid order, to
-    min(usable CPUs, cells) processes (geomk.pool): this one and forked
-    workers.  Each runs all six checks on each of its cells, and the
-    cells' results fold in grid order (_fold), so the report is the same
-    for any number of CPUs.
+    Each (p, k) cell is one task of geomk.pool, in grid order: the pool
+    deals the tasks round-robin among min(usable CPUs, cells) processes,
+    this one and forked workers, and returns each cell's results of all
+    six checks in grid order, where they fold (_fold).  So the report is
+    the same for any number of CPUs.
 
     corrupt_engine is a test hook: it perturbs the named pmf engine by 1e-9
     at n = k+1 so the harness's failure path can itself be exercised.
@@ -542,13 +524,9 @@ def run_verify(p_values=DEFAULT_P_GRID, k_max: int = DEFAULT_K_MAX,
     plan = _verify_plan(mode, n_max, r_max, corrupt_engine)
     wire = [(p.numerator, p.denominator) if isinstance(p, Fraction) else p
             for p in p_values]
-    count = len(p_values) * k_max
-    width = pool.width(count)
-    shares = pool.run(_verify_share,
-                      [(mode.value, n_max, r_max, corrupt_engine, wire, k_max,
-                        first, width) for first in range(width)])
-    # cell i is the (i // width)-th cell of share i % width
-    outcomes = [shares[i % width][i // width] for i in range(count)]
+    outcomes = pool.run(_verify_cell,
+                        [(mode.value, n_max, r_max, corrupt_engine, p, k)
+                         for p, k in _cells(wire, k_max)])
     grid = {"p": [str(p) for p in p_values], "k_max": k_max,
             "n_max": n_max, "r_max": r_max}
     return VerifyReport(mode=mode.value, grid=grid,

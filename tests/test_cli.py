@@ -365,6 +365,30 @@ class TestVerifyCommand:
             "cross_engine_pmf": 0, "rootsum_pmf": 8, "moment_routes": 0,
             "mean_variance": 0, "root_certification": 8, "pgf_identity": 0}
 
+    def test_p_whose_double_is_one_runs_every_exact_check(self, capsys):
+        # 1 - 10^-20 rounds to the double 1.0, so the two float root checks
+        # skip both cells with make_params' reason; the exact checks run
+        argv = ("verify", "--mode", "exact", "--p-grid",
+                "0.99999999999999999999", "--k-max", "2", "--n-max", "10",
+                "--r-max", "2")
+        code, out, err = run_cli(*argv, "--format", "text", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert out == ("PASS cross_engine_pmf (44 cases)\n"
+                       "PASS rootsum_pmf (0 cases, 2 skipped)\n"
+                       "PASS moment_routes (8 cases)\n"
+                       "PASS mean_variance (4 cases)\n"
+                       "PASS root_certification (0 cases, 2 skipped)\n"
+                       "PASS pgf_identity (8 cases)\n"
+                       "PASS overall\n")
+        report = verify_mod.run_verify([Fraction(10 ** 20 - 1, 10 ** 20)],
+                                       2, 10, 2)
+        skips = [{"p": "1.0", "k": k,
+                  "reason": "p must satisfy 0 < p < 1, got p=1.0"}
+                 for k in (1, 2)]
+        checks = {check.name: check for check in report.checks}
+        assert checks["rootsum_pmf"].skips == skips
+        assert checks["root_certification"].skips == skips
+
 
 class TestSampleCommand:
     def test_json_schema(self, capsys):

@@ -127,19 +127,28 @@ def test_rootsum_check_takes_near_degenerate_cells():
     assert result.worst_magnitude <= 1e-15
 
 
-def test_a_near_degenerate_cell_is_solved_or_skipped():
-    solved = []
+def _fail_at_k2(monkeypatch, solved=None):
+    """Make roots.find_roots raise SolverError at k = 2, and record in
+    solved the k of each call."""
+    find_roots = roots_mod.find_roots
 
-    def find_roots(params):
-        solved.append(params.k)
+    def failing(params):
+        if solved is not None:
+            solved.append(params.k)
         if params.k == 2:
             raise SolverError(f"no roots for {params}")
-        return roots_mod.find_roots(params)
+        return find_roots(params)
 
+    monkeypatch.setattr(roots_mod, "find_roots", failing)
+
+
+def test_a_near_degenerate_cell_is_solved_or_skipped(monkeypatch):
+    solved = []
+    _fail_at_k2(monkeypatch, solved)
     # no cell is left out unseen: where the solver fails, the near-degenerate
     # cell is a skip with its reason, as anywhere else
     p = 2 / 3 + 1e-8
-    result = check_rootsum_pmf([p], 2, 30, find_roots=find_roots)
+    result = check_rootsum_pmf([p], 2, 30)
     assert solved == [1, 2]
     assert result.passed and result.cases == 30 + 1
     assert result.skips == [{"p": str(p), "k": 2,
@@ -147,15 +156,12 @@ def test_a_near_degenerate_cell_is_solved_or_skipped():
 
 
 @pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
-def test_a_cell_the_solver_fails_is_skipped_with_its_reason(check):
-    def find_roots(params):
-        if params.k == 2:
-            raise SolverError(f"no roots for {params}")
-        return roots_mod.find_roots(params)
-
+def test_a_cell_the_solver_fails_is_skipped_with_its_reason(monkeypatch,
+                                                           check):
     args = (10,) if check is check_rootsum_pmf else ()
-    result = check([0.5], 3, *args, find_roots=find_roots)
     solved = check([0.5], 3, *args)
+    _fail_at_k2(monkeypatch)
+    result = check([0.5], 3, *args)
     assert result.passed and solved.passed and not solved.skips
     # the skipped cell adds no case
     assert result.cases == solved.cases * 2 // 3
@@ -179,13 +185,14 @@ def test_root_certification_reads_the_solver_certificate(monkeypatch):
 
 
 @pytest.mark.parametrize("check", [check_rootsum_pmf, check_root_certification])
-def test_a_consistency_error_is_not_skipped(check):
+def test_a_consistency_error_is_not_skipped(monkeypatch, check):
     def find_roots(params):
         raise ConsistencyError("broken root set")
 
+    monkeypatch.setattr(roots_mod, "find_roots", find_roots)
     args = (10,) if check is check_rootsum_pmf else ()
     with pytest.raises(ConsistencyError, match="broken root set"):
-        check([0.5], 1, *args, find_roots=find_roots)
+        check([0.5], 1, *args)
 
 
 def test_mean_variance_float():
@@ -324,8 +331,9 @@ magnitudes = st.one_of(st.floats(0, 10), st.sampled_from([math.nan, math.inf]))
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.lists(st.lists(magnitudes, max_size=5), max_size=6))
 def test_fold_replays_one_pass(cells):
-    # a NaN first case stays worst in one pass, and a later cell's NaN
-    # first case does not hide a larger case after it
+    # every field of the fold of the cells, worst included, is that of one
+    # pass over them: NaN ranks above every number wherever it falls, and
+    # a tie keeps the earliest case
     def track(result, cell, values):
         for case, magnitude in enumerate(values):
             result.cases += 1
@@ -363,6 +371,31 @@ def test_the_pool_runs_registered_functions_only():
         pool.run(len, [("ab",), ("cd",)])
 
 
+@needs_proc
+def test_the_pool_deals_tasks_round_robin():
+    # process i of W runs tasks i, i + W, ..., where process 0 is this one
+    # and W = min(CPUs, tasks); the results come back in task order
+    out = _run_python(_CELLS + """
+@pool.register
+def where(task):
+    return [task, os.getpid()]
+
+out = []
+for cpus, count in ((1, 7), (2, 7), (3, 7), (3, 2), (3, 0)):
+    use_cpus(cpus)
+    out.append([cpus, count, pool.run(where, [(i,) for i in range(count)]),
+                [os.getpid()] + pids()])
+print(json.dumps(out))
+""")
+    # min(CPUs, tasks) - 1 workers run each call; they are forked as
+    # needed and kept for later calls
+    assert [len(processes) for *_, processes in out] == [1, 2, 3, 3, 3]
+    assert out[1][3] == out[2][3][:2] and out[2][3] == out[4][3]
+    for cpus, count, results, processes in out:
+        size = min(cpus, count)
+        assert results == [[i, processes[i % size]] for i in range(count)]
+
+
 _CELLS = """
 import contextlib, io, json, math, os, signal, sys, time
 from fractions import Fraction
@@ -378,7 +411,7 @@ def pids():
     return [worker[0] for worker in pool._workers]
 
 def fields(report):
-    # every field of every check, the whole failure list and peak included;
+    # every field of every check, the whole failure list included;
     # repr, because a NaN equals nothing, not even itself
     return repr([vars(check) for check in report.checks])
 
@@ -430,8 +463,8 @@ print(json.dumps(out))
     @pytest.mark.parametrize("bad_k", [1, 3])
     def test_a_nan_in_any_cell_gives_the_same_report(self, bad_k):
         # muselli's first case in cell k = bad_k is NaN, and its n = k + 2
-        # is 1e-3 off: after earlier cells the NaN is not worst, the 1e-3
-        # case is; in the first cell the NaN stays worst
+        # is 1e-3 off: the NaN ranks above every number, so it is worst
+        # whichever cell it is in, and whichever process runs that cell
         out = _run_python(_CELLS + """
 bad_k = int(sys.argv[1])
 muselli = verify._ENGINES["muselli"]
@@ -462,13 +495,8 @@ print(json.dumps(runs))
         payload = json.loads(text, parse_constant=pytest.fail)
         jsonschema.validate(payload, load_schema("verify_report"))
         check = payload["checks"][0]
-        if bad_k == 1:
-            assert check["worst"] == {"engine": "muselli", "p": "0.3", "k": 1,
-                                      "n": 0, "deviation": None}
-        else:
-            assert check["worst"]["k"] == bad_k
-            assert check["worst"]["n"] == bad_k + 2
-            assert check["worst"]["deviation"] == pytest.approx(1e-3)
+        assert check["worst"] == {"engine": "muselli", "p": "0.3",
+                                  "k": bad_k, "n": 0, "deviation": None}
         assert [(f["k"], f["n"]) for f in check["failures"]] == [
             (bad_k, 0), (bad_k, bad_k + 2)] * 2
 
