@@ -25,7 +25,10 @@ are sums of integers over a power of b.  Each returned value is reduced to
 a Fraction, or rounded to a float, exactly once.  In float mode the
 alternating sums read p and the stored q = fl(1 - p) as the binary
 rationals they denote, so their results are correctly rounded; the float
-recurrence stays in double precision (_float_pmf).
+recurrence stays in double precision (_float_pmf).  Rootsum is float only:
+its powers lambda^(n-k) split as lambda^(B q) lambda^r (_rootsum_values),
+so each value costs one complex multiplication per root.  A float table's
+tail mass reads f(n_max + k + 1) from the same pass of its own engine.
 
 An exact recurrence table reduces each value once too.  Its entries are
 recurrence_series; one pass over them (_scaled_cumulative) takes each
@@ -207,8 +210,9 @@ def _recurrence_values(params: Params, ns):
     """Yield the recurrence's f(n) for each n of the ascending ns, from one
     walk of the kernel (_scaled_pmf exact, _float_pmf float).
 
-    A sparse ns pays for each b^n it reduces by; a dense one is
-    recurrence_series, which builds the powers of b incrementally.
+    An exact ns pays for each b^n it reduces by, so a dense exact one is
+    recurrence_series, which builds the powers of b incrementally; a float
+    table reads its dense ns here.
     """
     k = params.k
     exact = params.mode is Mode.EXACT
@@ -223,7 +227,8 @@ def _recurrence_values(params: Params, ns):
             yield _zero(params)
             continue
         if n > reached:
-            value, reached = _nth(walk, n - reached - 1), n
+            value = _nth(walk, n - reached - 1) if n - reached > 1 else next(walk)
+            reached = n
         yield _over_power(value, b ** n, b) if exact else value
 
 
@@ -380,25 +385,42 @@ def pmf_closedform(params: Params, n: int) -> Scalar:
     return next(_closedform_values(params, (n,)))
 
 
+_POWER_BLOCK = 64     # B of _rootsum_values: n - k = B q + r
+
+
 def _rootsum_values(params: Params, root_set: RootSet, ns):
     """Yield the spectral f(n) = sum_j c_j lambda_j^{n-k} for each n in ns.
 
     The one rootsum loop: the root set is checked against params and the
-    weights c_j are computed once, then each n costs one power per root.
-    Every value is the same float pmf_rootsum(params, root_set, n) returns.
+    weights c_j are computed once.  Each power is split as
+    lambda^(n-k) = lambda^(B q) lambda^r with n - k = B q + r and
+    B = _POWER_BLOCK: the weighted heads c_j lambda_j^(B q) are built once
+    per block of B values, the small powers lambda_j^r once per r, and each
+    value sums one complex product per root.  Both factors depend on n
+    alone, so every value is the same float pmf_rootsum(params, root_set, n)
+    returns, whatever other ns share the pass; a lone n pays one more power
+    per root.
     """
     k = params.k
     principal = root_set.roots[root_set.principal_index]
     if roots_mod._identity_residual(principal, params) > 1e-10:
         raise ConsistencyError(
             f"root set does not belong to {params} (principal residual too large)")
-    pairs = list(zip(roots_mod.spectral_coefficients(params, root_set),
-                     root_set.roots))
+    weights = roots_mod.spectral_coefficients(params, root_set)
+    roots = root_set.roots
+    small, block, heads = {}, None, None
     for n in ns:
         if n < k:
             yield 0.0
             continue
-        acc = sum([c * z ** (n - k) for c, z in pairs])
+        q, r = divmod(n - k, _POWER_BLOCK)
+        if q != block:
+            block = q
+            heads = [c * z ** (_POWER_BLOCK * q) for c, z in zip(weights, roots)]
+        powers = small.get(r)
+        if powers is None:
+            powers = small[r] = [z ** r for z in roots]
+        acc = sum(map(operator.mul, heads, powers))
         if abs(acc.imag) > IMAG_RESIDUE_TOL:
             raise ConsistencyError(
                 f"imaginary residue {acc.imag:.3e} exceeds {IMAG_RESIDUE_TOL} "
@@ -410,10 +432,12 @@ def pmf_rootsum(params: Params, root_set: RootSet, n: int) -> float:
     """Spectral engine: f(n) = sum_j c_j lambda_j^{n-k} (float mode only).
 
     The weights are the residues of roots.spectral_coefficients, one
-    formula for every p, p = k/(k+1) included.  The imaginary part of the
+    formula for every p, p = k/(k+1) included.  Each power is
+    lambda^(B q) lambda^r for n - k = B q + r.  The imaginary part of the
     assembled sum must cancel to below 1e-12 before it is discarded.
     Tables and sweeps over many n use the same loop (_rootsum_values),
-    which checks the root set and computes the weights once for all of them.
+    which checks the root set and computes the weights once for all of them
+    and gives every n the bits this call does.
     """
     if params.mode is not Mode.FLOAT:
         raise ModeError("pmf_rootsum requires float-mode params")
@@ -645,41 +669,36 @@ def _tail_mass(params: Params, f_far: Scalar) -> Scalar:
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
-    Every engine but the recurrence fills the entries in one pass of
-    _engine_values, so they are the values pmf gives; the recurrence table
-    is recurrence_series.  The cumulative column comes from the entries
-    alone, and a table that fails its checks (a nan entry included) raises
-    ConsistencyError.  An exact recurrence table is checked and cumulated on
+    An exact recurrence table is recurrence_series, checked and cumulated on
     integers by _scaled_cumulative, which also keeps the factors its digits
-    divide by; every other table goes through _checked_cumulative.  In
-    float mode the table also carries the mass beyond n_max,
-    P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass): a recurrence
-    table walks k + 1 values further, and every other engine takes
-    f(n_max + k + 1) from one float recurrence walk.
+    divide by.  Every other table fills its entries in one pass of
+    _engine_values, so they are the values pmf gives, and goes through
+    _checked_cumulative.  The cumulative column comes from the entries
+    alone, and a table that fails its checks (a nan entry included) raises
+    ConsistencyError.  In float mode the table also carries the mass beyond
+    n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass), with
+    f(n_max + k + 1) from the same pass of the same engine: k + 1 values
+    past n_max, for every engine.
     """
-    if n_max < params.k:
-        raise DomainError(f"n_max must be >= k={params.k}, got {n_max}")
-    floating = params.mode is Mode.FLOAT
-    if engine is Engine.RECURRENCE:
-        # a float table walks on to f(n_max + k + 1), for its tail mass
-        walk = recurrence_series(params, n_max + (params.k + 1 if floating else 0))
-        entries, far = walk[:n_max + 1], walk[-1]
-    else:
-        entries = list(_engine_values(params, engine, range(n_max + 1)))
-
-    if engine is Engine.RECURRENCE and not floating:
+    k = params.k
+    if n_max < k:
+        raise DomainError(f"n_max must be >= k={k}, got {n_max}")
+    if params.mode is Mode.EXACT and engine is Engine.RECURRENCE:
+        entries = recurrence_series(params, n_max)
         cumulative, shared = _scaled_cumulative(params, entries)
-    else:
-        cumulative, shared = _checked_cumulative(params, entries), None
-
-    bound = None
+        return PmfTable(params=params, engine=engine, entries=tuple(entries),
+                        cumulative=tuple(cumulative), tail_bound=None,
+                        shared=shared)
+    floating = params.mode is Mode.FLOAT
+    ns = range(n_max + 1)
     if floating:
-        if engine is not Engine.RECURRENCE:
-            far = pmf_recurrence(params, n_max + params.k + 1)
-        bound = _tail_mass(params, far)
-    return PmfTable(params=params, engine=engine, entries=tuple(entries),
-                    cumulative=tuple(cumulative), tail_bound=bound,
-                    shared=shared)
+        ns = [*ns, n_max + k + 1]     # f(n_max + k + 1), for the tail mass
+    values = _engine_values(params, engine, ns)
+    entries = tuple(islice(values, n_max + 1))
+    cumulative = _checked_cumulative(params, entries)
+    bound = _tail_mass(params, next(values)) if floating else None
+    return PmfTable(params=params, engine=engine, entries=entries,
+                    cumulative=tuple(cumulative), tail_bound=bound)
 
 
 def _checked_cumulative(params: Params, entries) -> list:

@@ -118,8 +118,7 @@ class _Plan(NamedTuple):
     and the sizes and routes each reads."""
     checks: tuple
     mode: Mode = Mode.FLOAT
-    n_max: int = 0                  # cross_engine_pmf
-    rootsum_n_max: int = 0          # rootsum_pmf
+    n_max: int = 0                  # cross_engine_pmf, rootsum_pmf
     r_max: int = 0                  # moment_routes
     s_values: tuple = ()            # pgf_identity
     engines: Optional[dict] = None  # cross_engine_pmf
@@ -144,7 +143,7 @@ def check_rootsum_pmf(p_values, k_max: int, n_max: int) -> CheckResult:
     it goes into the result's skips with its reason, adds no case and never
     counts as a pass.
     """
-    return _run_here(_Plan(("rootsum_pmf",), rootsum_n_max=n_max),
+    return _run_here(_Plan(("rootsum_pmf",), n_max=n_max),
                      p_values, k_max)
 
 
@@ -255,7 +254,7 @@ def _rootsum_pmf(result: CheckResult, plan: _Plan, cell) -> None:
     if (solved := _solved(result, cell)) is None:
         return
     params, root_set = solved
-    n_max = plan.rootsum_n_max
+    n_max = plan.n_max
     reference = recurrence_series(params, n_max)
     values = _rootsum_values(params, root_set, range(n_max + 1))
     for n, value in enumerate(values):
@@ -483,8 +482,7 @@ def _engines(corrupt_engine: Optional[str]) -> dict:
 
 def _verify_plan(mode: Mode, n_max: int, r_max: int,
                  corrupt_engine: Optional[str]) -> _Plan:
-    return _Plan(tuple(_CHECKS), mode, n_max=n_max,
-                 rootsum_n_max=min(n_max, 100), r_max=r_max,
+    return _Plan(tuple(_CHECKS), mode, n_max=n_max, r_max=r_max,
                  s_values=_S_VALUES, engines=_engines(corrupt_engine))
 
 

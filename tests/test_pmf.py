@@ -2,15 +2,17 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geomk.cli import main
+from geomk.moments import factorial_moment, moment_report
 from geomk.numerics import (ConsistencyError, DomainError, Mode, ModeError,
                             SolverError)
-from geomk.params import make_params
+from geomk.params import make_params, qpk
 from geomk.pmf import (Engine, _closedform_values, _muselli_values,
                        _rootsum_values, build_table, pgf_eval, pmf,
                        pmf_closedform, pmf_muselli, pmf_recurrence,
@@ -18,6 +20,7 @@ from geomk.pmf import (Engine, _closedform_values, _muselli_values,
 from geomk.roots import RootSet, find_roots, spectral_coefficients
 
 pmf_mod = sys.modules["geomk.pmf"]    # the package's `pmf` is the function
+BLOCK = pmf_mod._POWER_BLOCK           # rootsum's powers split at B q + r
 HALF2 = make_params(Fraction(1, 2), 2)
 ALL_SUM_ENGINES = [pmf_recurrence, pmf_muselli, pmf_closedform]
 
@@ -219,10 +222,13 @@ class TestRootSumLoop:
 
     @staticmethod
     def _per_n(params, root_set, n):
+        # lambda^(n-k) = lambda^(B q) lambda^r, the weight on the head
         if n < params.k:
             return 0.0
+        q, r = divmod(n - params.k, BLOCK)
         weights = spectral_coefficients(params, root_set)
-        acc = sum(c * z ** (n - params.k) for c, z in zip(weights, root_set.roots))
+        acc = sum(c * z ** (BLOCK * q) * z ** r
+                  for c, z in zip(weights, root_set.roots))
         return acc.real
 
     @pytest.mark.parametrize("p,k", GRID)
@@ -241,6 +247,39 @@ class TestRootSumLoop:
         root_set = find_roots(params)
         assert list(table.entries) == [pmf_rootsum(params, root_set, n)
                                        for n in range(81)]
+
+    # n - k at the edges of the first two blocks of powers
+    EDGES = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK,
+             2 * BLOCK + 1)
+
+    @pytest.mark.parametrize("p,k", GRID)
+    def test_block_edges_agree_bit_for_bit(self, p, k):
+        params = make_params(p, k)
+        root_set = find_roots(params)
+        ns = [k + d for d in self.EDGES]
+        dense = list(_rootsum_values(params, root_set, range(ns[-1] + 1)))
+        sparse = list(_rootsum_values(params, root_set, ns))
+        for n, value in zip(ns, sparse):
+            pointwise = pmf_rootsum(params, root_set, n)
+            assert value.hex() == dense[n].hex() == pointwise.hex(), n
+            assert pmf(params, n, Engine.ROOT_SUM).hex() == pointwise.hex(), n
+
+    @pytest.mark.parametrize("p,k", [(0.37, 2), (2 / 3, 2), (0.9, 7)])
+    def test_moment_points_agree_bit_for_bit(self, p, k):
+        # factorial_moment through rootsum reads f at n_r = (r + 1) k + r
+        params = make_params(p, k)
+        root_set = find_roots(params)
+        rs = range(1, 13)
+        ns = [(r + 1) * k + r for r in rs]
+        dense = list(_rootsum_values(params, root_set, range(ns[-1] + 1)))
+        sparse = list(_rootsum_values(params, root_set, ns))
+        report = moment_report(params, rs[-1], Engine.ROOT_SUM)
+        for r, n, value, batched in zip(rs, ns, sparse, report.factorial):
+            pointwise = pmf_rootsum(params, root_set, n)
+            assert value.hex() == dense[n].hex() == pointwise.hex(), n
+            single = factorial_moment(params, r, Engine.ROOT_SUM)
+            assert single.hex() == batched.hex()
+            assert single == math.factorial(r) * pointwise / qpk(params) ** (r + 1)
 
     def test_degenerate_grid_is_flagged(self):
         flags = {(p, k) for p, k in self.GRID
@@ -276,6 +315,45 @@ class TestNearDegenerate:
         for value, reference in zip(values, map(float, exact)):
             if reference >= sys.float_info.min:
                 assert abs(value - reference) <= 1e-12 * reference
+
+
+def _stored_q_exact(params, n_max):
+    """f(0..n_max) and P(N > n_max) = f(n_max + k + 1) / (q p^k) of float
+    params at the binary rationals p and q = fl(1 - p) they store: kernel
+    integers over powers of b, each rounded by one int/int division."""
+    a, c, b = pmf_mod._scaled_pq(params)
+    k = params.k
+    walk = pmf_mod._scaled_pmf(a, c, k)
+    values, power = [0.0] * k, b ** k
+    for g in islice(walk, n_max - k + 1):
+        values.append(g / power)
+        power *= b
+    far = next(islice(walk, k, None))       # g(n_max + k + 1)
+    return values, far / (power // b * c * a ** k)
+
+
+class TestRootSumError:
+    """Float rootsum is within 1e-12 relative of the stored-q model's exact
+    value, wherever that value is a normal double (README)."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(p=st.floats(min_value=0.05, max_value=0.95),
+           k=st.integers(min_value=1, max_value=40),
+           n_max=st.integers(min_value=40, max_value=2100))
+    @example(p=0.37, k=12, n_max=2100)
+    @example(p=2 / 3, k=2, n_max=2 * BLOCK + 3)
+    def test_table_and_tail_within_relative_bound(self, p, k, n_max):
+        params = make_params(p, k)
+        try:
+            table = build_table(params, Engine.ROOT_SUM, n_max)
+        except SolverError:
+            assume(False)
+        exact, tail = _stored_q_exact(params, n_max)
+        for n, (value, reference) in enumerate(zip(table.entries, exact)):
+            if reference >= sys.float_info.min:
+                assert abs(value - reference) <= 1e-12 * reference, n
+        if tail >= sys.float_info.min:
+            assert abs(table.tail_bound - tail) <= 1e-12 * tail
 
 
 class TestPgf:
@@ -362,6 +440,27 @@ class TestBuildTable:
         monkeypatch.setattr(pmf_mod, "_scaled_pmf", counting)
         build_table(make_params(Fraction(37, 100), 2), Engine.RECURRENCE, 200)
         assert len(walks) == 1
+
+    @pytest.mark.parametrize("engine,expected", [
+        (Engine.RECURRENCE, 1), (Engine.MUSELLI, 0), (Engine.CLOSED_FORM, 0),
+        (Engine.ROOT_SUM, 0)])
+    def test_float_table_reads_its_tail_from_its_own_pass(self, monkeypatch,
+                                                          engine, expected):
+        # f(n_max + k + 1) comes from the table's own engine: only the
+        # recurrence table walks the float recurrence, and only once
+        walks = []
+        kernel = pmf_mod._float_pmf
+
+        def counting(*args):
+            walks.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(pmf_mod, "_float_pmf", counting)
+        params = make_params(0.37, 3)
+        table = build_table(params, engine, 200)
+        assert len(walks) == expected
+        assert table.tail_bound == pmf_mod._tail_mass(
+            params, pmf(params, 200 + 3 + 1, engine))
 
     @pytest.mark.parametrize("engine", [Engine.RECURRENCE, Engine.MUSELLI,
                                         Engine.CLOSED_FORM, Engine.ROOT_SUM])
