@@ -9,7 +9,7 @@ Exact (rational) and float arithmetic are both first-class.
 from .numerics import (ConsistencyError, DomainError, GeomkError, Mode,
                        ModeError, ParseError, Scalar, SolverError,
                        gen_binomial, parse_scalar)
-from .params import DegeneracyFlag, Params, make_params, qpk
+from .params import Params, make_params, qpk
 from .roots import RootCertification, RootSet, aux_poly_eval, certify_roots, find_roots
 from .pmf import (Engine, PmfTable, build_table, pgf_eval, pmf,
                   pmf_closedform, pmf_muselli, pmf_recurrence, pmf_rootsum)
@@ -23,7 +23,7 @@ from .verify import run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConsistencyError", "DegeneracyFlag", "DomainError", "Engine",
+    "ConsistencyError", "DomainError", "Engine",
     "GeomkError", "GofReport", "Mode", "ModeError", "MomentReport",
     "Params", "ParseError", "PmfTable", "RootCertification", "RootSet",
     "Scalar", "SimConfig", "SimSummary", "SolverError", "SplitMix64",

@@ -8,18 +8,16 @@ text; each CSV record is one `str.join` of its fields, with the bytes
 `csv.writer` writes in its default QUOTE_MINIMAL dialect with LF line ends.
 
 One stdlib encoder, `json.JSONEncoder(indent=2)`, writes every JSON report
-in pieces, with the bytes of `json.dumps(report, indent=2)`.  A table's
-entries take another way, after the encoder's text of the table's other
-fields, with no dict built per row: a float table's, held as columns
-(`_Rows`), through one %-template per row in blocks of `_BLOCK` rows, and
-an exact table's text rows (`_TextRows`) one row per piece, as its text
-walk makes them, so that no piece holds more than one row's digits.
+in pieces, with the bytes of `json.dumps(report, indent=2)`, except a
+table's: the table command writes its own JSON (`_json_table`), the
+encoder's text of the table's other fields and then its entries through a
+row template, with no dict built per row.
 
 `main` builds the argparse parser once per process and reuses it, so
 in-process callers pay for it once.  Exit codes: 0 success, 1 a
 verification check failed, 2 bad usage, including an --out path that
-cannot be opened, and 141 (128 + SIGPIPE) when the reader closes stdout
-before the output ends.
+cannot be opened, or output that cannot be written, and 141 (128 +
+SIGPIPE) when the reader closes stdout before the output ends.
 """
 
 from __future__ import annotations
@@ -30,11 +28,8 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
-from typing import Iterable
 
 from . import moments as moments_mod
 from . import roots as roots_mod
@@ -56,24 +51,6 @@ _ENCODER = json.JSONEncoder(indent=2)
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class _Rows:
-    """A float table's entries held as columns: row i maps keys[j] to
-    columns[j][i], and JSON writes it as that list of dicts.  There is at
-    least one row, and each column is a range or a tuple of finite floats,
-    so `%r` of each value is its JSON text."""
-    keys: tuple
-    columns: tuple
-
-
-@dataclass(frozen=True)
-class _TextRows:
-    """An exact table's entries as its text rows (n, f_text,
-    cumulative_text), made one at a time: JSON writes each as a dict of
-    ENTRY_KEYS with n a number and each text a string."""
-    rows: Iterable
-
-
 @contextlib.contextmanager
 def _out_stream(path):
     if path in (None, "-"):
@@ -87,24 +64,39 @@ def _out_stream(path):
         yield handle
 
 
-def _write(args, payload, rows, lines):
+def _write(args, json_text, rows, lines):
     """Write one report to `args.out` in `args.format`.
 
-    JSON is `json.dumps(payload(), indent=2)` plus LF, written in pieces by
-    `_json_chunks`: the stdlib encoder writes the report, except that a
-    `_Rows` or `_TextRows` as its last value (a table's entries) is written
-    by a row template.  CSV is `rows`, header first; text is `lines`.  Every
-    line ends in LF, and only the requested form is built.
+    JSON is the pieces `json_text()` returns plus LF: a report's
+    `_ENCODER.iterencode(report)`, a table's `_json_table(table)`.  CSV is
+    `rows`, header first; text is `lines`.  Every line ends in LF, and only
+    the requested form is built.  A write that fails, as on a full disk,
+    raises GeomkError; a reader that closed stdout early still raises
+    BrokenPipeError, for main's exit status 141.
     """
-    with _out_stream(args.out) as out:
-        if args.format == "json":
-            out.writelines(_json_chunks(payload()))
-            out.write("\n")
-        elif args.format == "csv":
-            out.writelines(map(_csv_line, rows))
-        else:
-            for line in lines:
-                out.write(f"{line}\n")
+    try:
+        with _out_stream(args.out) as out:
+            if args.format == "json":
+                out.writelines(json_text())
+                out.write("\n")
+            elif args.format == "csv":
+                out.writelines(map(_csv_line, rows))
+            else:
+                for line in lines:
+                    out.write(f"{line}\n")
+            out.flush()     # stdout's buffered bytes too fail here, if at all
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if args.out in (None, "-"):
+            _stdout_to_devnull()
+        raise GeomkError(f"cannot write output: {exc.strerror or exc}") from None
+
+
+def _stdout_to_devnull():
+    """Point stdout's file descriptor at devnull, so the interpreter's final
+    flush of what stdout still holds cannot raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _csv_line(row):
@@ -135,58 +127,45 @@ def _csv_field(field):
     return field
 
 
-def _json_chunks(report):
-    """The text of `json.dumps(report, indent=2)` in pieces.
+def _json_table(table):
+    """The text of `json.dumps(table.to_dict(), indent=2)` in pieces, with
+    no dict built per row: the encoder's text of `table.summary()`, then
+    the entries, then the closing brace.
 
-    A dict whose last value is a `_Rows` or a `_TextRows` is written as the
-    encoder's text of the dict up to that value, then `_json_rows` or
-    `_json_text_rows`, then its closing brace; any other report is
-    `_ENCODER.iterencode(report)`.
+    A float table's rows come from its columns through one %-template per
+    row, `_BLOCK` rows per piece: `%r` of each value is its JSON text, as n
+    is an int and the table's checks pass only finite floats.  An exact
+    table's text rows are one piece per row, as its text walk makes them,
+    so that no piece holds more than one row's digits; a text is digits and
+    at most one slash, which JSON writes as they are, inside quotes.
     """
-    if isinstance(report, dict) and report:
-        key, rows = next(reversed(report.items()))
-        if isinstance(rows, (_Rows, _TextRows)):
-            # the encoder's text with the rows as null, cut before the null
-            head = _ENCODER.encode({**report, key: None})[:-len("null\n}")]
-            body = (_json_rows(rows) if isinstance(rows, _Rows)
-                    else _json_text_rows(rows))
-            return chain((head,), body, ("\n}",))
-    return _ENCODER.iterencode(report)
-
-
-def _json_rows(rows):
-    """The `_Rows` `rows` as the indented JSON list of a top-level key, in
-    pieces of `_BLOCK` rows, each row one %-template of its values' `%r`."""
+    # the encoder's text with the entries as null, cut before the null
+    yield _ENCODER.encode({**table.summary(), "entries": None})[:-len("null\n}")]
     row_sep = ",\n    "
-    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %r"
-              for key in rows.keys]
-    template = "{\n      " + ",\n      ".join(fields) + "\n    }"
-    width = len(fields)
-    values = chain.from_iterable(zip(*rows.columns))
-    pattern = row_sep.join([template] * _BLOCK)
-    lead = "[\n    "
-    while block := tuple(islice(values, width * _BLOCK)):
-        if len(block) < width * _BLOCK:
-            pattern = row_sep.join([template] * (len(block) // width))
-        yield lead
-        yield pattern % block
-        lead = row_sep
-    yield "\n  ]"
-
-
-def _json_text_rows(rows):
-    """The `_TextRows` `rows` as the indented JSON list of a top-level key,
-    one piece per row with its leading punctuation.  A text is digits and
-    at most one slash, which JSON writes as they are, inside quotes."""
-    n_key, f_key, c_key = map(encode_basestring_ascii, ENTRY_KEYS)
-    template = (f'{{\n      {n_key}: %d,\n      {f_key}: "%s",'
-                f'\n      {c_key}: "%s"\n    }}')
-    first, rest = "[\n    " + template, ",\n    " + template
-    rows = iter(rows.rows)
-    yield first % next(rows)
-    for row in rows:
-        yield rest % row
-    yield "\n  ]"
+    n_key, f_key, c_key = (f'"{key}"' for key in ENTRY_KEYS)
+    if table.params.mode is Mode.EXACT:
+        template = (f'{{\n      {n_key}: %d,\n      {f_key}: "%s",'
+                    f'\n      {c_key}: "%s"\n    }}')
+        first, rest = "[\n    " + template, row_sep + template
+        rows = table.text_rows()        # n_max >= k >= 1: never empty
+        yield first % next(rows)
+        for row in rows:
+            yield rest % row
+    else:
+        template = (f"{{\n      {n_key}: %r,\n      {f_key}: %r,"
+                    f"\n      {c_key}: %r\n    }}")
+        values = chain.from_iterable(zip(range(table.n_max + 1),
+                                         table.entries, table.cumulative))
+        size = 3 * _BLOCK               # three values per row
+        pattern = row_sep.join([template] * _BLOCK)
+        lead = "[\n    "
+        while block := tuple(islice(values, size)):
+            if len(block) < size:
+                pattern = row_sep.join([template] * (len(block) // 3))
+            yield lead
+            yield pattern % block
+            lead = row_sep
+    yield "\n  ]\n}"
 
 
 def _add_common(parser, default_mode="exact", default_format="text"):
@@ -234,9 +213,10 @@ def cmd_pmf(args):
         yield f"engine: {engine.value}, mode: {params.mode.value}"
 
     _write(args,
-           lambda: {"p": str(params.p), "k": params.k, "n": args.n,
-                    "engine": engine.value, "mode": params.mode.value,
-                    "value": _json_scalar(value), "decimal": float(value)},
+           lambda: _ENCODER.iterencode({
+               "p": str(params.p), "k": params.k, "n": args.n,
+               "engine": engine.value, "mode": params.mode.value,
+               "value": _json_scalar(value), "decimal": float(value)}),
            [("n", "f"), (args.n, _render(value))], lines())
     return 0
 
@@ -250,13 +230,6 @@ def cmd_table(args):
         yield "n", "f", "cumulative"
         yield from table.text_rows()
 
-    def payload():
-        if params.mode is Mode.EXACT:
-            return {**table.summary(), "entries": _TextRows(table.text_rows())}
-        # a float table's rows from its columns, with no dict per row
-        return {**table.summary(), "entries": _Rows(ENTRY_KEYS, (
-            range(table.n_max + 1), table.entries, table.cumulative))}
-
     def lines():
         yield (f"pmf table for p={params.p}, k={params.k} "
                f"(engine={engine.value}, mode={params.mode.value})")
@@ -265,7 +238,7 @@ def cmd_table(args):
         if table.tail_bound is not None:
             yield f"  tail bound beyond n_max: {table.tail_bound!r}"
 
-    _write(args, payload, rows(), lines())
+    _write(args, lambda: _json_table(table), rows(), lines())
     return 0
 
 
@@ -290,7 +263,8 @@ def cmd_moments(args):
             yield (f"  r={r}: factorial={_render(report.factorial[r - 1])} "
                    f"raw={_render(report.raw[r - 1])}")
 
-    _write(args, report.to_dict, rows(), lines())
+    _write(args, lambda: _ENCODER.iterencode(report.to_dict()), rows(),
+           lines())
     return 0
 
 
@@ -314,11 +288,12 @@ def cmd_roots(args):
         yield f"  certification: {'PASS' if cert.passed else 'FAIL'}"
 
     _write(args,
-           lambda: {"p": str(params.p), "k": params.k,
-                    "roots": [{"re": z.real, "im": z.imag}
-                              for z in root_set.roots],
-                    "principal_index": root_set.principal_index,
-                    **cert.to_dict()},
+           lambda: _ENCODER.iterencode({
+               "p": str(params.p), "k": params.k,
+               "roots": [{"re": z.real, "im": z.imag}
+                         for z in root_set.roots],
+               "principal_index": root_set.principal_index,
+               **cert.to_dict()}),
            rows(), lines())
     return 0 if cert.passed else 1
 
@@ -346,7 +321,7 @@ def cmd_verify(args):
                 yield f"     failed at {failure}"
         yield f"{'PASS' if report.passed else 'FAIL'} overall"
 
-    _write(args, report.to_dict, (), lines())
+    _write(args, lambda: _ENCODER.iterencode(report.to_dict()), (), lines())
     return 0 if report.passed else 1
 
 
@@ -388,7 +363,8 @@ def cmd_sample(args):
             yield (f"  mean z, var z   = {_or_na(gof.mean_z, '.3f')}, "
                    f"{_or_na(gof.variance_z, '.3f')}")
 
-    _write(args, lambda: {"summary": summary.to_dict(), "gof": gof.to_dict()},
+    _write(args, lambda: _ENCODER.iterencode(
+               {"summary": summary.to_dict(), "gof": gof.to_dict()}),
            rows(), lines())
     return 1 if gof.hard_fail else 0
 
@@ -459,16 +435,13 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        status = args.func(args)
-        sys.stdout.flush()
-        return status
+        return args.func(args)
     except GeomkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # The reader closed stdout early (`geomk ... | head`).  Point stdout
-        # at devnull so the interpreter's final flush cannot raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # The reader closed stdout early (`geomk ... | head`).
+        _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
 
 

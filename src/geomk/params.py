@@ -14,17 +14,12 @@ DEGENERACY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DegeneracyFlag:
-    is_degenerate: bool
-
-
-@dataclass(frozen=True)
 class Params:
     p: Scalar
     q: Scalar
     k: int
     mode: Mode
-    degenerate: DegeneracyFlag
+    degenerate: bool        # p = k/(k+1), within DEGENERACY_TOL in float mode
 
     def __str__(self):
         return f"(p={self.p}, k={self.k}, {self.mode.value})"
@@ -45,11 +40,10 @@ def make_params(p: Scalar, k: int) -> Params:
         raise DomainError(f"k must be a positive integer, got k={k}")
     q = 1 - p
     if mode is Mode.EXACT:
-        is_degenerate = p * (k + 1) == k
+        degenerate = p * (k + 1) == k
     else:
-        is_degenerate = abs(p - k / (k + 1)) < DEGENERACY_TOL
-    return Params(p=p, q=q, k=k, mode=mode,
-                  degenerate=DegeneracyFlag(is_degenerate))
+        degenerate = abs(p - k / (k + 1)) < DEGENERACY_TOL
+    return Params(p=p, q=q, k=k, mode=mode, degenerate=degenerate)
 
 
 def qpk(params: Params) -> Scalar:

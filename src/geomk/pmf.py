@@ -30,12 +30,13 @@ its powers lambda^(n-k) split as lambda^(B q) lambda^r (_rootsum_values),
 so each value costs one complex multiplication per root.  A float table's
 tail mass reads f(n_max + k + 1) from the same pass of its own engine.
 
-An exact recurrence table reduces each value once too.  Its entries are
-recurrence_series; one pass over them (_scaled_cumulative) takes each
-factor b^n / denominator once, runs the table's checks on the integers
-g(n) and C(n) = C(n-1) b + g(n), and reduces each C(n) once, keeping its
-factor.  The digits come from a Decimal run of the kernel divided by those
-kept factors (_exact_texts), so printing divides no int.
+Every table, exact or float, is one _engine_values pass of its engine.
+An exact table's entries then go through one pass (_scaled_cumulative)
+that takes each factor b^n / denominator once, runs the table's checks on
+the integers g(n) and C(n) = C(n-1) b + g(n), and reduces each C(n) once,
+keeping its factor.  An exact recurrence table takes its digits from a
+Decimal run of the kernel divided by those kept factors (_exact_texts), so
+printing divides no int.
 """
 
 from __future__ import annotations
@@ -210,26 +211,32 @@ def _recurrence_values(params: Params, ns):
     """Yield the recurrence's f(n) for each n of the ascending ns, from one
     walk of the kernel (_scaled_pmf exact, _float_pmf float).
 
-    An exact ns pays for each b^n it reduces by, so a dense exact one is
-    recurrence_series, which builds the powers of b incrementally; a float
-    table reads its dense ns here.
+    An exact value is g(n) / b^n, reduced once by the factors of b only
+    (_over_power).  b^n is carried from the last n drawn, so a dense pass
+    multiplies by b once per value and a sparse one by b^(n - last).
     """
     k = params.k
     exact = params.mode is Mode.EXACT
     if exact:
         a, c, b = _scaled_pq(params)
-        walk = _scaled_pmf(a, c, k)
+        walk, power = _scaled_pmf(a, c, k), b ** (k - 1)
     else:
         walk = _float_pmf(params)
     reached, value = k - 1, None        # the last n drawn from walk
     for n in ns:
-        if n < k:
+        if n == reached + 1:
+            value, reached = next(walk), n
+            if exact:
+                power *= b
+        elif n > reached:
+            value = _nth(walk, n - reached - 1)
+            if exact:
+                power *= b ** (n - reached)
+            reached = n
+        elif n < k:
             yield _zero(params)
             continue
-        if n > reached:
-            value = _nth(walk, n - reached - 1) if n - reached > 1 else next(walk)
-            reached = n
-        yield _over_power(value, b ** n, b) if exact else value
+        yield _over_power(value, power, b) if exact else value
 
 
 def pmf_recurrence(params: Params, n: int) -> Scalar:
@@ -241,18 +248,7 @@ def pmf_recurrence(params: Params, n: int) -> Scalar:
 def recurrence_series(params: Params, n_max: int) -> list:
     """f(0..n_max) in one pass; same values as pmf_recurrence."""
     _check_n(n_max)
-    k = params.k
-    if n_max < k:
-        return [_zero(params)] * (n_max + 1)
-    if params.mode is Mode.EXACT:
-        # g(n) / b^n, reduced once by the factors of b only (_over_power)
-        a, c, b = _scaled_pq(params)
-        values, power = [Fraction(0)] * k, b ** k
-        for g in islice(_scaled_pmf(a, c, k), n_max - k + 1):
-            values.append(_over_power(g, power, b))
-            power *= b
-        return values
-    return [0.0] * k + list(islice(_float_pmf(params), n_max - k + 1))
+    return list(_recurrence_values(params, range(n_max + 1)))
 
 
 def _falling_powers(runs: dict, b: int, stride: int, top: int) -> list:
@@ -517,14 +513,13 @@ class PmfTable:
 
     entries and cumulative are reduced Fractions in exact mode and floats in
     float mode.  text_rows is the one text form of the table: to_dict (in
-    exact mode), the CLI's CSV rows, its text lines and its JSON rows all
-    read it.  An exact recurrence table also carries shared: for each n,
-    the factors b^n / denominator of f(n) and of its cumulative value, which
-    its digit walk divides by (_exact_texts).  The CLI writes the fields of
-    summary() through the stdlib JSON encoder and the entries through a row
-    template: an exact table's one row at a time from text_rows, a float
-    table's from its columns with no dict built per row.  Both have the
-    bytes of json.dumps(to_dict(), indent=2).
+    exact mode), the CLI's CSV rows, its text lines and its exact JSON rows
+    all read it.  Only an exact recurrence table carries shared: for each
+    n, the factors b^n / denominator of f(n) and of its cumulative value,
+    which its digit walk divides by (_exact_texts); the digits of every
+    other table are its rendered values.  The CLI's table command writes
+    the bytes of json.dumps(to_dict(), indent=2) itself, with no dict built
+    per row (cli._json_table).
     """
     params: Params
     engine: Engine
@@ -669,47 +664,47 @@ def _tail_mass(params: Params, f_far: Scalar) -> Scalar:
 def build_table(params: Params, engine: Engine, n_max: int) -> PmfTable:
     """Tabulate f(0..n_max) with running cumulative sums.
 
-    An exact recurrence table is recurrence_series, checked and cumulated on
-    integers by _scaled_cumulative, which also keeps the factors its digits
-    divide by.  Every other table fills its entries in one pass of
-    _engine_values, so they are the values pmf gives, and goes through
-    _checked_cumulative.  The cumulative column comes from the entries
-    alone, and a table that fails its checks (a nan entry included) raises
-    ConsistencyError.  In float mode the table also carries the mass beyond
-    n_max, P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass), with
+    Every table, in both modes and for every engine, fills its entries in
+    one pass of _engine_values, so they are the values pmf gives.  The
+    cumulative column comes from the entries alone, and a table that fails
+    its checks (a nan entry included) raises ConsistencyError.  Exact
+    entries are checked and cumulated on integers by _scaled_cumulative,
+    which also keeps the factors an exact recurrence table's digits divide
+    by (_exact_texts); float entries go through _checked_cumulative.  In
+    float mode the table also carries the mass beyond n_max,
+    P(N > n_max) = f(n_max + k + 1) / (q p^k) (_tail_mass), with
     f(n_max + k + 1) from the same pass of the same engine: k + 1 values
     past n_max, for every engine.
     """
     k = params.k
     if n_max < k:
         raise DomainError(f"n_max must be >= k={k}, got {n_max}")
-    if params.mode is Mode.EXACT and engine is Engine.RECURRENCE:
-        entries = recurrence_series(params, n_max)
-        cumulative, shared = _scaled_cumulative(params, entries)
-        return PmfTable(params=params, engine=engine, entries=tuple(entries),
-                        cumulative=tuple(cumulative), tail_bound=None,
-                        shared=shared)
     floating = params.mode is Mode.FLOAT
     ns = range(n_max + 1)
     if floating:
         ns = [*ns, n_max + k + 1]     # f(n_max + k + 1), for the tail mass
     values = _engine_values(params, engine, ns)
     entries = tuple(islice(values, n_max + 1))
-    cumulative = _checked_cumulative(params, entries)
-    bound = _tail_mass(params, next(values)) if floating else None
+    if floating:
+        cumulative, shared = _checked_cumulative(params, entries), None
+        bound = _tail_mass(params, next(values))
+    else:
+        cumulative, shared = _scaled_cumulative(params, entries)
+        bound = None
+        if engine is not Engine.RECURRENCE:     # digits not from its kernel
+            shared = None
     return PmfTable(params=params, engine=engine, entries=entries,
-                    cumulative=tuple(cumulative), tail_bound=bound)
+                    cumulative=tuple(cumulative), tail_bound=bound,
+                    shared=shared)
 
 
 def _checked_cumulative(params: Params, entries) -> list:
-    """The cumulative column of a table's entries.  Raise ConsistencyError
-    unless every entry is a probability, those below the support are 0,
-    f(k) = p^k (within 1e-10 in float mode) and the total mass is at most
-    1.  Exact entries are checked and cumulated on integers
-    (_scaled_cumulative).  The float comparisons are written so that a nan
-    fails them, as an infinity does."""
-    if params.mode is Mode.EXACT:
-        return _scaled_cumulative(params, entries)[0]
+    """The cumulative column of a float table's entries.  Raise
+    ConsistencyError unless every entry is a probability, those below the
+    support are 0, f(k) = p^k within 1e-10 and the total mass is at most
+    1.  The comparisons are written so that a nan fails them, as an
+    infinity does; exact entries are checked on integers instead
+    (_scaled_cumulative)."""
     slack = 1e-10
     k = params.k
     for n, f in enumerate(entries):

@@ -186,13 +186,13 @@ def find_roots(params: Params) -> RootSet:
         raise SolverError(f"{reason} for {params}")
     roots = _unsorted_roots(params, aux_poly_coeffs(params))
     roots = (roots[0], *sorted(roots[1:], key=lambda z: (-z.real, -z.imag)))
-    root_set = RootSet(roots=roots, principal_index=0,
-                       residuals=tuple(_identity_residual(r, params) for r in roots))
+    root_set = RootSet(roots=roots, principal_index=0, residuals=())
     cert = certify_roots(root_set, params)
     if not cert.passed:
         raise SolverError(next(_failures(cert, params)),
                           residuals=list(cert.identity_residuals))
-    return replace(root_set, certificate=cert)
+    return replace(root_set, residuals=cert.identity_residuals,
+                   certificate=cert)
 
 
 def _underflow(p: float, k: int) -> str:
@@ -249,7 +249,7 @@ def certify_roots(root_set: RootSet, params: Params) -> RootCertification:
         min_separation=min_sep,
         positive_real_count=positive_real,
         max_magnitude=max_mag,
-        degenerate=params.degenerate.is_degenerate,
+        degenerate=params.degenerate,
         passed=False,
         warnings=tuple(warnings),
     )

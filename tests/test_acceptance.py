@@ -118,7 +118,7 @@ def test_criterion_07_spectral_pmf_both_branches(acceptance_report):
     worst = generic.worst_magnitude
     for p, k in ((0.5, 1), (2 / 3, 2)):   # degenerate p = k/(k+1)
         params = make_params(p, k)
-        assert params.degenerate.is_degenerate
+        assert params.degenerate
         root_set = find_roots(params)
         reference = recurrence_series(params, 100)
         for n in range(101):

@@ -561,6 +561,34 @@ def test_closed_stdout_exits_141_without_traceback():
     assert proc.returncode == 141
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs /dev/full")
+@pytest.mark.parametrize("to", ["out", "stdout"])
+def test_failed_write_is_one_error_line(to):
+    # a write that fails (ENOSPC) is a usage error, exit 2, never a
+    # traceback; on stdout the interpreter's last flush must not fail again
+    import geomk
+    src = os.path.dirname(os.path.dirname(geomk.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "geomk", "pmf", "--p", "1/2", "--k", "2",
+            "--n", "5"]
+    with open("/dev/full", "w") as full:
+        if to == "out":
+            proc = subprocess.run(argv + ["--out", "/dev/full"], env=env,
+                                  stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, timeout=120)
+        else:
+            proc = subprocess.run(argv, env=env, stdout=full,
+                                  stderr=subprocess.PIPE, timeout=120)
+    assert proc.stderr == (b"error: cannot write output: "
+                           b"No space left on device\n")
+    assert proc.returncode == 2
+    if to == "out":
+        assert proc.stdout == b""
+
+
 def test_every_schema_loads():
     for name in SCHEMA_NAMES:
         schema = load_schema(name)
@@ -585,7 +613,7 @@ def json_written(payload, stdout=None):
     stdout = io.StringIO() if stdout is None else stdout
     with contextlib.redirect_stdout(stdout):
         cli._write(types.SimpleNamespace(out="-", format="json"),
-                   lambda: payload, (), ())
+                   lambda: cli._ENCODER.iterencode(payload), (), ())
     return stdout.getvalue()
 
 
@@ -686,71 +714,56 @@ class StrSub(str):
     """A str of another type, which json writes as a str."""
 
 
-# name -> (keys, columns, whether the columns have a float table's shape:
-# ints and finite floats of exact types, at least one row)
+# name -> (keys, columns): row i maps keys[j] to columns[j][i]
 COLUMN_ROWS = {
-    "ints and floats": (("n", "f"), (range(3), (0.5, 1e-300, 0.25)), True),
-    "negative zero": (("n", "f"), (range(2), (-0.0, 0.25)), True),
-    "int above 2^1024": (("n", "f"), ((2 ** 1100, -1), (0.5, 2.5)), True),
-    "one row": (("re", "im"), ((0.5,), (-0.0,)), True),
-    "keys to escape": (('%r "\u00e9\n', "a%%b"), ((1.5,), (2,)), True),
-    "nan": (("n", "f"), (range(2), (0.5, math.nan)), False),
-    "inf": (("n", "f"), (range(2), (-math.inf, 0.5)), False),
-    "bool": (("n", "f"), ((0, True), (0.5, 0.5)), False),
-    "int in a float column": (("n", "f"), (range(2), (0.5, 2 ** 1100)),
-                              False),
+    "ints and floats": (("n", "f"), (range(3), (0.5, 1e-300, 0.25))),
+    "negative zero": (("n", "f"), (range(2), (-0.0, 0.25))),
+    "int above 2^1024": (("n", "f"), ((2 ** 1100, -1), (0.5, 2.5))),
+    "one row": (("re", "im"), ((0.5,), (-0.0,))),
+    "keys to escape": (('%r "\u00e9\n', "a%%b"), ((1.5,), (2,))),
+    "nan": (("n", "f"), (range(2), (0.5, math.nan))),
+    "inf": (("n", "f"), (range(2), (-math.inf, 0.5))),
+    "bool": (("n", "f"), ((0, True), (0.5, 0.5))),
+    "int in a float column": (("n", "f"), (range(2), (0.5, 2 ** 1100))),
     "str column": (("bin", "f"), (('a"b\\c', "100%s %r", "x\ny",
                                      "\u00e9\u2603\U0001f600", ""),
-                                    (0.5, 0.25, 1.0, -0.0, 2.0)), False),
-    "str value": (("n", "f"), (range(2), ("1/2", 0.5)), False),
-    "str and int": (("bin", "f"), (("1", 2), (0.5, 0.5)), False),
-    "str subclass": (("bin", "f"), (("1", StrSub("2")), (0.5, 0.5)), False),
-    "None value": (("n", "f"), (range(2), (None, 0.5)), False),
-    "float subclass": (("n", "f"), (range(2), (0.5, FloatSub(0.5))), False),
-    "nested row": (("n", "f"), (range(2), ([0.5], [0.25])), False),
-    "no rows": (("n", "f"), ((), ()), False),
-    "no keys": ((), (), False),
+                                    (0.5, 0.25, 1.0, -0.0, 2.0))),
+    "str value": (("n", "f"), (range(2), ("1/2", 0.5))),
+    "str and int": (("bin", "f"), (("1", 2), (0.5, 0.5))),
+    "str subclass": (("bin", "f"), (("1", StrSub("2")), (0.5, 0.5))),
+    "None value": (("n", "f"), (range(2), (None, 0.5))),
+    "float subclass": (("n", "f"), (range(2), (0.5, FloatSub(0.5)))),
+    "nested row": (("n", "f"), (range(2), ([0.5], [0.25]))),
+    "no rows": (("n", "f"), ((), ())),
+    "no keys": ((), ()),
 }
 
 
-# A report key that json escapes, with a "%" the row template must not read.
+# A report key that json escapes, with a "%" that no template may read.
 ESCAPED_KEY = 'entries "\u00e9%r\n'
 
 
-@pytest.mark.parametrize("name", COLUMN_ROWS)
-@pytest.mark.parametrize("writer", ["c"])   # unused, as above
-def test_column_rows_write_as_their_dict_rows(name, writer):
-    # Any table-shaped list of dicts is written by the stdlib encoder, and
-    # columns of a float table's shape also through the row template, as
-    # the report's last value: both with the bytes of json.dumps.
-    keys, columns, table_shaped = COLUMN_ROWS[name]
+# The ids keep the names the suite has always given these cases.
+@pytest.mark.parametrize("name", COLUMN_ROWS,
+                         ids=[f"c-{name}" for name in COLUMN_ROWS])
+def test_column_rows_write_as_their_dict_rows(name):
+    # Any table-shaped list of dicts, as a report's last value or not, is
+    # written by the stdlib encoder with the bytes of json.dumps.
+    keys, columns = COLUMN_ROWS[name]
     dicts = [dict(zip(keys, row)) for row in zip(*columns)]
-    reports = [{"entries": dicts}, {"tail": None, ESCAPED_KEY: dicts}]
-    for report in reports:
+    for report in ({"entries": dicts}, {"tail": None, ESCAPED_KEY: dicts}):
         assert json_written(report) == json.dumps(report, indent=2) + "\n"
-    if table_shaped:
-        rows = cli._Rows(keys, columns)
-        for report in reports:
-            key = next(reversed(report))
-            assert (json_written({**report, key: rows})
-                    == json.dumps(report, indent=2) + "\n")
 
 
 def test_templated_rows_are_streamed_in_blocks():
     count = 5 * cli._BLOCK + 7
-    values = [1 / (n + 3) for n in range(count)]
-    rows = cli._Rows(("n", "f"), (range(count), values))
-    expected = json.dumps({"entries": [{"n": n, "f": f} for n, f
-                                       in enumerate(values)]}, indent=2) + "\n"
-    sizes = []
-
-    class Writes(io.StringIO):
-        def write(self, text):
-            sizes.append(len(text))
-            return super().write(text)
-
-    assert json_written({"entries": rows}, Writes()) == expected
-    assert max(sizes) < len(expected) / 4
+    table = build_table(make_params(0.37, 3), Engine.RECURRENCE, count - 1)
+    pieces = list(cli._json_table(table))
+    expected = json.dumps(table.to_dict(), indent=2)
+    assert "".join(pieces) == expected
+    # the head, a lead and a block of rows per _BLOCK rows, and the tail
+    assert len(pieces) == 2 + 2 * 6
+    assert max(map(len, pieces)) < len(expected) / 4
 
 
 def cli_output(argv):
@@ -801,6 +814,54 @@ def test_float_table_output_is_the_library_table(p, k, n_max, engine, mode):
         lines.append(f"  tail bound beyond n_max: {table.tail_bound!r}")
     assert cli_output(argv + ("text",)) == (
         0, "".join(f"{line}\n" for line in lines), "")
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(p=FLOAT_TABLE_P, k=st.integers(1, 12),
+       rows=st.sampled_from(["k+1", 255, 256, 257, 513]),
+       engine=st.sampled_from(Engine), mode=st.sampled_from(Mode))
+def test_table_json_across_row_blocks(p, k, rows, engine, mode):
+    # n_max + 1 rows on either side of the float writer's _BLOCK = 256
+    n_max = k if rows == "k+1" else rows - 1
+    if mode is Mode.EXACT:
+        assume(engine is not Engine.ROOT_SUM)
+        params = make_params(Fraction(p), k)
+    else:
+        params = make_params(float(p), k)
+    if engine is Engine.ROOT_SUM:
+        try:
+            roots_mod.find_roots(params)
+        except SolverError:
+            assume(False)
+    table = build_table(params, engine, n_max)
+    assert cli_output(("table", "--p", p, "--k", str(k), "--n-max", str(n_max),
+                       "--mode", mode.value, "--engine", engine.value,
+                       "--format", "json")) == (
+        0, json.dumps(table.to_dict(), indent=2) + "\n", "")
+
+
+@pytest.mark.parametrize("p,k,n_max", [("37/100", 3, 200), ("1/2", 2, 300),
+                                       ("7/12", 6, 20)])
+def test_exact_tables_agree_across_engines(p, k, n_max):
+    # the exact engines make one table, and the same JSON but for the
+    # engine's name, though only the recurrence's digits come from a walk
+    # of its own kernel
+    params = make_params(Fraction(p), k)
+    engines = (Engine.RECURRENCE, Engine.MUSELLI, Engine.CLOSED_FORM)
+    tables = [build_table(params, engine, n_max) for engine in engines]
+    for table in tables[1:]:
+        assert table.entries == tables[0].entries
+        assert table.cumulative == tables[0].cumulative
+    outputs = []
+    for engine in engines:
+        code, out, err = cli_output(("table", "--p", p, "--k", str(k),
+                                     "--n-max", str(n_max), "--engine",
+                                     engine.value, "--format", "json"))
+        assert (code, err) == (0, "")
+        name = f'"engine": "{engine.value}"'
+        assert out.count(name) == 1
+        outputs.append(out.replace(name, '"engine": ""'))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _roots_payload(params):

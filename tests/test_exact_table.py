@@ -1,10 +1,10 @@
 """Exact recurrence tables: pinned output bytes, the checks that guard them,
 and a JSON writer that holds one row at a time.
 
-An exact recurrence table is checked and cumulated on the integers
-g(n) = f(n) b^n and C(n) = F(n) b^n (pmf._scaled_cumulative), and its digits
-come from a Decimal walk that divides by the factors each reduction kept.
-Every other table goes through pmf._checked_cumulative.
+Every exact table is checked and cumulated on the integers g(n) = f(n) b^n
+and C(n) = F(n) b^n (pmf._scaled_cumulative), and an exact recurrence
+table's digits come from a Decimal walk that divides by the factors each
+reduction kept.  Float tables go through pmf._checked_cumulative.
 """
 
 import hashlib
@@ -142,8 +142,8 @@ class TestExactTableChecks:
 
     @pytest.mark.parametrize("engine,p,routed", [
         (Engine.RECURRENCE, Fraction(3, 10), False),
-        (Engine.MUSELLI, Fraction(3, 10), True),
-        (Engine.CLOSED_FORM, Fraction(3, 10), True),
+        (Engine.MUSELLI, Fraction(3, 10), False),
+        (Engine.CLOSED_FORM, Fraction(3, 10), False),
         (Engine.RECURRENCE, 0.3, True),
         (Engine.MUSELLI, 0.3, True),
         (Engine.CLOSED_FORM, 0.3, True),
@@ -160,8 +160,11 @@ class TestExactTableChecks:
 
         monkeypatch.setattr(pmf_mod, "_checked_cumulative", spy)
         table = build_table(make_params(p, 3), engine, 40)
+        # float tables only; exact ones are checked on integers
         assert calls == ([41] if routed else [])
-        assert (table.shared is None) == routed
+        # only the exact recurrence's digits divide by the kept factors
+        assert ((table.shared is not None)
+                == (engine is Engine.RECURRENCE and not routed))
 
     def test_float_recurrence_nan_fails(self, monkeypatch):
         original = pmf_mod._float_pmf

@@ -389,7 +389,7 @@ class TestSeriesOracle:
 
     def test_degenerate_pair(self):
         params = make_params(Fraction(2, 3), 2)
-        assert params.degenerate.is_degenerate
+        assert params.degenerate
         oracle = factorial_moment_series(params, 2)
         for r in (1, 2):
             gap = factorial_moment(params, r) - oracle.sums[r - 1]

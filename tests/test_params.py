@@ -15,15 +15,15 @@ class TestMakeParams:
         assert params.q == Fraction(1, 2)
         assert params.k == 2
         assert params.mode is Mode.EXACT
-        assert not params.degenerate.is_degenerate  # k/(k+1) = 2/3
+        assert not params.degenerate  # k/(k+1) = 2/3
 
     def test_degenerate_k1(self):
-        assert make_params(Fraction(1, 2), 1).degenerate.is_degenerate
+        assert make_params(Fraction(1, 2), 1).degenerate
 
     @pytest.mark.parametrize("p,k", [(Fraction(2, 3), 2), (Fraction(3, 4), 3),
                                      (Fraction(5, 6), 5)])
     def test_degenerate_exact_family(self, p, k):
-        assert make_params(p, k).degenerate.is_degenerate
+        assert make_params(p, k).degenerate
 
     @pytest.mark.parametrize("bad", [Fraction(0), Fraction(1), Fraction(3, 2),
                                      Fraction(-1, 2), 0.0, 1.0, 1.5])
@@ -49,9 +49,9 @@ class TestMakeParams:
             assert abs(params.p + params.q - 1.0) <= EPS
 
     def test_float_degeneracy_tolerance(self):
-        assert make_params(2 / 3, 2).degenerate.is_degenerate
-        assert make_params(2 / 3 + 1e-13, 2).degenerate.is_degenerate
-        assert not make_params(2 / 3 + 1e-9, 2).degenerate.is_degenerate
+        assert make_params(2 / 3, 2).degenerate
+        assert make_params(2 / 3 + 1e-13, 2).degenerate
+        assert not make_params(2 / 3 + 1e-9, 2).degenerate
 
 
 class TestQpk:

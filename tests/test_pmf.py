@@ -164,7 +164,7 @@ class TestRootSum:
         # p = 1/2, k = 1 sits exactly at k/(k+1); second branch gives pq^2
         params = make_params(0.5, 1)
         root_set = find_roots(params)
-        assert params.degenerate.is_degenerate
+        assert params.degenerate
         assert pmf_rootsum(params, root_set, 3) == pytest.approx(0.125, abs=1e-12)
 
     def test_matches_recurrence_spot(self):
@@ -283,7 +283,7 @@ class TestRootSumLoop:
 
     def test_degenerate_grid_is_flagged(self):
         flags = {(p, k) for p, k in self.GRID
-                 if make_params(p, k).degenerate.is_degenerate}
+                 if make_params(p, k).degenerate}
         assert flags == {(0.5, 1), (2 / 3, 2), (0.75, 3)}
 
     def test_foreign_root_set_rejected(self):

@@ -85,6 +85,7 @@ class TestFindRoots:
         root_set = find_roots(params)
         assert len(root_set.roots) == k
         assert max(r for r in root_set.residuals) <= 1e-12
+        assert root_set.residuals == root_set.certificate.identity_residuals
         assert max(abs(z) for z in root_set.roots) < 1.0
         reals = [z for z in root_set.roots if z.imag == 0 and z.real > 0]
         assert len(reals) == 1
